@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Subcommands: gen, certify, oracle, counterexample, search, gb.
+Subcommands: gen, certify, oracle, counterexample, search, gb, recheck.
+Each subcommand accepts only the flags it reads.
 Exit codes: 0 the checked property holds, 1 it fails, 2 usage error,
 3 inconclusive (a resource budget ran out before an answer was reached).
 All emissions are UTF-8 and newline-terminated.
@@ -11,12 +12,12 @@ import json
 import sys
 
 from .errors import BudgetExceededError, ParseError, XyregError
-from .fields import QQ, DEFAULT_PRIME, PrimeField, field_from_spec, is_prime
+from .fields import QQ, DEFAULT_PRIME, PrimeField, is_prime
 from .groebner import groebner_basis
 from .orders import MonomialOrder
-from .pattern import (GenericProduct, PatternSpec, augmented_sequence,
-                      build_ring, certification_order, certify_pattern,
-                      counterexample_2x2, selected_entries)
+from .pattern import (GenericProduct, PatternSpec, build_ring,
+                      certification_order, certify_pattern, counterexample_2x2,
+                      recheck_certificate, selected_entries)
 from .poly import format_poly, parse_poly
 from .regseq import greedy_extend, sequence_oracle
 from .ring import format_monomial
@@ -31,27 +32,48 @@ class UsageError(Exception):
     pass
 
 
-def _add_common(sp, with_n=True):
-    if with_n:
-        sp.add_argument("--n", type=int, default=None, help="matrix size (>= 2)")
-    sp.add_argument("--field", choices=["gfp", "rat"], default=None,
-                    help="coefficient domain (default gfp; counterexample defaults to rat)")
-    sp.add_argument("--prime", type=int, default=DEFAULT_PRIME,
-                    help=f"prime for --field gfp (default {DEFAULT_PRIME})")
-    sp.add_argument("--order", choices=["paper", "grevlex", "lex"], default="paper",
-                    help="monomial order for basis emission (default paper)")
-    sp.add_argument("--method", choices=["hilbert", "colon"], default="hilbert",
-                    help="regularity oracle method (default hilbert)")
-    sp.add_argument("--format", choices=["text", "json"], default="text",
-                    help="output format (default text)")
-    sp.add_argument("--input", default=None, metavar="FILE",
-                    help="polynomial file, one per line, '#' comments ignored")
-    sp.add_argument("--budget-pairs", type=int, default=None, metavar="K",
-                    help="abort after considering K critical pairs")
-    sp.add_argument("--budget-degree", type=int, default=None, metavar="D",
-                    help="abort when a critical pair exceeds total degree D")
-    sp.add_argument("--out", default=None, metavar="FILE",
-                    help="write the emission to FILE instead of stdout")
+FLAGS = {
+    "n": dict(type=int, default=None, help="matrix size (>= 2)"),
+    "field": dict(choices=["gfp", "rat"], default=None,
+                  help="coefficient domain (default gfp; counterexample defaults to rat)"),
+    "prime": dict(type=int, default=DEFAULT_PRIME,
+                  help=f"prime for --field gfp (default {DEFAULT_PRIME})"),
+    "order": dict(choices=["paper", "grevlex", "lex"], default="paper",
+                  help="monomial order for basis emission (default paper)"),
+    "method": dict(choices=["hilbert", "colon"], default="hilbert",
+                   help="regularity oracle method (default hilbert)"),
+    "input": dict(default=None, metavar="FILE",
+                  help="polynomial file, one per line, '#' comments ignored "
+                       "(recheck: a certificate JSON file)"),
+    "budget-pairs": dict(type=int, default=None, metavar="K",
+                         help="abort after considering K critical pairs"),
+    "budget-degree": dict(type=int, default=None, metavar="D",
+                          help="abort when a critical pair exceeds total degree D"),
+    "format": dict(choices=["text", "json"], default="text",
+                   help="output format (default text)"),
+    "out": dict(default=None, metavar="FILE",
+                help="write the emission to FILE instead of stdout"),
+}
+
+BUDGETS = ("budget-pairs", "budget-degree")
+
+# subcommand -> (help, the flags its cmd_* function reads)
+SUBCOMMANDS = {
+    "gen": ("emit the product entries, the selection pattern and the "
+            "augmented ordering", ("n", "field", "prime", "format", "out")),
+    "certify": ("certify the selected entries step by step",
+                ("n", "field", "prime", "format", "out")),
+    "oracle": ("decide regularity of a sequence outright",
+               ("n", "field", "prime", "method", "input", *BUDGETS, "format", "out")),
+    "counterexample": ("verify that all four 2x2 product entries fail to be "
+                       "a regular sequence", ("field", "prime", "format", "out")),
+    "search": ("greedily extend the certified sequence by further product entries",
+               ("n", "field", "prime", "method", *BUDGETS, "format", "out")),
+    "gb": ("reduced Groebner basis of the polynomials in --input",
+           ("n", "field", "prime", "order", "input", *BUDGETS, "format", "out")),
+    "recheck": ("re-certify a certificate JSON file and compare it with the result",
+                ("input", "format", "out")),
+}
 
 
 def build_parser():
@@ -60,22 +82,10 @@ def build_parser():
         description="Regular sequences among the entries of a generic matrix product.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="emit the product entries, the selection "
-                                   "pattern and the augmented ordering")
-    _add_common(p)
-    p = sub.add_parser("certify", help="certify the selected entries step by step")
-    _add_common(p)
-    p = sub.add_parser("oracle", help="decide regularity of a sequence outright")
-    _add_common(p)
-    p = sub.add_parser("counterexample", help="verify that all four 2x2 product "
-                                              "entries fail to be a regular sequence")
-    _add_common(p, with_n=False)
-    p = sub.add_parser("search", help="greedily extend the certified sequence "
-                                      "by further product entries")
-    _add_common(p)
-    p = sub.add_parser("gb", help="reduced Groebner basis of the polynomials in --input")
-    _add_common(p)
+    for name, (help_text, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
 
 
@@ -293,6 +303,22 @@ def cmd_search(args):
     return EXIT_OK
 
 
+def cmd_recheck(args):
+    if args.input is None:
+        raise UsageError("recheck requires --input")
+    with open(args.input, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise UsageError(f"{args.input}: JSON nested too deeply") from None
+    verdict = recheck_certificate(data)
+    if args.format == "json":
+        _emit(args, json.dumps({"verdict": verdict}, indent=2))
+    else:
+        _emit(args, f"verdict: {verdict}")
+    return EXIT_OK if verdict == "certified" else EXIT_FAIL
+
+
 def cmd_gb(args):
     n = _require_n(args)
     field = _make_field(args, check_prime_gt=n)
@@ -321,6 +347,7 @@ DISPATCH = {
     "counterexample": cmd_counterexample,
     "search": cmd_search,
     "gb": cmd_gb,
+    "recheck": cmd_recheck,
 }
 
 
@@ -338,7 +365,7 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, XyregError) as exc:

@@ -41,6 +41,10 @@ class BudgetExceededError(XyregError):
         self.degree_reached = degree_reached
 
 
+class CertificateFormatError(XyregError):
+    """Serialized certificate data is not shaped like a certificate."""
+
+
 class CertificationError(XyregError):
     """A certification step failed; ``condition`` names the violated check."""
 

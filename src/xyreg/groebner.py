@@ -14,8 +14,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BudgetExceededError, DimensionError, OrderMismatchError, UndefinedLeadError
-from .poly import Polynomial, canonicalize
-from .ring import Monomial
+from .poly import Polynomial
 
 
 class GroebnerBasis:

@@ -1,50 +1,22 @@
-"""Normal-form reduction kernels.
+"""Normal-form reduction kernel.
 
 The inner loop of every Groebner computation is the repeated step "find a
 basis lead dividing the current head term, subtract the matching multiple".
-Over GF(p) the term data is plain int64 arrays, so the loop carries a numba
-``@njit`` kernel; a pure-numpy implementation of the same contract is kept
-as a fallback and doubles as the path for exact-rational coefficients.
+The kernel runs it over numpy term arrays, for GF(p) and exact-rational
+coefficients alike.
 
-Backend selection: set ``XYREG_BACKEND=numpy`` to force the fallback, or
-``XYREG_BACKEND=numba`` to require the JIT (ImportError if unavailable).
-Default: numba when importable, numpy otherwise.
-
-Kernel contract (both paths): inputs are one polynomial and a flattened
-divisor list, all terms strictly descending under the key matrix, all
-divisors monic; output is the fully reduced remainder, none of whose terms
-is divisible by any divisor lead.  Divisor selection is first match in list
-order.
+Kernel contract: inputs are one polynomial and a flattened divisor list, all
+terms strictly descending under the key matrix, all divisors monic; output
+is the fully reduced remainder, none of whose terms is divisible by any
+divisor lead.  Divisor selection is first match in list order.
 """
-
-import os
 
 import numpy as np
 
-_requested = os.environ.get("XYREG_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise ValueError(f"XYREG_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
-
-if _requested == "numpy":
-    _HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-        _HAVE_NUMBA = False
-
 
 def active_backend():
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback (and exact-rational path)
-# ---------------------------------------------------------------------------
+    """Name of the reduction kernel in use; numpy is the only one."""
+    return "numpy"
 
 
 def _merge_canonical(field, exps_a, coeffs_a, keys_a, exps_b, coeffs_b, keys_b):
@@ -108,139 +80,10 @@ def nf_numpy(field, f_exps, f_keys, f_coeffs,
     return np.array(r_exps, dtype=np.int64), np.array(r_coeffs, dtype=field.dtype)
 
 
-# ---------------------------------------------------------------------------
-# numba kernel (GF(p) only)
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _key_cmp(ka, kb, shift):
-        """Compare ka with kb + shift lexicographically: -1, 0 or 1."""
-        for t in range(ka.shape[0]):
-            d = ka[t] - (kb[t] + shift[t])
-            if d > 0:
-                return 1
-            if d < 0:
-                return -1
-        return 0
-
-    @njit(cache=True)
-    def _nf_gfp(f_exps, f_keys, f_coeffs, d_exps, d_keys, d_coeffs, d_starts,
-                d_lead_exps, p):
-        nv = f_exps.shape[1]
-        nk = f_keys.shape[1]
-        nd = d_starts.shape[0] - 1
-
-        w_exps = f_exps.copy()
-        w_coeffs = f_coeffs.copy()
-        w_keys = f_keys.copy()
-
-        r_exps = np.empty((len(f_coeffs), nv), dtype=np.int64)
-        r_coeffs = np.empty(len(f_coeffs), dtype=np.int64)
-        r_cap = len(f_coeffs)
-        r_len = 0
-
-        zero_shift = np.zeros(nk, dtype=np.int64)
-
-        while w_coeffs.shape[0] > 0:
-            hit = -1
-            for di in range(nd):
-                ok = True
-                for v in range(nv):
-                    if d_lead_exps[di, v] > w_exps[0, v]:
-                        ok = False
-                        break
-                if ok:
-                    hit = di
-                    break
-            if hit < 0:
-                if r_len == r_cap:
-                    r_cap = 2 * r_cap + 1
-                    new_exps = np.empty((r_cap, nv), dtype=np.int64)
-                    new_exps[:r_len] = r_exps[:r_len]
-                    new_coeffs = np.empty(r_cap, dtype=np.int64)
-                    new_coeffs[:r_len] = r_coeffs[:r_len]
-                    r_exps, r_coeffs = new_exps, new_coeffs
-                r_exps[r_len] = w_exps[0]
-                r_coeffs[r_len] = w_coeffs[0]
-                r_len += 1
-                w_exps = w_exps[1:]
-                w_coeffs = w_coeffs[1:]
-                w_keys = w_keys[1:]
-                continue
-
-            lo = d_starts[hit]
-            hi = d_starts[hit + 1]
-            c = w_coeffs[0]
-            shift = w_exps[0] - d_lead_exps[hit]
-            key_shift = w_keys[0] - d_keys[lo]
-
-            na = w_coeffs.shape[0] - 1
-            nb = hi - lo - 1
-            m_exps = np.empty((na + nb, nv), dtype=np.int64)
-            m_coeffs = np.empty(na + nb, dtype=np.int64)
-            m_keys = np.empty((na + nb, nk), dtype=np.int64)
-            i = 1
-            j = lo + 1
-            out = 0
-            while i <= na and j < hi:
-                cmp = _key_cmp(w_keys[i], d_keys[j], key_shift)
-                if cmp > 0:
-                    m_exps[out] = w_exps[i]
-                    m_coeffs[out] = w_coeffs[i]
-                    m_keys[out] = w_keys[i]
-                    i += 1
-                    out += 1
-                elif cmp < 0:
-                    m_exps[out] = d_exps[j] + shift
-                    m_coeffs[out] = (-c * d_coeffs[j]) % p
-                    m_keys[out] = d_keys[j] + key_shift
-                    j += 1
-                    out += 1
-                else:
-                    val = (w_coeffs[i] - c * d_coeffs[j]) % p
-                    if val != 0:
-                        m_exps[out] = w_exps[i]
-                        m_coeffs[out] = val
-                        m_keys[out] = w_keys[i]
-                        out += 1
-                    i += 1
-                    j += 1
-            while i <= na:
-                m_exps[out] = w_exps[i]
-                m_coeffs[out] = w_coeffs[i]
-                m_keys[out] = w_keys[i]
-                i += 1
-                out += 1
-            while j < hi:
-                m_exps[out] = d_exps[j] + shift
-                m_coeffs[out] = (-c * d_coeffs[j]) % p
-                m_keys[out] = d_keys[j] + key_shift
-                j += 1
-                out += 1
-            w_exps = m_exps[:out]
-            w_coeffs = m_coeffs[:out]
-            w_keys = m_keys[:out]
-
-        return r_exps[:r_len].copy(), r_coeffs[:r_len].copy()
-
-    def nf_gfp_numba(field, f_exps, f_keys, f_coeffs,
-                     d_exps, d_keys, d_coeffs, d_starts, d_lead_exps):
-        return _nf_gfp(f_exps, f_keys, f_coeffs, d_exps, d_keys, d_coeffs,
-                       d_starts, d_lead_exps, field.p)
-
-else:
-    nf_gfp_numba = None
-
-
 def reduce_terms(field, f_exps, f_keys, f_coeffs,
                  d_exps, d_keys, d_coeffs, d_starts, d_lead_exps):
-    """Dispatch to the fastest available kernel for this coefficient field."""
+    """Fully reduce f by the divisor list; a no-op when either is empty."""
     if len(f_coeffs) == 0 or len(d_starts) <= 1:
         return f_exps, f_coeffs
-    if _HAVE_NUMBA and not field.is_exact_rational:
-        return nf_gfp_numba(field, f_exps, f_keys, f_coeffs,
-                            d_exps, d_keys, d_coeffs, d_starts, d_lead_exps)
     return nf_numpy(field, f_exps, f_keys, f_coeffs,
                     d_exps, d_keys, d_coeffs, d_starts, d_lead_exps)

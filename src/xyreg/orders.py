@@ -101,9 +101,6 @@ class MonomialOrder:
                 return 1 if x > y else -1
         return 0
 
-    def greater(self, a, b):
-        return self.compare(a, b) > 0
-
     def sort_desc(self, exps):
         """Indices rearranging the rows of ``exps`` strictly descending."""
         keys = self.keys(exps)
@@ -147,8 +144,3 @@ def certification_precedence(n):
     precedence += [x_slot(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i > j]
     precedence += [y_slot(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     return tuple(precedence)
-
-
-def mono_compare(order, a, b):
-    """Three-way comparison of monomials under the given order."""
-    return order.compare(a, b)

@@ -17,12 +17,13 @@ bare-divisible terms to expose the effective lead
 which is coprime to everything certified before it.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError
-from .fields import DEFAULT_PRIME, PrimeField, QQ
+from .errors import CertificateFormatError, CertificationError
+from .fields import DEFAULT_PRIME, PrimeField, QQ, field_from_spec
 from .groebner import groebner_basis, normal_form
 from .orders import MonomialOrder
 from .poly import Polynomial, format_poly
@@ -82,16 +83,6 @@ class GenericProduct:
             self._cache[key] = Polynomial.from_terms(self.table, self.field,
                                                      self.order, terms)
         return self._cache[key]
-
-    def all_entries(self):
-        """All n^2 entries in row-major order."""
-        return [self.entry(i, j)
-                for i in range(1, self.n + 1) for j in range(1, self.n + 1)]
-
-
-def product_entry(n, i, j, field=None, order=None):
-    """Convenience one-shot f[i,j] constructor."""
-    return GenericProduct(n, field, order).entry(i, j)
 
 
 def column_limit(n, t):
@@ -236,6 +227,52 @@ def certify_pattern(n, field=None):
                             "message": str(exc)}
             break
     return cert
+
+
+CERTIFICATE_KEYS = ("n", "order", "field", "steps", "verdict")
+
+
+def _certificate_inputs(data):
+    """The (n, field) a serialized certificate claims to certify.
+
+    Raises CertificateFormatError when ``data`` is not a JSON object with
+    the certificate keys, an integer ``n >= 2`` and a known field spec.
+    """
+    if not isinstance(data, dict):
+        raise CertificateFormatError("a certificate is a JSON object")
+    missing = [key for key in CERTIFICATE_KEYS if key not in data]
+    if missing:
+        raise CertificateFormatError(f"missing key {missing[0]!r}")
+    n = data["n"]
+    if type(n) is not int or n < 2:
+        raise CertificateFormatError(f"n must be an integer >= 2, got {n!r}")
+    spec = data["field"]
+    if not isinstance(spec, dict):
+        raise CertificateFormatError("field must be a JSON object")
+    try:
+        return n, field_from_spec(spec.get("kind"), spec.get("prime"))
+    except (TypeError, ValueError) as exc:
+        raise CertificateFormatError(f"bad field {spec!r}: {exc}") from None
+
+
+def recheck_certificate(data):
+    """Re-certify the pattern a serialized certificate names, and compare.
+
+    A certificate is a deterministic function of its size ``n`` and its
+    field, so only those two are read from ``data``: :func:`certify_pattern`
+    runs again, and the result is "certified" only when that run certifies
+    and its JSON form equals ``data`` exactly (as canonical JSON, so ``true``
+    and ``1`` differ).  Anything else -- a changed, missing, extra or
+    reordered step, check or verdict -- gives "failed".  Raises
+    CertificateFormatError when ``data`` is not shaped like a certificate.
+    """
+    n, field = _certificate_inputs(data)
+    fresh = certify_pattern(n, field)
+    if fresh.verdict != "certified":
+        return "failed"
+    same = (json.dumps(data, sort_keys=True)
+            == json.dumps(fresh.to_json_dict(), sort_keys=True))
+    return "certified" if same else "failed"
 
 
 # ---------------------------------------------------------------------------

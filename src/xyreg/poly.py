@@ -7,7 +7,6 @@ rows.  All instances are immutable; every operation returns a fresh value.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -127,12 +126,6 @@ class Polynomial:
         if self.is_zero():
             raise UndefinedLeadError("zero polynomial has no leading term")
         return self.coeffs[0]
-
-    def coefficient_of(self, monomial):
-        hits = np.flatnonzero((self.exps == monomial.exps).all(axis=1))
-        if len(hits) == 0:
-            return self.field.zero
-        return self.coeffs[hits[0]]
 
     # -- compatibility checks ----------------------------------------------
     def _check_compatible(self, other):

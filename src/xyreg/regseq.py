@@ -6,8 +6,8 @@ lead is coprime to everything seen (a COPRIME_EXTEND step) or by an element
 that first sheds the terms divisible by previously adjoined bare monomials,
 after which the lead of the residue must be coprime to everything seen
 (a TECHNICAL step).  Each step records every gcd and lead comparison it
-made, so a stored certificate can be re-checked without re-deriving the
-decompositions.
+made.  A stored certificate is re-checked by certifying again and comparing
+(``pattern.recheck_certificate``), never by trusting its recorded steps.
 
 Two independent oracles decide regularity outright: the Hilbert-series
 criterion for homogeneous sequences (quotient series equals the complete-
@@ -19,16 +19,15 @@ certification order; regularity does not depend on that choice.
 
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from .errors import (BudgetExceededError, CertificationError, HomogeneityError,
                      UndefinedLeadError)
-from .fields import PrimeField, RationalField, field_from_spec
-from .groebner import GroebnerBasis, groebner_basis, multi_divide, normal_form
-from .hilbert import complete_intersection_numerator, hilbert_numerator
-from .groebner import lead_ideal, buchberger
+from .fields import PrimeField
+# buchberger is not called here; perfbench/tracer.py rebinds it in every
+# module that holds it, and perfbench/selftest.py expects it in this one
+from .groebner import buchberger, groebner_basis, multi_divide, normal_form
+from .hilbert import complete_intersection_numerator, hilbert_series_quotient
 from .orders import MonomialOrder
-from .poly import Polynomial, Term, format_poly, parse_poly
+from .poly import Polynomial, Term, format_poly
 from .ring import Monomial, VariableTable, format_monomial
 
 ROLE_BASE = "base"
@@ -256,72 +255,6 @@ def _format_term(t, table):
     return f"{t.coefficient}*{mono}"
 
 
-def _order_from_name(name, nvars, n):
-    if name == "paper":
-        return MonomialOrder.paper(n)
-    if name == "grevlex":
-        return MonomialOrder.grevlex(nvars)
-    if name == "lex":
-        return MonomialOrder.lex(nvars)
-    raise ValueError(f"unknown order name {name!r}")
-
-
-def recheck_certificate(data):
-    """Re-run every stored gcd and lead check of a serialized certificate.
-
-    Decompositions are taken as stored (subtraction lists are not re-derived);
-    the residues, leads and coprimality conditions are recomputed from the
-    polynomial strings.  Returns "certified" or "failed".
-    """
-    n = data["n"]
-    table = VariableTable.xy(n)
-    fld = field_from_spec(data["field"]["kind"], data["field"].get("prime", 32003))
-    order = _order_from_name(data["order"], table.nvars, n)
-    prior = []
-    for s in data["steps"]:
-        element = parse_poly(s["element"], table, fld, order)
-        claimed_lead = _parse_monomial(s["effective_lead"], table, fld, order)
-        try:
-            if s["kind"] == "COPRIME_EXTEND":
-                e = coprime_extend_element(prior, element, order, role=s["role"])
-            else:
-                sub = [(
-                    _parse_monomial(m, table, fld, order),
-                    parse_poly(t, table, fld, order).leading_term(),
-                ) for m, t in s["subtractions"]]
-                e = _replay_technical(prior, element, sub, order)
-            if e.effective_lead != claimed_lead:
-                return "failed"
-            prior.append(e)
-        except (CertificationError, UndefinedLeadError):
-            return "failed"
-    return "certified" if data["verdict"] == "certified" else data["verdict"]
-
-
-def _parse_monomial(text, table, fld, order):
-    return parse_poly(text, table, fld, order).leading_monomial()
-
-
-def _replay_technical(prior, element, subtractions, order):
-    """Re-verify a stored TECHNICAL step: subtract the recorded multiples and
-    re-run the coprimality and lead checks on the resulting residue."""
-    residue = element
-    for m, t in subtractions:
-        residue = residue - Polynomial.from_terms(
-            element.table, element.field, order, [(t.coefficient, t.monomial * m)])
-    if residue.is_zero():
-        raise CertificationError("residue_nonzero", "stored subtractions cancel the element")
-    lead = residue.leading_monomial()
-    bare, others = _split_prior(prior)
-    for e in others:
-        if not e.effective_lead.coprime(lead):
-            raise CertificationError("residue_lead_coprime_to_prior_leads", "clash")
-    for e in bare:
-        if not e.effective_lead.coprime(lead):
-            raise CertificationError("residue_lead_coprime_to_bare_monomials", "clash")
-    return EffectiveElement(poly=element, effective_lead=lead, role=ROLE_TECHNICAL)
-
-
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
@@ -352,9 +285,8 @@ def regular_oracle_hilbert(seq, *, pair_budget=None, degree_budget=None):
     if any(d == 0 for d in degrees):
         return False  # a unit makes the ideal improper
     order = _oracle_order(seq[0].table)
-    gens = [p.resort(order) for p in seq]
-    gb = buchberger(gens, order, pair_budget=pair_budget, degree_budget=degree_budget)
-    numer = hilbert_numerator(lead_ideal(gb), seq[0].table.nvars)
+    numer = hilbert_series_quotient([p.resort(order) for p in seq], order,
+                                    pair_budget=pair_budget, degree_budget=degree_budget)
     return tuple(numer.numerator) == complete_intersection_numerator(degrees)
 
 

@@ -154,14 +154,6 @@ class Monomial:
         return f"Monomial({self.as_tuple()})"
 
 
-def mono_gcd(a, b):
-    return a.gcd(b)
-
-
-def mono_lcm(a, b):
-    return a.lcm(b)
-
-
 def format_monomial(m, table):
     """Render a monomial in the text grammar, '1' for the empty product."""
     parts = []

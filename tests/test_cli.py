@@ -166,3 +166,52 @@ def test_text_and_json_verdicts_agree(capsys, tmp_path):
         code, _, _ = run(capsys, "oracle", "--n", "2", "--input", str(path),
                          "--method", "hilbert", "--format", fmt)
         assert code == 1
+
+
+def test_flags_belong_to_their_subcommand(capsys):
+    assert run(capsys, "certify", "--n", "2", "--order", "lex")[0] == 2
+    assert run(capsys, "gen", "--n", "2", "--method", "colon")[0] == 2
+    assert run(capsys, "counterexample", "--n", "2")[0] == 2
+    assert run(capsys, "recheck", "--n", "2")[0] == 2
+
+
+def certificate_file(capsys, tmp_path, *argv):
+    path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "certify", *argv, "--format", "json", "--out", str(path))
+    assert code == 0
+    return path
+
+
+def test_recheck_genuine_certificates(capsys, tmp_path):
+    for argv in [("--n", str(n)) for n in range(2, 9)] + [("--n", "3", "--field", "rat")]:
+        path = certificate_file(capsys, tmp_path, *argv)
+        code, out, _ = run(capsys, "recheck", "--input", str(path))
+        assert code == 0 and out == "verdict: certified\n", argv
+    code, out, _ = run(capsys, "recheck", "--input", str(path), "--format", "json")
+    assert code == 0 and json.loads(out) == {"verdict": "certified"}
+
+
+def test_recheck_forged_certificate(capsys, tmp_path):
+    path = certificate_file(capsys, tmp_path, "--n", "3")
+    data = json.loads(path.read_text())
+    data["steps"].pop()
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "recheck", "--input", str(path))
+    assert code == 1 and out == "verdict: failed\n"
+
+
+def test_recheck_usage_errors(capsys, tmp_path):
+    good = json.loads(certificate_file(capsys, tmp_path, "--n", "2").read_text())
+    missing_field = {k: v for k, v in good.items() if k != "field"}
+    cases = ["{not json", "[" * 100000 + "]" * 100000, json.dumps(missing_field),
+             json.dumps(dict(good, n="2")), json.dumps(dict(good, n=1)),
+             json.dumps(dict(good, field={"kind": "real"})),
+             json.dumps(dict(good, field={"kind": "gfp", "prime": 32004}))]
+    path = tmp_path / "bad.json"
+    for text in cases:
+        path.write_text(text)
+        code, out, err = run(capsys, "recheck", "--input", str(path))
+        assert code == 2 and out == "", text
+        assert err.startswith("error: ") and "Traceback" not in err
+    assert run(capsys, "recheck")[0] == 2
+    assert run(capsys, "recheck", "--input", str(tmp_path / "missing.json"))[0] == 2

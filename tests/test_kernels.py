@@ -1,13 +1,6 @@
-import os
 import random
-import subprocess
-import sys
-
-import numpy as np
-import pytest
 
 from conftest import random_poly
-from xyreg import kernels
 from xyreg.fields import PrimeField, QQ
 from xyreg.groebner import GroebnerBasis, normal_form
 from xyreg.orders import MonomialOrder
@@ -25,28 +18,6 @@ def build_case(rng, field):
         if not d.is_zero():
             divisors.append(d.monic())
     return order, f, GroebnerBasis(order, divisors)
-
-
-def flat(gb):
-    return gb.flat_arrays()
-
-
-@pytest.mark.skipif(not kernels._HAVE_NUMBA, reason="numba backend unavailable")
-def test_numba_and_numpy_paths_agree():
-    gf = PrimeField(32003)
-    rng = random.Random(1234)
-    for _ in range(50):
-        order, f, gb = build_case(rng, gf)
-        if f.is_zero():
-            continue
-        d_exps, d_keys, d_coeffs, d_starts, d_leads = flat(gb)
-        f_keys = order.keys(f.exps)
-        re1, rc1 = kernels.nf_gfp_numba(gf, f.exps, f_keys, f.coeffs,
-                                        d_exps, d_keys, d_coeffs, d_starts, d_leads)
-        re2, rc2 = kernels.nf_numpy(gf, f.exps, f_keys, f.coeffs,
-                                    d_exps, d_keys, d_coeffs, d_starts, d_leads)
-        assert np.array_equal(re1, re2)
-        assert np.array_equal(rc1, rc2)
 
 
 def test_numpy_path_handles_rationals():
@@ -69,29 +40,3 @@ def test_reduction_invariants_via_normal_form():
         for term in r.terms():
             assert not any(d.leading_monomial().divides(term.monomial)
                            for d in gb.polys)
-
-
-def test_backend_env_flag():
-    code = ("import xyreg.kernels as k; import sys; "
-            "sys.exit(0 if k.active_backend() == 'numpy' else 1)")
-    env = dict(os.environ, XYREG_BACKEND="numpy")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-    env = dict(os.environ, XYREG_BACKEND="bogus")
-    proc = subprocess.run([sys.executable, "-c", "import xyreg.kernels"],
-                          env=env, capture_output=True)
-    assert proc.returncode != 0
-
-
-def test_numpy_backend_full_pipeline():
-    code = (
-        "import os; os.environ['XYREG_BACKEND'] = 'numpy';\n"
-        "from xyreg.pattern import certify_pattern, selected_entries\n"
-        "from xyreg.regseq import sequence_oracle\n"
-        "from xyreg.fields import PrimeField\n"
-        "assert certify_pattern(3).verdict == 'certified'\n"
-        "assert sequence_oracle(selected_entries(2, field=PrimeField(32003)),"
-        " 'hilbert').regular\n"
-    )
-    env = dict(os.environ, XYREG_BACKEND="numpy")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
-    assert proc.returncode == 0, proc.stderr.decode()

@@ -5,8 +5,8 @@ from xyreg.orders import MonomialOrder
 from xyreg.pattern import (GenericProduct, PatternSpec, augmented_sequence,
                            build_ring, certification_order, certify_pattern,
                            column_limit, counterexample_2x2,
-                           expected_effective_lead, product_entry,
-                           selected_entries, selected_rows)
+                           expected_effective_lead, selected_entries,
+                           selected_rows)
 from xyreg.poly import format_poly
 from xyreg.ring import format_monomial
 
@@ -19,8 +19,8 @@ def test_build_ring():
 
 
 def test_product_entries():
-    assert format_poly(product_entry(2, 1, 1)) == "x[1,1]*y[1,1] + x[1,2]*y[2,1]"
-    f22 = product_entry(2, 2, 2)
+    assert format_poly(GenericProduct(2).entry(1, 1)) == "x[1,1]*y[1,1] + x[1,2]*y[2,1]"
+    f22 = GenericProduct(2).entry(2, 2)
     assert sorted(format_monomial(t.monomial, f22.table) for t in f22.terms()) == [
         "x[2,1]*y[1,2]", "x[2,2]*y[2,2]"]
     for n in (2, 3, 5):
@@ -31,7 +31,7 @@ def test_product_entries():
                 assert f.num_terms == n
                 assert f.is_homogeneous() and f.degree() == 2
     with pytest.raises(IndexError):
-        product_entry(2, 3, 1)
+        GenericProduct(2).entry(3, 1)
 
 
 def test_column_limits_and_rows():

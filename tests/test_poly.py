@@ -7,7 +7,7 @@ from conftest import random_poly
 from xyreg.errors import OrderMismatchError, ParseError, UndefinedLeadError
 from xyreg.fields import PrimeField, QQ
 from xyreg.orders import MonomialOrder
-from xyreg.pattern import product_entry
+from xyreg.pattern import GenericProduct
 from xyreg.poly import Polynomial, format_poly, parse_poly
 from xyreg.ring import VariableTable, format_monomial
 
@@ -50,7 +50,7 @@ def test_entry_via_ring_ops(ctx):
     x12 = Polynomial.variable(xy2, gf, paper2, xy2.slot("x", 1, 2))
     y11 = Polynomial.variable(xy2, gf, paper2, xy2.slot("y", 1, 1))
     y21 = Polynomial.variable(xy2, gf, paper2, xy2.slot("y", 2, 1))
-    assert x11 * y11 + x12 * y21 == product_entry(2, 1, 1, field=gf)
+    assert x11 * y11 + x12 * y21 == GenericProduct(2, gf).entry(1, 1)
 
 
 def test_order_tag_mismatch(ctx):
@@ -67,7 +67,7 @@ def test_leading_terms(ctx):
     f21 = parse("x[2,1]*y[1,1] + x[2,2]*y[2,1]")
     assert format_monomial(f21.leading_monomial(), xy2) == "x[2,2]*y[2,1]"
     for n in (2, 3, 4):
-        f11 = product_entry(n, 1, 1)
+        f11 = GenericProduct(n).entry(1, 1)
         assert format_monomial(f11.leading_monomial(), f11.table) == "x[1,1]*y[1,1]"
     const = parse("5")
     assert const.leading_monomial().is_one()
@@ -105,7 +105,7 @@ def test_rational_roundtrip(xy2):
 
 def test_parse_examples(ctx):
     xy2, paper2, gf, parse = ctx
-    assert parse("x[1,1]*y[1,1] + x[1,2]*y[2,1]") == product_entry(2, 1, 1, field=gf)
+    assert parse("x[1,1]*y[1,1] + x[1,2]*y[2,1]") == GenericProduct(2, gf).entry(1, 1)
     assert parse("0").is_zero()
     assert parse(" x[1,1]^2 * y[2,2] ") == parse("x[1,1]*x[1,1]*y[2,2]")
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -5,20 +6,19 @@ import numpy as np
 import pytest
 
 from conftest import entries_2x2
-from xyreg.errors import (BudgetExceededError, CertificationError,
-                          UndefinedLeadError)
+from xyreg.errors import (BudgetExceededError, CertificateFormatError,
+                          CertificationError, UndefinedLeadError)
 from xyreg.fields import PrimeField, QQ
 from xyreg.groebner import groebner_basis
 from xyreg.orders import MonomialOrder
 from xyreg.pattern import (GenericProduct, certification_order, certify_pattern,
-                           selected_entries)
+                           recheck_certificate, selected_entries)
 from xyreg.poly import Polynomial, Term, format_poly
 from xyreg.regseq import (ROLE_BARE, ROLE_BASE, ROLE_TECHNICAL,
                           EffectiveElement, check_coprime_leads,
                           check_technical_step, coprime_extend_element,
                           greedy_extend, nonzerodivisor_colon,
-                          recheck_certificate, regular_oracle_hilbert,
-                          sequence_oracle)
+                          regular_oracle_hilbert, sequence_oracle)
 from xyreg.ring import Monomial, VariableTable, format_monomial
 
 
@@ -236,9 +236,10 @@ def test_permutation_invariance_n2(gf):
 
 
 def test_certificate_roundtrip_and_recheck(gf):
-    cert = certify_pattern(3, field=gf)
-    data = json.loads(json.dumps(cert.to_json_dict()))
-    assert recheck_certificate(data) == "certified"
+    for n, field in [(n, gf) for n in range(2, 9)] + [(3, QQ)]:
+        cert = certify_pattern(n, field=field)
+        data = json.loads(json.dumps(cert.to_json_dict()))
+        assert recheck_certificate(data) == "certified", (n, field)
 
 
 def test_certificate_tamper_detection(gf):
@@ -252,6 +253,154 @@ def test_certificate_tamper_detection(gf):
     # drop a recorded subtraction: the residue lead check must now clash
     data2["steps"][-1]["subtractions"] = []
     assert recheck_certificate(data2) == "failed"
+
+
+def genuine(n=2):
+    return json.loads(json.dumps(certify_pattern(n).to_json_dict()))
+
+
+def technical_step(label, element, kept, dropped, role=ROLE_TECHNICAL):
+    """A TECHNICAL step that claims ``kept`` as lead after shedding ``dropped``."""
+    return {"kind": "TECHNICAL", "label": label, "role": role,
+            "element": element, "effective_lead": kept,
+            "subtractions": [["1", dropped]], "m_next": kept,
+            "checks": genuine()["steps"][0]["checks"], "strict_form": True}
+
+
+def test_recheck_rejects_forgeries():
+    empty = genuine(5)
+    empty["steps"] = []
+    assert recheck_certificate(empty) == "failed"
+
+    # all four 2x2 entries, each shedding one term, which counterexample_2x2
+    # proves is not a regular sequence
+    full = genuine()
+    full["steps"] = [
+        technical_step("f[1,1]", "x[1,1]*y[1,1] + x[1,2]*y[2,1]",
+                       "x[1,1]*y[1,1]", "x[1,2]*y[2,1]", ROLE_BASE),
+        technical_step("f[1,2]", "x[1,1]*y[1,2] + x[1,2]*y[2,2]",
+                       "x[1,2]*y[2,2]", "x[1,1]*y[1,2]"),
+        technical_step("f[2,1]", "x[2,2]*y[2,1] + x[2,1]*y[1,1]",
+                       "x[2,2]*y[2,1]", "x[2,1]*y[1,1]", ROLE_BASE),
+        technical_step("f[2,2]", "x[2,1]*y[1,2] + x[2,2]*y[2,2]",
+                       "x[2,1]*y[1,2]", "x[2,2]*y[2,2]"),
+    ]
+    assert recheck_certificate(full) == "failed"
+
+    # the monomial y[1,2]*x[1,1] is not a prior bare monomial
+    foreign = genuine()
+    foreign["steps"][3]["subtractions"] = [["y[1,2]*x[1,1]", "1"]]
+    assert recheck_certificate(foreign) == "failed"
+
+    binomial = genuine()
+    assert binomial["steps"][2]["role"] == ROLE_BARE
+    binomial["steps"][2]["element"] = "y[1,2] + y[2,2]"
+    assert recheck_certificate(binomial) == "failed"
+
+    for verdict in ("regular", "failed", "not-regular"):
+        stored = genuine()
+        stored["verdict"] = verdict
+        assert recheck_certificate(stored) == "failed"
+
+
+def leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaves(value, path + (i,))
+    else:
+        yield path, node
+
+
+def lookup(node, path):
+    for key in path:
+        if isinstance(node, dict) and key in node:
+            node = node[key]
+        elif isinstance(node, list) and isinstance(key, int) and key < len(node):
+            node = node[key]
+        else:
+            raise LookupError(path)
+    return node
+
+
+def nested_dicts(node, path=()):
+    """(path, dict) for every dict nested below ``node``."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, value in children:
+        if isinstance(value, dict):
+            yield path + (key,), value
+        yield from nested_dicts(value, path + (key,))
+
+
+def replaced(data, path, value):
+    out = copy.deepcopy(data)
+    lookup(out, path[:-1])[path[-1]] = value
+    return out
+
+
+def one_change_mutations(data):
+    """Every certificate that differs from ``data`` by one change: a leaf
+    value, a deleted key, a dropped step, or two adjacent steps swapped."""
+    steps = data["steps"]
+    for path, value in leaves(data):
+        if isinstance(value, bool):
+            yield replaced(data, path, not value)
+        elif isinstance(value, int):
+            yield replaced(data, path, value + 1)
+        elif path[0] == "steps":
+            # a string or null: take the same field of another step
+            others = []
+            for j in range(len(steps)):
+                try:
+                    others.append(lookup(steps[j], path[2:]))
+                except LookupError:
+                    pass
+            swap = next((o for o in others if o != value), None)
+            yield replaced(data, path, swap if swap is not None else f"{value}*y[1,1]")
+        else:
+            yield replaced(data, path, f"{value}?")
+    for path, node in [((), data)] + list(nested_dicts(data)):
+        for key in node:
+            out = copy.deepcopy(data)
+            del lookup(out, path)[key]
+            yield out
+    for i in range(len(steps)):
+        yield replaced(data, ("steps",), steps[:i] + steps[i + 1:])
+    for i in range(len(steps) - 1):
+        swapped = list(steps)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        yield replaced(data, ("steps",), swapped)
+
+
+def test_recheck_rejects_every_one_change_mutation():
+    data = genuine(3)
+    assert recheck_certificate(data) == "certified"
+    count = 0
+    for bad in one_change_mutations(data):
+        assert bad != data
+        try:
+            verdict = recheck_certificate(bad)
+        except CertificateFormatError:
+            verdict = "malformed"
+        assert verdict != "certified", bad
+        count += 1
+    assert count >= 200
+
+
+def test_recheck_rejects_malformed_certificates():
+    good = genuine()
+    bad = [[], "certificate", {k: v for k, v in good.items() if k != "field"},
+           {k: v for k, v in good.items() if k != "steps"},
+           dict(good, n="2"), dict(good, n=1), dict(good, n=True), dict(good, n=2.0),
+           dict(good, field="gfp"), dict(good, field={"kind": "real"}),
+           dict(good, field={"kind": "gfp"}),
+           dict(good, field={"kind": "gfp", "prime": 32004})]
+    for data in bad:
+        with pytest.raises(CertificateFormatError):
+            recheck_certificate(data)
 
 
 def test_certificates_confirmed_by_oracles(gf):
