@@ -24,8 +24,8 @@ from .pattern import (GenericProduct, PatternSpec, augmented_sequence,
                       column_limit, counterexample_2x2, expected_effective_lead,
                       recheck_certificate, selected_entries, selected_rows)
 from .poly import Polynomial, Term, format_poly, parse_poly
-from .regseq import (EffectiveElement, ExtensionReport, OracleReport,
-                     RegularityCertificate, TechnicalStep, check_coprime_leads,
+from .regseq import (CertificateStep, ExtensionReport, OracleReport,
+                     RegularityCertificate, check_coprime_leads,
                      check_technical_step, greedy_extend, nonzerodivisor_colon,
                      regular_oracle_hilbert, sequence_oracle)
 from .ring import Monomial, VariableTable, format_monomial

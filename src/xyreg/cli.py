@@ -12,7 +12,7 @@ import json
 import sys
 
 from .errors import BudgetExceededError, ParseError, XyregError
-from .fields import QQ, DEFAULT_PRIME, PrimeField, is_prime
+from .fields import QQ, DEFAULT_PRIME, PrimeField
 from .groebner import groebner_basis
 from .orders import MonomialOrder
 from .pattern import (GenericProduct, PatternSpec, build_ring,
@@ -110,11 +110,10 @@ def _require_n(args):
 def _make_field(args, default_kind="gfp", check_prime_gt=None):
     kind = args.field or default_kind
     if kind == "gfp":
-        if not is_prime(args.prime):
-            raise UsageError(f"{args.prime} is not prime")
+        field = PrimeField(args.prime)  # ValueError unless a prime below 2**31
         if check_prime_gt is not None and args.prime <= check_prime_gt:
             raise UsageError(f"prime must exceed n={check_prime_gt}")
-        return PrimeField(args.prime)
+        return field
     return QQ
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 DEFAULT_PRIME = 32003
+MAX_PRIME = 2**31
 
 
 def is_prime(p):
@@ -27,13 +28,16 @@ def is_prime(p):
 
 
 class PrimeField:
-    """GF(p) with canonical representatives in [0, p)."""
+    """GF(p) with canonical representatives in [0, p), for primes p < 2**31."""
 
     dtype = np.int64
     is_exact_rational = False
 
     def __init__(self, p=DEFAULT_PRIME):
         p = int(p)
+        if p >= MAX_PRIME:
+            # residues are int64, and the product of two must not overflow
+            raise ValueError(f"{p} is not below 2**31, the largest supported prime")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p

@@ -27,8 +27,7 @@ from .fields import DEFAULT_PRIME, PrimeField, QQ, field_from_spec
 from .groebner import groebner_basis, normal_form
 from .orders import MonomialOrder
 from .poly import Polynomial, format_poly
-from .regseq import (ROLE_BARE, ROLE_BASE, ROLE_TECHNICAL, CertificateStep,
-                     EffectiveElement, RegularityCertificate,
+from .regseq import (ROLE_BARE, ROLE_BASE, ROLE_TECHNICAL, RegularityCertificate,
                      check_technical_step, coprime_extend_element)
 from .ring import Monomial, VariableTable, format_monomial
 
@@ -186,41 +185,25 @@ def certify_pattern(n, field=None):
     cert = RegularityCertificate(n=n, order_name="paper", field_spec=field_spec,
                                  table=product.table, steps=[],
                                  verdict="certified", note=PERMUTATION_NOTE)
-    prior = []
-    for idx, item in enumerate(spec.augmented, start=1):
+    for idx, (kind, a, t) in enumerate(spec.augmented, start=1):
+        label = f"{kind}[{a},{t}]"
         try:
-            if item[0] == "y":
-                i, t = item[1], item[2]
-                p = product.y(i, t)
-                e = coprime_extend_element(prior, p, order, role=ROLE_BARE)
-                step = CertificateStep(
-                    kind="COPRIME_EXTEND", label=f"y[{i},{t}]", element=p,
-                    effective_lead=e.effective_lead, role=ROLE_BARE,
-                    checks={"lead_coprime_to_prior": True},
-                )
+            if kind == "y":
+                step = coprime_extend_element(cert.steps, product.y(a, t), order,
+                                              role=ROLE_BARE, label=label)
             else:
-                s, t = item[1], item[2]
-                h = product.entry(s, t)
-                ts = check_technical_step(prior, h, order)
-                predicted = expected_effective_lead(n, s, t)
-                if ts.residue_lead != predicted:
+                role = ROLE_BASE if t == 1 else ROLE_TECHNICAL
+                step = check_technical_step(cert.steps, product.entry(a, t), order,
+                                            role=role, label=label)
+                predicted = expected_effective_lead(n, a, t)
+                if step.effective_lead != predicted:
                     raise CertificationError(
                         "lead_prediction",
-                        f"effective lead of f[{s},{t}] is "
-                        f"{format_monomial(ts.residue_lead, product.table)}, "
+                        f"effective lead of {label} is "
+                        f"{format_monomial(step.effective_lead, product.table)}, "
                         f"predicted {format_monomial(predicted, product.table)}")
-                role = ROLE_BASE if t == 1 else ROLE_TECHNICAL
-                e = EffectiveElement(poly=h, effective_lead=ts.residue_lead, role=role)
-                checks = dict(ts.checks)
-                checks["lead_matches_prediction"] = True
-                step = CertificateStep(
-                    kind="TECHNICAL", label=f"f[{s},{t}]", element=h,
-                    effective_lead=ts.residue_lead, role=role,
-                    subtractions=ts.subtractions, residue_lead=ts.residue_lead,
-                    checks=checks, strict_form=ts.strict_form,
-                )
+                step.checks["lead_matches_prediction"] = True
             cert.steps.append(step)
-            prior.append(e)
         except CertificationError as exc:
             cert.verdict = "failed"
             cert.failure = {"step": idx, "condition": exc.condition,
@@ -262,11 +245,19 @@ def recheck_certificate(data):
     field, so only those two are read from ``data``: :func:`certify_pattern`
     runs again, and the result is "certified" only when that run certifies
     and its JSON form equals ``data`` exactly (as canonical JSON, so ``true``
-    and ``1`` differ).  Anything else -- a changed, missing, extra or
+    and ``1`` differ).  A ``steps`` list whose length is not the walk's
+    fails before anything is re-certified, so the input's size bounds the
+    ``n`` that is re-certified.  Anything else -- a changed, missing, extra or
     reordered step, check or verdict -- gives "failed".  Raises
     CertificateFormatError when ``data`` is not shaped like a certificate.
     """
     n, field = _certificate_inputs(data)
+    # every walk has at least n(n+1)/2 steps, so testing that first keeps the
+    # work done before certify_pattern within the size of the input
+    steps = data["steps"]
+    if (not isinstance(steps, list) or len(steps) < n * (n + 1) // 2
+            or len(steps) != len(PatternSpec.build(n).augmented)):
+        return "failed"
     fresh = certify_pattern(n, field)
     if fresh.verdict != "certified":
         return "failed"

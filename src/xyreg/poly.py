@@ -13,6 +13,9 @@ import numpy as np
 from .errors import DimensionError, OrderMismatchError, ParseError, UndefinedLeadError
 from .ring import Monomial, format_monomial
 
+# the largest exponent the parser accepts; sums of a few stay far inside int64
+MAX_EXPONENT = 2**31 - 1
+
 
 @dataclass(frozen=True)
 class Term:
@@ -294,7 +297,11 @@ def _parse_factor(sc, table):
     power = 1
     if sc.peek() == "^":
         sc.pos += 1
+        sc.skip_ws()
+        start = sc.pos
         power = sc.integer()
+        if power > MAX_EXPONENT:
+            raise ParseError(f"exponent {power} exceeds {MAX_EXPONENT}", start)
     return table.slot(kind, i, j), power
 
 

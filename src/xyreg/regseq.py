@@ -5,8 +5,12 @@ Certification is incremental: a prefix of elements with pairwise-coprime
 lead is coprime to everything seen (a COPRIME_EXTEND step) or by an element
 that first sheds the terms divisible by previously adjoined bare monomials,
 after which the lead of the residue must be coprime to everything seen
-(a TECHNICAL step).  Each step records every gcd and lead comparison it
-made.  A stored certificate is re-checked by certifying again and comparing
+(a TECHNICAL step).  Both kinds are one record, :class:`CertificateStep`;
+each step function takes the steps certified so far and returns the next,
+with the outcome of every check it made.  Coprimality is checked by
+counting, per variable, how many earlier leads use it, not by pairwise
+gcds; the check names and the JSON form are those of the pairwise checks.
+A stored certificate is re-checked by certifying again and comparing
 (``pattern.recheck_certificate``), never by trusting its recorded steps.
 
 Two independent oracles decide regularity outright: the Hilbert-series
@@ -18,6 +22,8 @@ certification order; regularity does not depend on that choice.
 """
 
 from dataclasses import dataclass, field as dc_field
+
+import numpy as np
 
 from .errors import (BudgetExceededError, CertificationError, HomogeneityError,
                      UndefinedLeadError)
@@ -36,23 +42,22 @@ ROLE_TECHNICAL = "technical"
 
 
 @dataclass(frozen=True)
-class EffectiveElement:
-    """A certified element together with the lead that counts for it."""
+class CertificateStep:
+    """One certified element and the lead that counts for it.
 
-    poly: Polynomial
+    A COPRIME_EXTEND step's effective lead is its true lead; a TECHNICAL
+    step's is the lead of its residue after the subtractions.  ``checks``
+    maps each condition checked to its outcome.
+    """
+
+    kind: str  # "COPRIME_EXTEND" | "TECHNICAL"
+    label: str
+    element: Polynomial
     effective_lead: Monomial
     role: str
-
-
-@dataclass(frozen=True)
-class TechnicalStep:
-    """Record of one subtraction-based extension."""
-
-    element: Polynomial
-    subtractions: tuple  # of (Monomial, Term) pairs
-    residue_lead: Monomial
-    checks: dict
-    strict_form: bool
+    subtractions: tuple = ()  # of (Monomial, Term) pairs
+    checks: dict = dc_field(default_factory=dict)
+    strict_form: bool = None
 
 
 def check_coprime_leads(seq, order=None):
@@ -75,20 +80,25 @@ def check_coprime_leads(seq, order=None):
     return True, None
 
 
-def _split_prior(prior):
-    bare = [e for e in prior if e.role == ROLE_BARE]
-    others = [e for e in prior if e.role != ROLE_BARE]
-    return bare, others
+def _variable_counts(monomials, nvars):
+    """For each variable, how many of the monomials it divides.
+
+    The monomials are pairwise coprime iff no count exceeds 1, and a
+    monomial is coprime to all of them iff each of its variables counts 0.
+    """
+    support = np.array([m.exps for m in monomials], dtype=bool).reshape(-1, nvars)
+    return np.count_nonzero(support, axis=0)
 
 
-def check_technical_step(prior, h, order=None):
+def check_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label=""):
     """Decompose h against the prior bare monomials and certify the residue.
 
-    Every term of h divisible by a prior bare monomial joins the subtraction
-    list (first matching monomial wins); the residue's lead must then be
-    coprime to all prior effective leads and bare monomials, and every other
-    residue term must sit strictly below it.  Raises CertificationError with
-    the violated condition's name; on success returns the TechnicalStep.
+    ``prior`` is the list of CertificateSteps certified so far.  Every term
+    of h divisible by a prior bare monomial joins the subtraction list
+    (first matching monomial wins); the residue's lead must then be coprime
+    to all prior effective leads and bare monomials, and every other residue
+    term must sit strictly below it.  Raises CertificationError with the
+    violated condition's name; on success returns the TECHNICAL step.
     """
     if order is None:
         order = h.order
@@ -97,15 +107,12 @@ def check_technical_step(prior, h, order=None):
     if h.is_zero():
         raise CertificationError("residue_nonzero", "the element is zero")
 
-    bare, others = _split_prior(prior)
+    bare_monos = [s.effective_lead for s in prior if s.role == ROLE_BARE]
+    prior_leads = [s.effective_lead for s in prior if s.role != ROLE_BARE]
     subtractions = []
     residue_terms = []
     for term in h.terms():
-        hit = None
-        for e in bare:
-            if e.effective_lead.divides(term.monomial):
-                hit = e.effective_lead
-                break
+        hit = next((m for m in bare_monos if m.divides(term.monomial)), None)
         if hit is None:
             residue_terms.append(term)
         else:
@@ -132,75 +139,56 @@ def check_technical_step(prior, h, order=None):
         unit = False
     record("residue_lead_unit", unit, "residue lead coefficient is not invertible")
 
-    prior_leads = [e.effective_lead for e in others]
-    ok = all(prior_leads[i].coprime(prior_leads[j])
-             for i in range(len(prior_leads)) for j in range(i + 1, len(prior_leads)))
-    record("prior_leads_pairwise_coprime", ok,
+    nvars = h.table.nvars
+    lead_counts = _variable_counts(prior_leads, nvars)
+    bare_counts = _variable_counts(bare_monos, nvars)
+    residue_vars = residue_lead.exps > 0
+    record("prior_leads_pairwise_coprime", (lead_counts <= 1).all(),
            "prior effective leads are not pairwise coprime")
-
-    bare_monos = [e.effective_lead for e in bare]
-    ok = all(bare_monos[i].coprime(bare_monos[j])
-             for i in range(len(bare_monos)) for j in range(i + 1, len(bare_monos)))
-    record("bare_monomials_pairwise_coprime", ok,
+    record("bare_monomials_pairwise_coprime", (bare_counts <= 1).all(),
            "prior bare monomials are not pairwise coprime")
-
-    clash = next((m for m in bare_monos
-                  for lead in prior_leads if not lead.coprime(m)), None)
-    record("bare_monomials_coprime_to_prior_leads", clash is None,
+    record("bare_monomials_coprime_to_prior_leads",
+           not ((lead_counts > 0) & (bare_counts > 0)).any(),
            "a bare monomial shares a variable with a prior effective lead")
-
-    clash = next((m for m in bare_monos if not residue_lead.coprime(m)), None)
-    record("residue_lead_coprime_to_bare_monomials", clash is None,
+    record("residue_lead_coprime_to_bare_monomials", not bare_counts[residue_vars].any(),
            "the residue lead shares a variable with a prior bare monomial")
-
-    clash = next((lead for lead in prior_leads if not residue_lead.coprime(lead)), None)
-    record("residue_lead_coprime_to_prior_leads", clash is None,
+    record("residue_lead_coprime_to_prior_leads", not lead_counts[residue_vars].any(),
            f"the residue lead {residue_lead!r} shares a variable with a prior effective lead")
 
-    ok = all(order.compare(t.monomial, residue_lead) < 0 for t in residue_terms[1:])
-    record("tail_below_residue_lead", ok,
+    rows = order.keys(np.array([t.monomial.exps for t in residue_terms])).tolist()
+    record("tail_below_residue_lead", all(row < rows[0] for row in rows[1:]),
            "a residue term is not strictly below the residue lead")
 
-    non_bare_leads = prior_leads
-    strict = all(any(t.monomial.divides(lead) for lead in non_bare_leads)
+    strict = all(any(t.monomial.divides(lead) for lead in prior_leads)
                  for _, t in subtractions)
 
-    return TechnicalStep(element=h, subtractions=tuple(subtractions),
-                         residue_lead=residue_lead, checks=checks,
-                         strict_form=strict)
+    return CertificateStep(kind="TECHNICAL", label=label, element=h,
+                           effective_lead=residue_lead, role=role,
+                           subtractions=tuple(subtractions), checks=checks,
+                           strict_form=strict)
 
 
-def coprime_extend_element(prior, p, order=None, role=ROLE_BASE):
-    """Certify p by its true lead; it must be coprime to all prior effective leads."""
+def coprime_extend_element(prior, p, order=None, *, role=ROLE_BASE, label=""):
+    """Certify p by its true lead, which must be coprime to the effective
+    lead of every step in ``prior``; returns the COPRIME_EXTEND step."""
     if order is not None and p.order != order:
         p = p.resort(order)
     if p.is_zero():
         raise UndefinedLeadError("zero element has no leading term")
     lead = p.leading_monomial()
-    for e in prior:
-        if not e.effective_lead.coprime(lead):
-            raise CertificationError(
-                "lead_coprime_to_prior",
-                f"lead {lead!r} shares a variable with a prior effective lead")
-    return EffectiveElement(poly=p, effective_lead=lead, role=role)
+    counts = _variable_counts([s.effective_lead for s in prior], p.table.nvars)
+    if counts[lead.exps > 0].any():
+        raise CertificationError(
+            "lead_coprime_to_prior",
+            f"lead {lead!r} shares a variable with a prior effective lead")
+    return CertificateStep(kind="COPRIME_EXTEND", label=label, element=p,
+                           effective_lead=lead, role=role,
+                           checks={"lead_coprime_to_prior": True})
 
 
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CertificateStep:
-    kind: str  # "COPRIME_EXTEND" | "TECHNICAL"
-    label: str
-    element: Polynomial
-    effective_lead: Monomial
-    role: str
-    subtractions: tuple = ()
-    residue_lead: Monomial = None
-    checks: dict = dc_field(default_factory=dict)
-    strict_form: bool = None
 
 
 @dataclass
@@ -227,8 +215,8 @@ class RegularityCertificate:
                     [format_monomial(m, self.table), _format_term(t, self.table)]
                     for m, t in s.subtractions
                 ],
-                "m_next": (format_monomial(s.residue_lead, self.table)
-                           if s.residue_lead is not None else None),
+                "m_next": (format_monomial(s.effective_lead, self.table)
+                           if s.kind == "TECHNICAL" else None),
                 "checks": dict(s.checks),
                 "strict_form": s.strict_form,
             })

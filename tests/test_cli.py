@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -215,3 +216,48 @@ def test_recheck_usage_errors(capsys, tmp_path):
         assert err.startswith("error: ") and "Traceback" not in err
     assert run(capsys, "recheck")[0] == 2
     assert run(capsys, "recheck", "--input", str(tmp_path / "missing.json"))[0] == 2
+
+
+# three GF(p) quadrics that GF(32003), GF(2**31 - 1) and the colon oracle
+# over Q all call regular
+QUADRICS = """\
+9*x[1,2]*y[1,1] + 8*y[2,2]^2 + 31*x[2,2]*y[2,1] + 7*x[1,1]*y[2,2]
+25*x[1,1]*y[2,1] + 45*y[1,1]*y[2,2] + 47*x[1,1]*x[2,2] + 21*x[1,1]^2
+2*x[1,1]*y[2,1] + 44*x[2,2]*y[2,1] + 47*x[1,1]*x[2,2] + 49*y[2,2]^2
+"""
+
+
+def test_primes_beyond_int64_products_are_usage_errors(capsys, tmp_path):
+    path = tmp_path / "quadrics.txt"
+    path.write_text(QUADRICS)
+    oracle = ("oracle", "--n", "2", "--input", str(path))
+    assert run(capsys, *oracle, "--prime", "2147483647")[0] == 0
+    assert run(capsys, *oracle, "--method", "colon", "--field", "rat")[0] == 0
+    code, out, err = run(capsys, *oracle, "--prime", "1000000000039")
+    assert code == 2 and out == "" and "2**31" in err
+
+    cert = json.loads(certificate_file(capsys, tmp_path, "--n", "2").read_text())
+    cert["field"]["prime"] = 1000000000039
+    path.write_text(json.dumps(cert))
+    code, out, err = run(capsys, "recheck", "--input", str(path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_gb_oversized_exponent_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "power.txt"
+    for text in ("x[1,1]^99999999999999999999", "x[1,1]^9223372036854775807*x[1,1]"):
+        path.write_text(text + "\n")
+        code, out, err = run(capsys, "gb", "--n", "2", "--input", str(path))
+        assert code == 2 and out == "", text
+        assert "exponent" in err and "position 7" in err
+
+
+def test_recheck_of_a_huge_claimed_n_fails_fast(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 1000000, "order": "paper",
+                                "field": {"kind": "gfp", "prime": 32003},
+                                "steps": [], "verdict": "certified"}))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "recheck", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == "verdict: failed\n"

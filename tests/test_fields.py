@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from xyreg.fields import PrimeField, QQ, field_from_spec, is_prime
@@ -51,3 +52,16 @@ def test_rationals_lowest_terms():
     assert v == Fraction(-1, 2) and v.denominator == 2
     assert QQ.inv(Fraction(3, 5)) == Fraction(5, 3)
     assert QQ.add(Fraction(1, 3), Fraction(2, 3)) == 1
+
+
+def test_prime_bound_keeps_int64_products_exact():
+    gf = PrimeField(2**31 - 1)
+    residues = np.array([gf.p - 1, gf.p - 2], dtype=np.int64)
+    assert gf.scale_array(gf.p - 1, residues).tolist() == [1, 2]
+    # 2147483659 is prime, but (p - 1)**2 overflows int64
+    with pytest.raises(ValueError):
+        PrimeField(2147483659)
+    with pytest.raises(ValueError):
+        PrimeField(1000000000039)
+    with pytest.raises(ValueError):
+        field_from_spec("gfp", 10**18 + 9)  # refused before any trial division

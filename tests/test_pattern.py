@@ -1,12 +1,16 @@
+import hashlib
+import json
+
 import pytest
 
+from xyreg.cli import main
 from xyreg.fields import PrimeField, QQ
 from xyreg.orders import MonomialOrder
 from xyreg.pattern import (GenericProduct, PatternSpec, augmented_sequence,
                            build_ring, certification_order, certify_pattern,
                            column_limit, counterexample_2x2,
-                           expected_effective_lead, selected_entries,
-                           selected_rows)
+                           expected_effective_lead, recheck_certificate,
+                           selected_entries, selected_rows)
 from xyreg.poly import format_poly
 from xyreg.ring import format_monomial
 
@@ -138,6 +142,29 @@ def test_certify_all_sizes_with_lead_predictions(gf):
                 rendered = format_monomial(step.effective_lead, cert.table)
                 y_factor = rendered.split("*")[1]
                 assert y_factor not in bare
+
+
+# sha256 of `xyreg certify --format json` for n = 2..8 over GF(32003) and
+# for n = 3 over Q: a change to any step, check or rendering changes one
+GOLDEN_CERTIFICATES = {
+    ("--n", "2"): "d0269ba83a7d32754e3d50d74b79550b2b9ac616115b17e7ccbe34bf1cfe64c1",
+    ("--n", "3"): "69ae5c3ecc6adacd344d309f1be42822dc6f6637a837de73b0f9c042b8ae3874",
+    ("--n", "4"): "923fe2f4debc14769b4dd7209f4b2903627d107617a2f2a426e1c92b2eff36f2",
+    ("--n", "5"): "98610722b48420e70fe26e699111e2bb38dd2f1ba20b124874519c3af293bbd4",
+    ("--n", "6"): "639125c53f2adadcfeb4b1ca4b8cbd87d37f093c361814c585049b8cbc8aabd5",
+    ("--n", "7"): "8c23bddb104fdd97005c4c24ce78ecf1f108735ae8bf4d57514ea081c4ab9065",
+    ("--n", "8"): "be1f2dc93720e877a453e9aca15a418cde7dfb144484b0fcf959f842f8c47b42",
+    ("--n", "3", "--field", "rat"):
+        "38cd88c7055f2b7e1bf2d25889e063bbde6128d7428af8b3bd9ae5f420efc587",
+}
+
+
+def test_certificate_json_matches_golden_digests(tmp_path):
+    path = tmp_path / "cert.json"
+    for argv, digest in GOLDEN_CERTIFICATES.items():
+        assert main(["certify", *argv, "--format", "json", "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, argv
+        assert recheck_certificate(json.loads(path.read_bytes())) == "certified", argv
 
 
 def test_counterexample(gf):

@@ -125,6 +125,18 @@ def test_parse_errors(ctx):
         parse("2x[1,1]")
 
 
+def test_parse_rejects_oversized_exponents(ctx):
+    _, _, _, parse = ctx
+    for text, position in [("x[1,1]^99999999999999999999", 7),
+                           ("x[1,1]^9223372036854775807*x[1,1]", 7),
+                           ("y[2,2]*x[1,1]^ 2147483648", 15)]:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.position == position
+        assert "exponent" in str(exc.value)
+    assert parse("x[1,1]^2147483647*x[1,1]").degree() == 2**31
+
+
 def test_homogeneity_and_degree(ctx):
     _, _, _, parse = ctx
     assert parse("x[1,1]*y[1,1] + x[1,2]*y[2,1]").is_homogeneous()

@@ -1,11 +1,12 @@
 import copy
 import json
 import random
+import time
 
 import numpy as np
 import pytest
 
-from conftest import entries_2x2
+from conftest import entries_2x2, random_monomial
 from xyreg.errors import (BudgetExceededError, CertificateFormatError,
                           CertificationError, UndefinedLeadError)
 from xyreg.fields import PrimeField, QQ
@@ -15,7 +16,7 @@ from xyreg.pattern import (GenericProduct, certification_order, certify_pattern,
                            recheck_certificate, selected_entries)
 from xyreg.poly import Polynomial, Term, format_poly
 from xyreg.regseq import (ROLE_BARE, ROLE_BASE, ROLE_TECHNICAL,
-                          EffectiveElement, check_coprime_leads,
+                          CertificateStep, check_coprime_leads,
                           check_technical_step, coprime_extend_element,
                           greedy_extend, nonzerodivisor_colon,
                           regular_oracle_hilbert, sequence_oracle)
@@ -56,10 +57,9 @@ def certified_prefix_through(product, order, items):
             prior.append(coprime_extend_element(prior, product.y(a, b), order,
                                                 role=ROLE_BARE))
         else:
-            h = product.entry(a, b)
-            step = check_technical_step(prior, h, order)
             role = ROLE_BASE if b == 1 else ROLE_TECHNICAL
-            prior.append(EffectiveElement(h, step.residue_lead, role))
+            prior.append(check_technical_step(prior, product.entry(a, b), order,
+                                              role=role))
     return prior
 
 
@@ -75,7 +75,7 @@ def test_technical_step_first_column_extension(gf):
         mono, mult = step.subtractions[0]
         assert format_monomial(mono, product.table) == "y[1,2]"
         assert format_monomial(mult.monomial, product.table) == "x[1,1]"
-        assert format_monomial(step.residue_lead, product.table) == "x[1,2]*y[2,2]"
+        assert format_monomial(step.effective_lead, product.table) == "x[1,2]*y[2,2]"
         assert step.strict_form is True
         assert all(step.checks.values())
 
@@ -90,7 +90,7 @@ def test_technical_step_row3_column2_non_strict(gf):
     subs = {(format_monomial(m, product.table), format_monomial(t.monomial, product.table))
             for m, t in step.subtractions}
     assert subs == {("y[1,2]", "x[3,1]"), ("y[3,2]", "x[3,3]")}
-    assert format_monomial(step.residue_lead, product.table) == "x[3,4]*y[4,2]"
+    assert format_monomial(step.effective_lead, product.table) == "x[3,4]*y[4,2]"
     # x[3,1] divides no prior effective lead, so the decomposition is not
     # in the strict cofactor form
     assert step.strict_form is False
@@ -120,6 +120,90 @@ def test_coprime_extend_rejects_clash(gf):
     prior = [coprime_extend_element([], product.entry(1, 1), order, role=ROLE_BASE)]
     with pytest.raises(CertificationError):
         coprime_extend_element(prior, product.x(1, 1), order, role=ROLE_BARE)
+
+
+def prior_step(poly, role):
+    """A hand-built step whose effective lead is the lead of ``poly``."""
+    return CertificateStep(kind="TECHNICAL", label="", element=poly,
+                           effective_lead=poly.leading_monomial(), role=role)
+
+
+def test_technical_step_negative_controls(gf):
+    product = GenericProduct(2, field=gf)
+    order = certification_order(2)
+    x, y = product.x, product.y
+    # the raw constructor keeps this row order: the larger term comes second
+    rows = np.vstack([(x(1, 2) * y(2, 2)).exps, (x(1, 1) * y(1, 2)).exps])
+    unsorted = Polynomial(product.table, gf, order, rows, gf.array([1, 1]))
+    cases = [
+        ([prior_step(x(1, 1) * y(1, 1), ROLE_BASE),
+          prior_step(x(1, 1) * y(2, 1), ROLE_TECHNICAL)],
+         product.entry(2, 2), "prior_leads_pairwise_coprime"),
+        ([prior_step(y(1, 2), ROLE_BARE), prior_step(y(1, 2) * y(2, 1), ROLE_BARE)],
+         product.entry(2, 1), "bare_monomials_pairwise_coprime"),
+        ([prior_step(x(1, 1) * y(1, 1), ROLE_BASE), prior_step(y(1, 1), ROLE_BARE)],
+         product.entry(2, 2), "bare_monomials_coprime_to_prior_leads"),
+        ([prior_step(x(1, 1) * x(1, 1), ROLE_BARE)],
+         product.entry(1, 2), "residue_lead_coprime_to_bare_monomials"),
+        ([], unsorted, "tail_below_residue_lead"),
+    ]
+    for prior, h, condition in cases:
+        with pytest.raises(CertificationError) as exc:
+            check_technical_step(prior, h, order)
+        assert exc.value.condition == condition
+
+
+def pairwise_coprime(monos):
+    return all(a.coprime(b) for i, a in enumerate(monos) for b in monos[i + 1:])
+
+
+def expected_failure(bare, leads, lead):
+    """The first condition check_technical_step must fail, by pairwise gcds."""
+    if any(b.divides(lead) for b in bare):
+        return "residue_nonzero"
+    conditions = [
+        ("prior_leads_pairwise_coprime", pairwise_coprime(leads)),
+        ("bare_monomials_pairwise_coprime", pairwise_coprime(bare)),
+        ("bare_monomials_coprime_to_prior_leads",
+         all(b.coprime(m) for b in bare for m in leads)),
+        ("residue_lead_coprime_to_bare_monomials", all(lead.coprime(b) for b in bare)),
+        ("residue_lead_coprime_to_prior_leads", all(lead.coprime(m) for m in leads)),
+    ]
+    return next((name for name, ok in conditions if not ok), None)
+
+
+def test_variable_counts_agree_with_pairwise_coprime_200_lists(gf):
+    rng = random.Random(2718)
+    nvars = 8
+    table = VariableTable.generic([f"v{k}" for k in range(nvars)])
+    order = MonomialOrder.grevlex(nvars)
+    outcomes = set()
+    for _ in range(200):
+        monos = [random_monomial(rng, nvars, 2) for _ in range(rng.randint(1, 6))]
+        *earlier, last = monos
+        polys = [Polynomial.from_terms(table, gf, order, [(1, m)]) for m in monos]
+        roles = [rng.choice([ROLE_BARE, ROLE_BASE, ROLE_TECHNICAL]) for _ in earlier]
+        prior = [prior_step(p, role) for p, role in zip(polys, roles)]
+
+        try:
+            coprime_extend_element(prior, polys[-1])
+            extended = True
+        except CertificationError as exc:
+            assert exc.condition == "lead_coprime_to_prior"
+            extended = False
+        assert extended == all(m.coprime(last) for m in earlier), monos
+
+        bare = [m for m, role in zip(earlier, roles) if role == ROLE_BARE]
+        leads = [m for m, role in zip(earlier, roles) if role != ROLE_BARE]
+        expected = expected_failure(bare, leads, last)
+        try:
+            check_technical_step(prior, polys[-1])
+            condition = None
+        except CertificationError as exc:
+            condition = exc.condition
+        assert condition == expected, monos
+        outcomes.add(condition)
+    assert len(outcomes) == 7  # every condition, and acceptance, was reached
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +472,15 @@ def test_recheck_rejects_every_one_change_mutation():
         assert verdict != "certified", bad
         count += 1
     assert count >= 200
+
+
+def test_recheck_fails_wrong_step_counts_before_recertifying():
+    huge = dict(genuine(), n=1000000, steps=[])
+    start = time.perf_counter()
+    assert recheck_certificate(huge) == "failed"
+    assert time.perf_counter() - start < 1.0
+    for steps in ("steps", {}, genuine()["steps"][:3], genuine(3)["steps"]):
+        assert recheck_certificate(dict(genuine(), steps=steps)) == "failed"
 
 
 def test_recheck_rejects_malformed_certificates():
