@@ -1,86 +1,75 @@
-"""Monomial orders as integer weight matrices compared lexicographically.
+"""Monomial orders as column gathers compared lexicographically.
 
-Every shipped order is realized as a key map ``key(m) = W @ exps(m)`` with an
-integer matrix W; monomials compare by lexicographic comparison of their key
-vectors.  Linearity of the key map makes every such order multiplicative, and
-each W below has a strictly positive first nonzero key on any monomial != 1,
-so 1 is the unique minimum.
+Every shipped order is realized as a key map made of column gathers: the
+exponents read in a fixed column order, possibly negated, plus the total
+degree as one extra column for grevlex.  Monomials compare by lexicographic
+comparison of their key vectors.  Each key map is linear, so every such
+order is multiplicative (and the keys of a product are the sums of the
+factors' keys, which the reduction kernel relies on), and each has a
+strictly positive first nonzero key on any monomial != 1, so 1 is the
+unique minimum.
 
 Shipped kinds:
 
-* ``lex``        - plain lexicographic under a slot precedence permutation.
-* ``grevlex``    - graded reverse lexicographic under a precedence.
+* ``lex``        - plain lexicographic under a slot precedence permutation:
+                   the exponents in precedence order.
+* ``grevlex``    - graded reverse lexicographic under a precedence: the total
+                   degree, then the negated exponents in reversed precedence.
 * ``paper``      - lexicographic under the diagonal-first precedence used for
                    certification (see :func:`certification_precedence`).
-* ``elim``       - one block-eliminated slot ranked above an inner order.
+* ``elim``       - one block-eliminated slot ranked above an inner order: the
+                   appended slot's exponent, then the inner order's keys.
 """
 
 import numpy as np
 
 from .errors import DimensionError
-from .ring import Monomial
-
-
-def _lex_weights(precedence):
-    nv = len(precedence)
-    w = np.zeros((nv, nv), dtype=np.int64)
-    for row, slot in enumerate(precedence):
-        w[row, slot] = 1
-    return w
-
-
-def _grevlex_weights(precedence):
-    nv = len(precedence)
-    w = np.zeros((nv + 1, nv), dtype=np.int64)
-    w[0, :] = 1
-    for row, slot in enumerate(reversed(precedence)):
-        w[1 + row, slot] = -1
-    return w
+from .ring import Monomial, _xy_slot
 
 
 class MonomialOrder:
     """Total multiplicative well-order on monomials over a fixed slot count."""
 
-    __slots__ = ("kind", "precedence", "weights")
+    __slots__ = ("kind", "precedence", "_columns", "_graded_from")
 
-    def __init__(self, kind, precedence, weights):
+    def __init__(self, kind, precedence, inner=None):
         self.kind = kind
         self.precedence = tuple(precedence)
-        weights = np.asarray(weights, dtype=np.int64).copy()
-        weights.flags.writeable = False
-        self.weights = weights
+        # keys(e) gathers e[..., _columns]; from key _graded_from on (when not
+        # None) the gathered columns are negated behind one degree column
+        if kind == "elim":
+            self._columns = np.concatenate([[inner.nvars], inner._columns])
+            graded = inner._graded_from
+            self._graded_from = None if graded is None else graded + 1
+        elif kind == "grevlex":
+            self._columns = np.array(self.precedence[::-1], dtype=np.intp)
+            self._graded_from = 0
+        else:
+            self._columns = np.array(self.precedence, dtype=np.intp)
+            self._graded_from = None
 
     @property
     def nvars(self):
-        return self.weights.shape[1]
-
-    @property
-    def nkeys(self):
-        return self.weights.shape[0]
+        return len(self.precedence)
 
     # -- construction ----------------------------------------------------
     @classmethod
     def lex(cls, nvars, precedence=None):
         precedence = tuple(precedence) if precedence is not None else tuple(range(nvars))
-        return cls("lex", precedence, _lex_weights(precedence))
+        return cls("lex", precedence)
 
     @classmethod
     def grevlex(cls, nvars, precedence=None):
         precedence = tuple(precedence) if precedence is not None else tuple(range(nvars))
-        return cls("grevlex", precedence, _grevlex_weights(precedence))
+        return cls("grevlex", precedence)
 
     @classmethod
     def paper(cls, n):
-        precedence = certification_precedence(n)
-        return cls("paper", precedence, _lex_weights(precedence))
+        return cls("paper", certification_precedence(n))
 
     def eliminate_last(self):
         """Block order over nvars+1 slots: the appended slot outranks all others."""
-        nv = self.nvars
-        w = np.zeros((self.nkeys + 1, nv + 1), dtype=np.int64)
-        w[0, nv] = 1
-        w[1:, :nv] = self.weights
-        return MonomialOrder("elim", self.precedence + (nv,), w)
+        return MonomialOrder("elim", self.precedence + (self.nvars,), inner=self)
 
     # -- comparison --------------------------------------------------------
     def keys(self, exps):
@@ -90,7 +79,13 @@ class MonomialOrder:
             raise DimensionError(
                 f"order over {self.nvars} slots applied to {exps.shape[-1]}-slot monomial"
             )
-        return exps @ self.weights.T
+        keys = np.take(exps, self._columns, axis=-1)
+        g = self._graded_from
+        if g is None:
+            return keys
+        tail = keys[..., g:]  # a permutation of the graded slots
+        return np.concatenate([keys[..., :g], tail.sum(axis=-1, keepdims=True), -tail],
+                              axis=-1)
 
     def compare(self, a, b):
         """-1, 0 or 1 as a <, =, > b."""
@@ -104,6 +99,11 @@ class MonomialOrder:
     def sort_desc(self, exps):
         """Indices rearranging the rows of ``exps`` strictly descending."""
         keys = self.keys(exps)
+        # a key column equal in every row decides nothing, so lexsort skips
+        # it; the first column stays, for lexsort needs one
+        varying = (keys != keys[:1]).any(axis=0)
+        varying[:1] = True
+        keys = keys[:, varying]
         return np.lexsort(keys[:, ::-1].T)[::-1]
 
     def __eq__(self, other):
@@ -132,15 +132,10 @@ def certification_precedence(n):
     if n < 2:
         raise ValueError(f"matrix size must be at least 2, got {n}")
 
-    def x_slot(i, j):
-        return (i - 1) * n + (j - 1)
-
-    def y_slot(i, j):
-        return n * n + (i - 1) * n + (j - 1)
-
-    precedence = [x_slot(i, i) for i in range(1, n + 1)]
+    precedence = [_xy_slot(n, "x", i, i) for i in range(1, n + 1)]
     for d in range(1, n):
-        precedence += [x_slot(i, i + d) for i in range(1, n - d + 1)]
-    precedence += [x_slot(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i > j]
-    precedence += [y_slot(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        precedence += [_xy_slot(n, "x", i, i + d) for i in range(1, n - d + 1)]
+    precedence += [_xy_slot(n, "x", i, j)
+                   for i in range(1, n + 1) for j in range(1, n + 1) if i > j]
+    precedence += [_xy_slot(n, "y", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     return tuple(precedence)

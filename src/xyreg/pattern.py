@@ -29,7 +29,7 @@ from .orders import MonomialOrder
 from .poly import Polynomial, format_poly
 from .regseq import (ROLE_BARE, ROLE_BASE, ROLE_TECHNICAL, RegularityCertificate,
                      check_technical_step, coprime_extend_element)
-from .ring import Monomial, VariableTable, format_monomial
+from .ring import Monomial, VariableTable, _xy_slot, format_monomial
 
 PERMUTATION_NOTE = (
     "Certified for the augmented ordered sequence; every element is "
@@ -158,15 +158,53 @@ def expected_effective_lead(n, s, t):
         raise ValueError(f"column {t} outside 1..{n}")
     if s not in selected_rows(n, t):
         raise ValueError(f"row {s} is not selected in column {t} for n={n}")
-    table = build_ring(n)
-    e = np.zeros(table.nvars, dtype=np.int64)
-    if t == 1:
-        e[table.slot("x", s, s)] += 1
-        e[table.slot("y", s, 1)] += 1
-    else:
-        e[table.slot("x", s, s + t - 1)] += 1
-        e[table.slot("y", s + t - 1, t)] += 1
+    e = np.zeros(2 * n * n, dtype=np.int64)
+    k = s + t - 1  # x[s,s]*y[s,1] when t = 1
+    e[_xy_slot(n, "x", s, k)] = 1
+    e[_xy_slot(n, "y", k, t)] = 1
     return Monomial(e)
+
+
+def _empty_certificate(n, field):
+    """A "certified" certificate for the pattern of size n with no steps yet."""
+    if isinstance(field, PrimeField):
+        field_spec = {"kind": "gfp", "prime": field.p}
+    else:
+        field_spec = {"kind": "rat"}
+    return RegularityCertificate(n=n, order_name="paper", field_spec=field_spec,
+                                 table=build_ring(n), steps=[],
+                                 verdict="certified", note=PERMUTATION_NOTE)
+
+
+def _certified_steps(n, field):
+    """Certify the augmented walk one step at a time, yielding each step.
+
+    Every computed effective lead is checked against its prediction.  Raises
+    CertificationError at the first step that fails; the steps yielded
+    before it are certified.
+    """
+    order = certification_order(n)
+    product = GenericProduct(n, field=field, order=order)
+    steps = []
+    for kind, a, t in PatternSpec.build(n).augmented:
+        label = f"{kind}[{a},{t}]"
+        if kind == "y":
+            step = coprime_extend_element(steps, product.y(a, t), order,
+                                          role=ROLE_BARE, label=label)
+        else:
+            role = ROLE_BASE if t == 1 else ROLE_TECHNICAL
+            step = check_technical_step(steps, product.entry(a, t), order,
+                                        role=role, label=label)
+            predicted = expected_effective_lead(n, a, t)
+            if step.effective_lead != predicted:
+                raise CertificationError(
+                    "lead_prediction",
+                    f"effective lead of {label} is "
+                    f"{format_monomial(step.effective_lead, product.table)}, "
+                    f"predicted {format_monomial(predicted, product.table)}")
+            step.checks["lead_matches_prediction"] = True
+        steps.append(step)
+        yield step
 
 
 def certify_pattern(n, field=None):
@@ -175,40 +213,14 @@ def certify_pattern(n, field=None):
     certificate; a failure on valid input would be a bug, and is reported
     as a failed verdict with the step index and violated condition."""
     field = field if field is not None else PrimeField(DEFAULT_PRIME)
-    order = certification_order(n)
-    product = GenericProduct(n, field=field, order=order)
-    spec = PatternSpec.build(n)
-    if isinstance(field, PrimeField):
-        field_spec = {"kind": "gfp", "prime": field.p}
-    else:
-        field_spec = {"kind": "rat"}
-    cert = RegularityCertificate(n=n, order_name="paper", field_spec=field_spec,
-                                 table=product.table, steps=[],
-                                 verdict="certified", note=PERMUTATION_NOTE)
-    for idx, (kind, a, t) in enumerate(spec.augmented, start=1):
-        label = f"{kind}[{a},{t}]"
-        try:
-            if kind == "y":
-                step = coprime_extend_element(cert.steps, product.y(a, t), order,
-                                              role=ROLE_BARE, label=label)
-            else:
-                role = ROLE_BASE if t == 1 else ROLE_TECHNICAL
-                step = check_technical_step(cert.steps, product.entry(a, t), order,
-                                            role=role, label=label)
-                predicted = expected_effective_lead(n, a, t)
-                if step.effective_lead != predicted:
-                    raise CertificationError(
-                        "lead_prediction",
-                        f"effective lead of {label} is "
-                        f"{format_monomial(step.effective_lead, product.table)}, "
-                        f"predicted {format_monomial(predicted, product.table)}")
-                step.checks["lead_matches_prediction"] = True
+    cert = _empty_certificate(n, field)
+    try:
+        for step in _certified_steps(n, field):
             cert.steps.append(step)
-        except CertificationError as exc:
-            cert.verdict = "failed"
-            cert.failure = {"step": idx, "condition": exc.condition,
-                            "message": str(exc)}
-            break
+    except CertificationError as exc:
+        cert.verdict = "failed"
+        cert.failure = {"step": len(cert.steps) + 1, "condition": exc.condition,
+                        "message": str(exc)}
     return cert
 
 
@@ -238,31 +250,41 @@ def _certificate_inputs(data):
         raise CertificateFormatError(f"bad field {spec!r}: {exc}") from None
 
 
+def _canonical_json(value):
+    return json.dumps(value, sort_keys=True)
+
+
 def recheck_certificate(data):
     """Re-certify the pattern a serialized certificate names, and compare.
 
     A certificate is a deterministic function of its size ``n`` and its
-    field, so only those two are read from ``data``: :func:`certify_pattern`
-    runs again, and the result is "certified" only when that run certifies
-    and its JSON form equals ``data`` exactly (as canonical JSON, so ``true``
-    and ``1`` differ).  A ``steps`` list whose length is not the walk's
-    fails before anything is re-certified, so the input's size bounds the
-    ``n`` that is re-certified.  Anything else -- a changed, missing, extra or
-    reordered step, check or verdict -- gives "failed".  Raises
-    CertificateFormatError when ``data`` is not shaped like a certificate.
+    field, so only those two are read from ``data``: the pattern is
+    certified again, and the result is "certified" only when that run
+    certifies and its JSON form equals ``data`` exactly (as canonical JSON,
+    so ``true`` and ``1`` differ).  A ``steps`` list whose length is not the
+    walk's fails before anything is re-certified, and each fresh step is
+    compared with the input's step at its index as soon as it is certified,
+    so the run stops at the first step that differs.  Anything else -- a
+    changed, missing, extra or reordered step, check or verdict -- gives
+    "failed".  Raises CertificateFormatError when ``data`` is not shaped like
+    a certificate.
     """
     n, field = _certificate_inputs(data)
     # every walk has at least n(n+1)/2 steps, so testing that first keeps the
-    # work done before certify_pattern within the size of the input
+    # work done before certifying within the size of the input
     steps = data["steps"]
     if (not isinstance(steps, list) or len(steps) < n * (n + 1) // 2
             or len(steps) != len(PatternSpec.build(n).augmented)):
         return "failed"
-    fresh = certify_pattern(n, field)
-    if fresh.verdict != "certified":
+    fresh = _empty_certificate(n, field)
+    try:
+        for claimed, step in zip(steps, _certified_steps(n, field)):
+            if _canonical_json(claimed) != _canonical_json(fresh.step_json_dict(step)):
+                return "failed"
+    except CertificationError:
         return "failed"
-    same = (json.dumps(data, sort_keys=True)
-            == json.dumps(fresh.to_json_dict(), sort_keys=True))
+    # every step matched, and the rest of a certificate does not depend on them
+    same = _canonical_json(dict(data, steps=[])) == _canonical_json(fresh.to_json_dict())
     return "certified" if same else "failed"
 
 

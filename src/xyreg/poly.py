@@ -15,6 +15,9 @@ from .ring import Monomial, format_monomial
 
 # the largest exponent the parser accepts; sums of a few stay far inside int64
 MAX_EXPONENT = 2**31 - 1
+# the longest integer literal the parser reads: Python's default limit on
+# int-from-string conversion, made independent of the interpreter's setting
+MAX_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -273,10 +276,13 @@ class _Scanner:
     def integer(self):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
+        if self.pos - start > MAX_DIGITS:
+            raise ParseError(f"integer of {self.pos - start} digits exceeds "
+                             f"{MAX_DIGITS} digits", start)
         return int(self.text[start:self.pos])
 
 

@@ -80,14 +80,19 @@ def check_coprime_leads(seq, order=None):
     return True, None
 
 
-def _variable_counts(monomials, nvars):
-    """For each variable, how many of the monomials it divides.
+def _lead_block(steps, nvars):
+    """The (len(steps), nvars) exponent block of the steps' effective leads."""
+    return np.array([s.effective_lead.exps for s in steps],
+                    dtype=np.int64).reshape(-1, nvars)
 
-    The monomials are pairwise coprime iff no count exceeds 1, and a
-    monomial is coprime to all of them iff each of its variables counts 0.
+
+def _variable_counts(block):
+    """For each variable, how many rows of the exponent block it divides.
+
+    The rows are pairwise coprime iff no count exceeds 1, and a monomial
+    is coprime to all of them iff each of its variables counts 0.
     """
-    support = np.array([m.exps for m in monomials], dtype=bool).reshape(-1, nvars)
-    return np.count_nonzero(support, axis=0)
+    return np.count_nonzero(block, axis=0)
 
 
 def check_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label=""):
@@ -107,15 +112,19 @@ def check_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label="")
     if h.is_zero():
         raise CertificationError("residue_nonzero", "the element is zero")
 
+    nvars = h.table.nvars
     bare_monos = [s.effective_lead for s in prior if s.role == ROLE_BARE]
-    prior_leads = [s.effective_lead for s in prior if s.role != ROLE_BARE]
+    is_bare = np.array([s.role == ROLE_BARE for s in prior], dtype=bool)
+    leads = _lead_block(prior, nvars)
+    bare_block, lead_block = leads[is_bare], leads[~is_bare]
     subtractions = []
     residue_terms = []
     for term in h.terms():
-        hit = next((m for m in bare_monos if m.divides(term.monomial)), None)
-        if hit is None:
+        divides = (bare_block <= term.monomial.exps).all(axis=1)
+        if not divides.any():
             residue_terms.append(term)
         else:
+            hit = bare_monos[divides.argmax()]  # the first dividing one
             subtractions.append((hit, Term(term.coefficient, term.monomial / hit)))
 
     if not residue_terms:
@@ -139,9 +148,8 @@ def check_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label="")
         unit = False
     record("residue_lead_unit", unit, "residue lead coefficient is not invertible")
 
-    nvars = h.table.nvars
-    lead_counts = _variable_counts(prior_leads, nvars)
-    bare_counts = _variable_counts(bare_monos, nvars)
+    lead_counts = _variable_counts(lead_block)
+    bare_counts = _variable_counts(bare_block)
     residue_vars = residue_lead.exps > 0
     record("prior_leads_pairwise_coprime", (lead_counts <= 1).all(),
            "prior effective leads are not pairwise coprime")
@@ -159,7 +167,7 @@ def check_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label="")
     record("tail_below_residue_lead", all(row < rows[0] for row in rows[1:]),
            "a residue term is not strictly below the residue lead")
 
-    strict = all(any(t.monomial.divides(lead) for lead in prior_leads)
+    strict = all((t.monomial.exps <= lead_block).all(axis=1).any()
                  for _, t in subtractions)
 
     return CertificateStep(kind="TECHNICAL", label=label, element=h,
@@ -176,7 +184,7 @@ def coprime_extend_element(prior, p, order=None, *, role=ROLE_BASE, label=""):
     if p.is_zero():
         raise UndefinedLeadError("zero element has no leading term")
     lead = p.leading_monomial()
-    counts = _variable_counts([s.effective_lead for s in prior], p.table.nvars)
+    counts = _variable_counts(_lead_block(prior, p.table.nvars))
     if counts[lead.exps > 0].any():
         raise CertificationError(
             "lead_coprime_to_prior",
@@ -202,24 +210,26 @@ class RegularityCertificate:
     failure: dict = None  # {"step": 1-based index, "condition": ...}
     note: str = ""
 
+    def step_json_dict(self, s):
+        """The JSON form of one step, as it appears in ``to_json_dict``."""
+        return {
+            "kind": s.kind,
+            "label": s.label,
+            "role": s.role,
+            "element": format_poly(s.element),
+            "effective_lead": format_monomial(s.effective_lead, self.table),
+            "subtractions": [
+                [format_monomial(m, self.table), _format_term(t, self.table)]
+                for m, t in s.subtractions
+            ],
+            "m_next": (format_monomial(s.effective_lead, self.table)
+                       if s.kind == "TECHNICAL" else None),
+            "checks": dict(s.checks),
+            "strict_form": s.strict_form,
+        }
+
     def to_json_dict(self):
-        steps = []
-        for s in self.steps:
-            steps.append({
-                "kind": s.kind,
-                "label": s.label,
-                "role": s.role,
-                "element": format_poly(s.element),
-                "effective_lead": format_monomial(s.effective_lead, self.table),
-                "subtractions": [
-                    [format_monomial(m, self.table), _format_term(t, self.table)]
-                    for m, t in s.subtractions
-                ],
-                "m_next": (format_monomial(s.effective_lead, self.table)
-                           if s.kind == "TECHNICAL" else None),
-                "checks": dict(s.checks),
-                "strict_form": s.strict_form,
-            })
+        steps = [self.step_json_dict(s) for s in self.steps]
         out = {
             "n": self.n,
             "order": self.order_name,

@@ -10,6 +10,20 @@ import numpy as np
 from .errors import DimensionError
 
 
+def _xy_slot(n, kind, i, j):
+    """Slot of x[i,j] or y[i,j] in the 2n^2-slot layout of ``VariableTable.xy(n)``.
+
+    x[i,j] occupies (i-1)*n + (j-1) and y[i,j] the same offset by n^2.  It is
+    private so that perfbench's tracer, which wraps every public function of
+    the package, does not add a span per slot.
+    """
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise IndexError(f"{kind}[{i},{j}] out of range for n={n}")
+    if kind not in ("x", "y"):
+        raise KeyError(kind)
+    return (0 if kind == "x" else n * n) + (i - 1) * n + (j - 1)
+
+
 class VariableTable:
     """Maps variable names to dense slots and back.
 
@@ -45,15 +59,9 @@ class VariableTable:
 
     def slot(self, kind, i, j):
         """Slot of x[i,j] or y[i,j]; kind is 'x' or 'y'."""
-        n = self.n
-        if n is None:
+        if self.n is None:
             raise ValueError("not an x/y table")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise IndexError(f"{kind}[{i},{j}] out of range for n={n}")
-        base = 0 if kind == "x" else n * n
-        if kind not in ("x", "y"):
-            raise KeyError(kind)
-        return base + (i - 1) * n + (j - 1)
+        return _xy_slot(self.n, kind, i, j)
 
     def index(self, name):
         return self._index[name]

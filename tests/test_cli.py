@@ -252,11 +252,35 @@ def test_gb_oversized_exponent_is_a_usage_error(capsys, tmp_path):
         assert "exponent" in err and "position 7" in err
 
 
+def test_gb_overlong_integer_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "long.txt"
+    nines = "9" * 5000
+    for text, position in [(f"x[1,1]^{nines}", 7), (f"{nines}*x[1,1]", 0)]:
+        path.write_text(text + "\n")
+        code, out, err = run(capsys, "gb", "--n", "2", "--input", str(path))
+        assert code == 2 and out == ""
+        assert "long.txt:1: integer of 5000 digits" in err
+        assert f"position {position}" in err and "Traceback" not in err
+
+
 def test_recheck_of_a_huge_claimed_n_fails_fast(capsys, tmp_path):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"n": 1000000, "order": "paper",
                                 "field": {"kind": "gfp", "prime": 32003},
                                 "steps": [], "verdict": "certified"}))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "recheck", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == "verdict: failed\n"
+
+
+def test_recheck_stops_at_the_first_mismatched_step(capsys, tmp_path):
+    # 1,342 is the walk's length at n=40, so only the steps can fail it
+    path = tmp_path / "placeholders.json"
+    path.write_text(json.dumps({"n": 40, "order": "paper",
+                                "field": {"kind": "gfp", "prime": 32003},
+                                "steps": [0] * 1342, "verdict": "certified"}))
+    assert path.stat().st_size < 5000
     start = time.perf_counter()
     code, out, _ = run(capsys, "recheck", "--input", str(path))
     assert time.perf_counter() - start < 1.0

@@ -144,8 +144,9 @@ def test_certify_all_sizes_with_lead_predictions(gf):
                 assert y_factor not in bare
 
 
-# sha256 of `xyreg certify --format json` for n = 2..8 over GF(32003) and
-# for n = 3 over Q: a change to any step, check or rendering changes one
+# sha256 of `xyreg certify --format json` for n = 2..8, 12 and 16 over
+# GF(32003) and for n = 3 over Q: a change to any step, check or rendering
+# changes one
 GOLDEN_CERTIFICATES = {
     ("--n", "2"): "d0269ba83a7d32754e3d50d74b79550b2b9ac616115b17e7ccbe34bf1cfe64c1",
     ("--n", "3"): "69ae5c3ecc6adacd344d309f1be42822dc6f6637a837de73b0f9c042b8ae3874",
@@ -154,6 +155,8 @@ GOLDEN_CERTIFICATES = {
     ("--n", "6"): "639125c53f2adadcfeb4b1ca4b8cbd87d37f093c361814c585049b8cbc8aabd5",
     ("--n", "7"): "8c23bddb104fdd97005c4c24ce78ecf1f108735ae8bf4d57514ea081c4ab9065",
     ("--n", "8"): "be1f2dc93720e877a453e9aca15a418cde7dfb144484b0fcf959f842f8c47b42",
+    ("--n", "12"): "5a573f8f1a30f39915339f41e0368ceafe3eeca27f9a71e62729883ad026d02e",
+    ("--n", "16"): "9941281e9fbd38bcfa396a22916f6903ffe0513f228993f28ffec5c439cc4016",
     ("--n", "3", "--field", "rat"):
         "38cd88c7055f2b7e1bf2d25889e063bbde6128d7428af8b3bd9ae5f420efc587",
 }

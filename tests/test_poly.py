@@ -137,6 +137,18 @@ def test_parse_rejects_oversized_exponents(ctx):
     assert parse("x[1,1]^2147483647*x[1,1]").degree() == 2**31
 
 
+def test_parse_rejects_overlong_integers(ctx):
+    _, _, _, parse = ctx
+    nines = "9" * 5000
+    for text, position in [(f"x[1,1]^{nines}", 7), (f"{nines}*x[1,1]", 0),
+                           (f"x[1,1] + 2/{nines}*y[1,1]", 11)]:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.position == position
+        assert "5000 digits" in str(exc.value)
+    assert parse("1" * 4300 + "*x[1,1]").num_terms == 1
+
+
 def test_homogeneity_and_degree(ctx):
     _, _, _, parse = ctx
     assert parse("x[1,1]*y[1,1] + x[1,2]*y[2,1]").is_homogeneous()

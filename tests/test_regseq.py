@@ -153,6 +153,23 @@ def test_technical_step_negative_controls(gf):
         assert exc.value.condition == condition
 
 
+def test_technical_step_subtracts_the_first_dividing_bare_monomial(gf):
+    product = GenericProduct(2, field=gf)
+    order = certification_order(2)
+    x, y = product.x, product.y
+    f11 = product.entry(1, 1)  # x[1,1]*y[1,1] + x[1,2]*y[2,1]
+    # x[1,1] and y[1,1] both divide the lead term; prior order decides
+    for first, second, multiplier in [(x(1, 1), y(1, 1), "y[1,1]"),
+                                      (y(1, 1), x(1, 1), "x[1,1]")]:
+        prior = [prior_step(first, ROLE_BARE), prior_step(second, ROLE_BARE)]
+        step = check_technical_step(prior, f11, order)
+        assert len(step.subtractions) == 1
+        mono, mult = step.subtractions[0]
+        assert mono == first.leading_monomial()
+        assert format_monomial(mult.monomial, product.table) == multiplier
+        assert format_monomial(step.effective_lead, product.table) == "x[1,2]*y[2,1]"
+
+
 def pairwise_coprime(monos):
     return all(a.coprime(b) for i, a in enumerate(monos) for b in monos[i + 1:])
 

@@ -120,6 +120,65 @@ def test_elimination_block_order():
     assert elim.compare(aux, big) > 0  # the adjoined slot outranks any inner monomial
 
 
+def dense_weights(kind, precedence, inner=None):
+    """The order's keys as the rows of an integer weight matrix: keys = W @ e."""
+    nv = len(precedence)
+    if kind == "elim":
+        w_inner = dense_weights(*inner)
+        w = np.zeros((w_inner.shape[0] + 1, nv), dtype=np.int64)
+        w[0, nv - 1] = 1
+        w[1:, :nv - 1] = w_inner
+        return w
+    if kind == "grevlex":
+        w = np.zeros((nv + 1, nv), dtype=np.int64)
+        w[0, :] = 1
+        for row, slot in enumerate(reversed(precedence)):
+            w[1 + row, slot] = -1
+        return w
+    w = np.zeros((nv, nv), dtype=np.int64)
+    for row, slot in enumerate(precedence):
+        w[row, slot] = 1
+    return w
+
+
+def orders_with_weights():
+    """(order, dense weight matrix) for every kind, over varied precedences."""
+    rng = random.Random(11)
+    out = []
+    for nv in (1, 5, 9):
+        shuffled = list(range(nv))
+        rng.shuffle(shuffled)
+        for precedence in (None, shuffled):
+            prec = tuple(range(nv)) if precedence is None else tuple(precedence)
+            for kind in ("lex", "grevlex"):
+                order = getattr(MonomialOrder, kind)(nv, precedence)
+                out.append((order, dense_weights(kind, prec)))
+                out.append((order.eliminate_last(),
+                            dense_weights("elim", prec + (nv,), (kind, prec))))
+    for n in (2, 3, 4, 5):
+        out.append((MonomialOrder.paper(n),
+                    dense_weights("lex", certification_precedence(n))))
+    return out
+
+
+def test_keys_and_sort_agree_with_dense_weight_matrices():
+    rng = np.random.default_rng(5)
+    for order, weights in orders_with_weights():
+        nv = order.nvars
+        assert weights.shape[1] == nv
+        for m in (1, 2, 7, 40):
+            # small exponents so that equal keys and constant columns occur
+            block = rng.integers(0, 3, size=(m, nv)).astype(np.int64)
+            block[rng.random((m, nv)) < 0.6] = 0
+            expected = block @ weights.T
+            assert np.array_equal(order.keys(block), expected), order
+            for row, keys in zip(block, expected):
+                assert np.array_equal(order.keys(row), keys), order
+            reference = np.lexsort(expected[:, ::-1].T)[::-1]
+            assert np.array_equal(order.sort_desc(block), reference), order
+        assert order.sort_desc(np.zeros((0, nv), dtype=np.int64)).shape == (0,)
+
+
 def test_format_monomial(xy2):
     m = mono(xy2, {("x", 1, 1): 2, ("y", 2, 1): 1})
     assert format_monomial(m, xy2) == "x[1,1]^2*y[2,1]"
