@@ -14,7 +14,7 @@ import sys
 from .errors import BudgetExceededError, ParseError, XyregError
 from .fields import QQ, DEFAULT_PRIME, PrimeField
 from .groebner import groebner_basis
-from .orders import MonomialOrder
+from .orders import ORDER_NAMES, MonomialOrder
 from .pattern import (GenericProduct, PatternSpec, build_ring,
                       certification_order, certify_pattern, counterexample_2x2,
                       recheck_certificate, selected_entries)
@@ -38,7 +38,7 @@ FLAGS = {
                   help="coefficient domain (default gfp; counterexample defaults to rat)"),
     "prime": dict(type=int, default=DEFAULT_PRIME,
                   help=f"prime for --field gfp (default {DEFAULT_PRIME})"),
-    "order": dict(choices=["paper", "grevlex", "lex"], default="paper",
+    "order": dict(choices=ORDER_NAMES, default="paper",
                   help="monomial order for basis emission (default paper)"),
     "method": dict(choices=["hilbert", "colon"], default="hilbert",
                    help="regularity oracle method (default hilbert)"),
@@ -123,14 +123,6 @@ def _budgets(args):
         if value is not None and value <= 0:
             raise UsageError(f"--{name.replace('_', '-')} must be positive")
     return dict(pair_budget=args.budget_pairs, degree_budget=args.budget_degree)
-
-
-def _order_for(args, table, n):
-    if args.order == "paper":
-        return MonomialOrder.paper(n)
-    if args.order == "grevlex":
-        return MonomialOrder.grevlex(table.nvars)
-    return MonomialOrder.lex(table.nvars)
 
 
 def _read_input_polys(args, table, field, order):
@@ -324,7 +316,7 @@ def cmd_gb(args):
     if args.input is None:
         raise UsageError("gb requires --input")
     table = build_ring(n)
-    order = _order_for(args, table, n)
+    order = MonomialOrder.from_name(args.order, n)
     polys = _read_input_polys(args, table, field, order)
     polys = [p for p in polys if not p.is_zero()]
     if not polys:

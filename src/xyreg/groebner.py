@@ -166,15 +166,16 @@ def buchberger(gens, order=None, *, strategy="normal",
     if not basis:
         raise ValueError("all generators are zero")
 
-    leads = [p.leading_monomial() for p in basis]
+    # the leads as one block, one row per basis element
+    leads = np.array([p.exps[0] for p in basis], dtype=np.int64)
     heap = []
     pending = set()
     seq = 0
 
     def push_pairs(j):
         nonlocal seq
-        for i in range(j):
-            lcm_deg = int(np.maximum(leads[i].exps, leads[j].exps).sum())
+        lcm_degs = np.maximum(leads[:j], leads[j]).sum(axis=1).tolist()
+        for i, lcm_deg in enumerate(lcm_degs):
             key = (lcm_deg, i, j) if strategy == "normal" else (seq,)
             heapq.heappush(heap, (key, i, j))
             pending.add((i, j))
@@ -194,17 +195,18 @@ def buchberger(gens, order=None, *, strategy="normal",
                 f"pair budget {pair_budget} exhausted",
                 pairs_considered=considered,
             )
-        lcm = leads[i].lcm(leads[j])
-        if degree_budget is not None and lcm.degree > degree_budget:
+        lcm = np.maximum(leads[i], leads[j])
+        lcm_deg = int(lcm.sum())
+        if degree_budget is not None and lcm_deg > degree_budget:
             raise BudgetExceededError(
-                f"degree budget {degree_budget} exceeded by a pair of degree {lcm.degree}",
-                pairs_considered=considered, degree_reached=lcm.degree,
+                f"degree budget {degree_budget} exceeded by a pair of degree {lcm_deg}",
+                pairs_considered=considered, degree_reached=lcm_deg,
             )
-        if leads[i].coprime(leads[j]):
-            continue
+        if not np.minimum(leads[i], leads[j]).any():
+            continue  # coprime leads
         chained = False
-        for k in range(len(basis)):
-            if k in (i, j) or not leads[k].divides(lcm):
+        for k in np.flatnonzero((leads <= lcm).all(axis=1)).tolist():
+            if k in (i, j):
                 continue
             if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
                 chained = True
@@ -216,7 +218,7 @@ def buchberger(gens, order=None, *, strategy="normal",
         if r.is_zero():
             continue
         basis.append(r.monic())
-        leads.append(r.leading_monomial())
+        leads = np.vstack([leads, r.exps[:1]])
         push_pairs(len(basis) - 1)
         view = GroebnerBasis(order, basis)
 
@@ -237,18 +239,14 @@ def reduce_basis(gb):
         if any(q.leading_monomial().divides(lm) for q in kept):
             continue
         kept = [q for q in kept if not lm.divides(q.leading_monomial())] + [p]
-    # tail-reduce to fixpoint; leads are stable under reduction by the others
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            others = GroebnerBasis(order, kept[:i] + kept[i + 1:])
-            r = normal_form(kept[i], others)
-            if r != kept[i]:
-                kept[i] = r.monic()
-                changed = True
-    kept.sort(key=lambda p: order.keys(p.exps[0]).tolist(), reverse=True)
-    return GroebnerBasis(order, kept, reduced=True)
+    # tail-reduce in one ascending pass: a tail term lies below its lead, so
+    # only a smaller lead can divide it, and the smaller elements are final
+    ascending = order.sort_desc(np.array([p.exps[0] for p in kept]))[::-1]
+    final = []
+    for k in ascending.tolist():
+        final.append(normal_form(kept[k], GroebnerBasis(order, final)))
+    final.reverse()
+    return GroebnerBasis(order, final, reduced=True)
 
 
 def groebner_basis(gens, order=None, **kwargs):

@@ -7,6 +7,18 @@ The numerator h(t) of the series h(t)/(1-t)^N of R/<m_1..m_k> satisfies
 with h(<>) = 1.  The recursion minimalizes at every node, splits
 support-disjoint generator groups into factors, and memoizes on the
 generator set, which keeps the desk-scale inputs here well in hand.
+
+Inside the recursion every monomial is one Python int: variable i owns the
+byte-aligned bit field starting at bit i*w, whose top bit is a guard bit
+kept clear, and w grows with the largest exponent (w = 32 at the parser's
+limit 2**31 - 1).  With G the mask of all guard bits and LOW the mask of
+each field's lowest bit, g divides m iff ((m | G) - g) & G == G (no field
+borrows from its neighbour, and a field's guard bit survives iff m_i >= g_i);
+the colon m : p keeps the fields of (m | G) - p whose guard bit survived;
+and ((m | G) - LOW) & G marks the support of m.  A divisor is never larger
+than its multiple as an int, so sorting ascending puts divisors first and
+minimalizing is one sorted pass.
+
 A graded quotient and its lead-term quotient share a Hilbert series, so
 composing buchberger -> lead_ideal -> numerator yields the series of an
 arbitrary homogeneous quotient.
@@ -75,24 +87,40 @@ class HilbertData:
         return hash((tuple(_trim(self.numerator)), self.nvars))
 
 
-def _minimalize(gens):
-    gens = sorted(set(gens), key=lambda m: (sum(m), m))
+class _Packing:
+    """Exponent vectors as ints with one guarded bit field per variable."""
+
+    __slots__ = ("shifts", "top", "low", "guard", "value_bits")
+
+    def __init__(self, nvars, max_exp):
+        width = 8 * ((max_exp.bit_length() + 8) // 8)  # room for the guard bit
+        self.shifts = range(0, nvars * width, width)
+        self.top = width - 1  # the guard bit's place in its field
+        self.low = sum(1 << s for s in self.shifts)
+        self.guard = self.low << self.top
+        self.value_bits = (1 << self.top) - 1
+
+    def pack(self, exps):
+        return sum(e << s for e, s in zip(exps, self.shifts))
+
+    def degree(self, m):
+        return sum((m >> s) & self.value_bits for s in self.shifts)
+
+
+def _minimalize(gens, guard):
     out = []
-    for m in gens:
-        if not any(all(a <= b for a, b in zip(g, m)) for g in out):
+    for m in sorted(set(gens)):
+        mg = m | guard
+        if not any((mg - g) & guard == guard for g in out):
             out.append(m)
     return tuple(out)
 
 
-def _support(m):
-    return frozenset(i for i, e in enumerate(m) if e)
-
-
-def _components(gens):
+def _components(gens, pk):
     """Group generators into support-disjoint classes."""
     groups = []
     for m in gens:
-        sup = _support(m)
+        sup = ((m | pk.guard) - pk.low) & pk.guard
         merged = [m]
         rest = []
         for gsup, members in groups:
@@ -102,31 +130,36 @@ def _components(gens):
             else:
                 rest.append((gsup, members))
         groups = rest + [(sup, merged)]
-    return [tuple(sorted(members)) for _, members in groups]
+    return [tuple(members) for _, members in groups]
 
 
-def _numerator(gens, memo):
-    gens = _minimalize(gens)
+def _numerator(gens, memo, pk):
+    gens = _minimalize(gens, pk.guard)
     if gens in memo:
         return memo[gens]
     if not gens:
         res = [1]
-    elif gens[0] == tuple(0 for _ in gens[0]):
+    elif gens[0] == 0:
         res = []  # 1 lies in the ideal: the quotient is zero
     elif len(gens) == 1:
-        d = sum(gens[0])
+        d = pk.degree(gens[0])
         res = [1] + [0] * (d - 1) + [-1]
     else:
-        comps = _components(gens)
+        comps = _components(gens, pk)
         if len(comps) > 1:
             res = [1]
             for comp in comps:
-                res = poly_mul(res, _numerator(comp, memo))
+                res = poly_mul(res, _numerator(comp, memo, pk))
         else:
             pivot, rest = gens[0], gens[1:]
-            colon = tuple(tuple(max(a - b, 0) for a, b in zip(m, pivot)) for m in rest)
-            shifted = [0] * sum(pivot) + _numerator(colon, memo)
-            res = poly_sub(_numerator(rest, memo), shifted)
+            guard, top = pk.guard, pk.top
+            colon = []
+            for m in rest:
+                diff = (m | guard) - pivot
+                kept = diff & guard  # the guard bits of the fields with m_i >= p_i
+                colon.append(diff & (kept - (kept >> top)))
+            shifted = [0] * pk.degree(pivot) + _numerator(colon, memo, pk)
+            res = poly_sub(_numerator(rest, memo, pk), shifted)
     res = _trim(res)
     memo[gens] = res
     return res
@@ -138,9 +171,13 @@ def hilbert_numerator(monomials, nvars):
     Redundant generators are tolerated; the result does not depend on the
     generator order.
     """
-    gens = tuple(m.as_tuple() if hasattr(m, "as_tuple") else tuple(m) for m in monomials)
+    gens = [m.as_tuple() if hasattr(m, "as_tuple") else tuple(m) for m in monomials]
+    if any(e < 0 for g in gens for e in g):
+        raise ValueError("exponents must be non-negative")
+    pk = _Packing(max((len(g) for g in gens), default=0),
+                  max((e for g in gens for e in g), default=0))
     memo = {}
-    return HilbertData(tuple(_numerator(gens, memo)), nvars)
+    return HilbertData(tuple(_numerator([pk.pack(g) for g in gens], memo, pk)), nvars)
 
 
 def complete_intersection_numerator(degrees):

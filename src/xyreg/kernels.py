@@ -5,10 +5,12 @@ basis lead dividing the current head term, subtract the matching multiple".
 The kernel runs it over numpy term arrays, for GF(p) and exact-rational
 coefficients alike.
 
-Kernel contract: inputs are one polynomial and a flattened divisor list, all
-terms strictly descending under the key matrix, all divisors monic; output
-is the fully reduced remainder, none of whose terms is divisible by any
-divisor lead.  Divisor selection is first match in list order.
+Kernel contract: inputs are one polynomial and a flattened divisor list with
+their order keys, all terms strictly descending under those keys, all
+divisors monic; output is the fully reduced remainder, none of whose terms is
+divisible by any divisor lead.  Divisor selection is first match in list
+order: each head term is tested against the whole block of divisor leads at
+once and the first dividing row is taken.
 """
 
 import numpy as np
@@ -48,15 +50,11 @@ def nf_numpy(field, f_exps, f_keys, f_coeffs,
     w_coeffs = f_coeffs
     w_keys = f_keys
     r_exps, r_coeffs = [], []
-    nd = len(d_starts) - 1
     while len(w_coeffs) > 0:
         head_exps = w_exps[0]
-        hit = -1
-        for di in range(nd):
-            if (d_lead_exps[di] <= head_exps).all():
-                hit = di
-                break
-        if hit < 0:
+        divides = (d_lead_exps <= head_exps).all(axis=1)
+        hit = int(divides.argmax())  # the first dividing lead, if any
+        if not divides[hit]:
             r_exps.append(head_exps)
             r_coeffs.append(w_coeffs[0])
             w_exps, w_coeffs, w_keys = w_exps[1:], w_coeffs[1:], w_keys[1:]

@@ -26,6 +26,9 @@ import numpy as np
 from .errors import DimensionError
 from .ring import Monomial, _xy_slot
 
+# the orders :meth:`MonomialOrder.from_name` builds over the x/y slots
+ORDER_NAMES = ("paper", "grevlex", "lex")
+
 
 class MonomialOrder:
     """Total multiplicative well-order on monomials over a fixed slot count."""
@@ -67,6 +70,16 @@ class MonomialOrder:
     def paper(cls, n):
         return cls("paper", certification_precedence(n))
 
+    @classmethod
+    def from_name(cls, name, n):
+        """The order called ``name`` (one of ``ORDER_NAMES``) over the 2n^2
+        x/y slots of matrix size n."""
+        if name == "paper":
+            return cls.paper(n)
+        if name in ("grevlex", "lex"):
+            return getattr(cls, name)(2 * n * n)
+        raise ValueError(f"unknown monomial order {name!r}")
+
     def eliminate_last(self):
         """Block order over nvars+1 slots: the appended slot outranks all others."""
         return MonomialOrder("elim", self.precedence + (self.nvars,), inner=self)
@@ -107,14 +120,19 @@ class MonomialOrder:
         return np.lexsort(keys[:, ::-1].T)[::-1]
 
     def __eq__(self, other):
-        return (
+        # the key map decides the order: two elim orders over one precedence
+        # differ when their inner orders do
+        return other is self or (
             isinstance(other, MonomialOrder)
             and other.kind == self.kind
             and other.precedence == self.precedence
+            and other._graded_from == self._graded_from
+            and np.array_equal(other._columns, self._columns)
         )
 
     def __hash__(self):
-        return hash((self.kind, self.precedence))
+        return hash((self.kind, self.precedence, self._graded_from,
+                     tuple(self._columns.tolist())))
 
     def __repr__(self):
         return f"MonomialOrder({self.kind!r}, nvars={self.nvars})"

@@ -17,11 +17,14 @@ Two independent oracles decide regularity outright: the Hilbert-series
 criterion for homogeneous sequences (quotient series equals the complete-
 intersection product formula iff the sequence is regular) and a stepwise
 colon-ideal test ((J : f) = J iff f is a non-zerodivisor modulo J).
+A not-regular Hilbert verdict names the first degree where the two series
+differ, with both values; a colon verdict names the first failing index.
 Oracles run under graded-reverse-lexicographic order whatever the
 certification order; regularity does not depend on that choice.
 """
 
 from dataclasses import dataclass, field as dc_field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .fields import PrimeField
 # buchberger is not called here; perfbench/tracer.py rebinds it in every
 # module that holds it, and perfbench/selftest.py expects it in this one
 from .groebner import buchberger, groebner_basis, multi_divide, normal_form
-from .hilbert import complete_intersection_numerator, hilbert_series_quotient
+from .hilbert import HilbertData, complete_intersection_numerator, hilbert_series_quotient
 from .orders import MonomialOrder
 from .poly import Polynomial, Term, format_poly
 from .ring import Monomial, VariableTable, format_monomial
@@ -269,23 +272,38 @@ def regular_oracle_hilbert(seq, *, pair_budget=None, degree_budget=None):
     quotient equals prod(1 - t^deg_i) / (1 - t)^nvars exactly.  A budget stop
     raises BudgetExceededError rather than returning a verdict.
     """
+    return _hilbert_criterion(seq, pair_budget, degree_budget)[0]
+
+
+def _hilbert_criterion(seq, pair_budget, degree_budget):
+    """(regular, details) for :func:`regular_oracle_hilbert`; on a computed
+    mismatch the one detail line names the first degree where the quotient's
+    series leaves the complete-intersection series, with both values."""
     seq = list(seq)
     if not seq:
-        return True
+        return True, []
     if not isinstance(seq[0].field, PrimeField):
         raise ValueError("the Hilbert oracle runs over a prime field")
     for p in seq:
         if not p.is_homogeneous():
             raise HomogeneityError("the Hilbert oracle requires homogeneous elements")
     if any(p.is_zero() for p in seq):
-        return False
+        return False, []
     degrees = [p.degree() for p in seq]
     if any(d == 0 for d in degrees):
-        return False  # a unit makes the ideal improper
+        return False, []  # a unit makes the ideal improper
     order = _oracle_order(seq[0].table)
-    numer = hilbert_series_quotient([p.resort(order) for p in seq], order,
-                                    pair_budget=pair_budget, degree_budget=degree_budget)
-    return tuple(numer.numerator) == complete_intersection_numerator(degrees)
+    computed = hilbert_series_quotient([p.resort(order) for p in seq], order,
+                                       pair_budget=pair_budget, degree_budget=degree_budget)
+    expected = HilbertData(complete_intersection_numerator(degrees), computed.nvars)
+    if computed == expected:
+        return True, []
+    # both series share the denominator (1-t)^nvars, so they first differ
+    # where the numerators first differ
+    pairs = zip_longest(computed.numerator, expected.numerator, fillvalue=0)
+    d = next(k for k, (a, b) in enumerate(pairs) if a != b)
+    return False, [f"degree {d}: Hilbert function {computed.series_coefficients(d)[d]}, "
+                   f"complete intersection {expected.series_coefficients(d)[d]}"]
 
 
 def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
@@ -351,8 +369,9 @@ def sequence_oracle(seq, method="hilbert", *, pair_budget=None, degree_budget=No
                             details=["empty sequence: vacuously regular"])
     budgets = dict(pair_budget=pair_budget, degree_budget=degree_budget)
     if method == "hilbert":
-        ok = regular_oracle_hilbert(seq, **budgets)
-        return OracleReport(method=method, verdict="regular" if ok else "not-regular")
+        ok, details = _hilbert_criterion(seq, pair_budget, degree_budget)
+        return OracleReport(method=method, verdict="regular" if ok else "not-regular",
+                            details=details)
 
     order = _oracle_order(seq[0].table)
     seq = [p.resort(order) for p in seq]

@@ -47,3 +47,17 @@ def entries_2x2(field, order=None):
     product = GenericProduct(2, field=field, order=order)
     return [product.entry(1, 1), product.entry(1, 2),
             product.entry(2, 1), product.entry(2, 2)]
+
+
+def grevlex_entries(field, n, full):
+    """All n^2 product entries (full) or the selected ones, resorted to
+    grevlex over the 2n^2 slots; returns (entries, order)."""
+    from xyreg.pattern import GenericProduct, selected_entries
+
+    order = MonomialOrder.grevlex(2 * n * n)
+    if full:
+        product = GenericProduct(n, field=field)
+        gens = [product.entry(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    else:
+        gens = selected_entries(n, field=field)
+    return [g.resort(order) for g in gens], order

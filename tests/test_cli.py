@@ -82,6 +82,19 @@ def test_oracle_input_file_negative(capsys, tmp_path):
     assert payload["verdict"] == "not-regular" and payload["first_failure"] == 4
 
 
+def test_hilbert_oracle_reports_the_first_differing_degree(capsys, tmp_path):
+    path = tmp_path / "full_set.txt"
+    path.write_text(FULL_SET)
+    line = "degree 4: Hilbert function 195, complete intersection 192"
+    code, out, _ = run(capsys, "oracle", "--n", "2", "--input", str(path))
+    assert code == 1
+    assert f"  {line}\n" in out
+    code, out, _ = run(capsys, "oracle", "--n", "2", "--input", str(path),
+                       "--format", "json")
+    assert code == 1
+    assert json.loads(out)["details"] == [line]
+
+
 def test_oracle_budget_inconclusive(capsys):
     code, _, err = run(capsys, "oracle", "--n", "2", "--budget-pairs", "1")
     assert code == 3

@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import random
 
 import numpy as np
 import pytest
 
-from conftest import entries_2x2, random_poly
+from conftest import entries_2x2, grevlex_entries, random_poly
 from xyreg.errors import BudgetExceededError, UndefinedLeadError
 from xyreg.fields import PrimeField, QQ
 from xyreg.groebner import (GroebnerBasis, buchberger, groebner_basis,
@@ -206,3 +207,54 @@ def test_rational_groebner(ctx):
     gb = groebner_basis([f11, f12, f21])
     assert len(gb.polys) == 4
     assert_spairs_reduce_to_zero(gb)
+
+
+# sha256 of the newline-joined format_poly lines of buchberger's output (in
+# the order it is built, unreduced) and of groebner_basis's, under grevlex
+# over GF(32003); recorded before the pair loop and the interreduction were
+# rewritten on lead blocks, and passing there
+GOLDEN_BASES = {
+    ("2x2", 2, True): (
+        "6d88ef715ed156c1581d1c5b759f488715f676da06a9bc99bdde6668c8aeeb75",
+        "a378e7bdbca805f4dec51520c97f1ed050053cdaf580c1ca5cf25c6f253142e3"),
+    ("n3", 3, False): (
+        "547a28e0144d202ffb556d86cc6ce7f9f18e0e26a569144d281930aff4fdd178",
+        "08a03efc28291b47b90a7418d64150756489e7e5279c7a52918d02ed1b4d450c"),
+    ("full3x3", 3, True): (
+        "5174963d14a2af0bbf1513873d210571ccb427a69982b4eec6fbf6e17aabf53b",
+        "700ce4f124e0fb5c5e17a96e87a820c94ffbcfda6413929f4f89953907e98aaa"),
+    ("n4", 4, False): (
+        "9d1d7983e3d3cf705e34a606926f6b68ab4fee5efc239680789a529950344837",
+        "aa914029bc1b08ae4664ee1b58e1b88d71c1739efa665d798e3b141268510730"),
+}
+
+
+def basis_digest(gb):
+    text = "\n".join(format_poly(p) for p in gb.polys)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_BASES), ids=lambda k: k[0])
+def test_golden_bases(gf, key):
+    _, n, full = key
+    gens, order = grevlex_entries(gf, n, full)
+    unreduced, reduced = GOLDEN_BASES[key]
+    gb = buchberger(gens, order)
+    assert basis_digest(gb) == unreduced
+    assert basis_digest(reduce_basis(gb)) == reduced
+    assert basis_digest(groebner_basis(gens, order)) == reduced
+
+
+def test_budget_stops_fire_at_pinned_pair_counts(gf):
+    """Where each budget stops on the full 3x3 set, pinned before the pair
+    loop was rewritten on lead blocks."""
+    gens, order = grevlex_entries(gf, 3, True)
+    stops = [(dict(pair_budget=k), k + 1, None) for k in (1, 40, 300)]
+    stops += [(dict(degree_budget=3), 19, 4), (dict(degree_budget=4), 130, 5),
+              (dict(degree_budget=5), 520, 6)]
+    for budget, pairs, degree in stops:
+        with pytest.raises(BudgetExceededError) as info:
+            buchberger(gens, order, **budget)
+        assert (info.value.pairs_considered, info.value.degree_reached) == (pairs, degree)
+    with pytest.raises(BudgetExceededError, match="exceeded by a pair of degree 7"):
+        buchberger(gens, order, degree_budget=6)

@@ -1,13 +1,16 @@
 import itertools
 import random
+from math import comb
 
 import numpy as np
 import pytest
 
+from conftest import grevlex_entries
 from xyreg.errors import HomogeneityError
 from xyreg.fields import PrimeField
 from xyreg.hilbert import (HilbertData, complete_intersection_numerator,
                            hilbert_numerator, hilbert_series_quotient)
+from xyreg.groebner import buchberger, lead_ideal
 from xyreg.orders import MonomialOrder
 from xyreg.pattern import GenericProduct, selected_entries
 from xyreg.poly import Polynomial
@@ -29,6 +32,23 @@ def count_standard_monomials(gens, nvars, degree):
         if not any(all(g[k] <= exps[k] for k in range(nvars)) for g in gens):
             count += 1
     return count
+
+
+def taylor_numerator(gens):
+    """Second independent oracle: sum over generator subsets S of
+    (-1)^|S| t^deg(lcm S), as a {degree: coefficient} dict without zeros."""
+    out = {}
+    for size in range(len(gens) + 1):
+        for subset in itertools.combinations(gens, size):
+            degree = sum(max(column) for column in zip(*subset))
+            out[degree] = out.get(degree, 0) + (-1) ** size
+    return {d: c for d, c in out.items() if c}
+
+
+def series_at(numerator, nvars, degree):
+    """The series coefficient in one degree, summing only nonzero terms."""
+    return sum(c * comb(nvars - 1 + degree - j, nvars - 1)
+               for j, c in enumerate(numerator) if c and j <= degree)
 
 
 def test_numerator_examples():
@@ -105,3 +125,65 @@ def test_quotient_requires_homogeneous():
 def test_complete_intersection_numerator():
     assert complete_intersection_numerator([]) == (1,)
     assert complete_intersection_numerator([2, 2]) == (1, 0, -2, 0, 1)
+
+
+def random_wide_ideal(rng, nvars, low, high, big_slot=None):
+    """1-5 generators whose nonzero exponents lie in [low, high]; with
+    ``big_slot`` set, only that variable's exponents do and the others stay
+    below 200, which keeps the lcm degrees, and so the numerator, near high."""
+    gens = set()
+    for _ in range(rng.randint(1, 5 if big_slot is None else 3)):
+        e = [0] * nvars
+        for k in rng.sample(range(nvars), rng.randint(1, nvars)):
+            if big_slot is None or k == big_slot:
+                e[k] = rng.randint(low, high)
+            else:
+                e[k] = rng.randint(0, 199)
+        if big_slot is not None:
+            e[big_slot] = rng.randint(low, high)
+        gens.add(tuple(e))
+    return sorted(gens)
+
+
+def test_wide_exponent_fields_agree_with_independent_counts():
+    """Exponents from 128 on need 16-bit fields, near 2**20 24-bit ones."""
+    rng = random.Random(99)
+    cases = [(nvars, 120, 300, None) for nvars in range(1, 9) for _ in range(3)]
+    cases += [(nvars, 2**20 - 64, 2**20 + 64, 0) for nvars in (1, 4, 8)]
+    for nvars, low, high, big_slot in cases:
+        gens = random_wide_ideal(rng, nvars, low, high, big_slot)
+        hd = hilbert_numerator([M(*g) for g in gens], nvars)
+        numerator = {d: c for d, c in enumerate(hd.numerator) if c}
+        assert numerator == taylor_numerator(gens), gens
+        degrees = {sum(g) + delta for g in gens for delta in (-1, 0, 1)}
+        for degree in sorted(degrees):
+            if comb(nvars - 1 + degree, nvars - 1) <= 3000:
+                assert (series_at(hd.numerator, nvars, degree)
+                        == count_standard_monomials(gens, nvars, degree)), (gens, degree)
+
+
+def test_parser_limit_exponents_unit_and_empty_ideals():
+    top = 2**31 - 1  # the parser's largest exponent: 32-bit fields
+    assert hilbert_numerator([(top, 1, 0), (top - 1, 1, 0), (0, 1, 0)], 3) \
+        == HilbertData((1, -1), 3)
+    assert hilbert_numerator([(top, 0), (0, 0)], 2) == HilbertData((), 2)
+    assert hilbert_numerator([(0, 0, 0)], 3) == HilbertData((), 3)
+    assert hilbert_numerator([], 4) == HilbertData((1,), 4)
+
+
+def test_negative_exponents_are_rejected():
+    with pytest.raises(ValueError):
+        hilbert_numerator([(1, -1)], 2)
+
+
+@pytest.mark.parametrize("n, full, numerator", [
+    (3, True, (1, 0, -9, 0, 36, 36, -294, 468, -315, 44, 63, -36, 6)),
+    (4, False, (1, 0, -8, 0, 28, 0, -56, 0, 70, 0, -56, 0, 28, 0, -8, 0, 1)),
+])
+def test_pinned_lead_ideal_numerators(n, full, numerator):
+    """Numerators of the grevlex lead ideals of all nine 3x3 entries (18
+    variables) and of the n=4 selected entries (32 variables), recorded
+    before the recursion moved to packed monomials."""
+    gens, order = grevlex_entries(PrimeField(32003), n, full)
+    gb = buchberger(gens, order)
+    assert hilbert_numerator(lead_ideal(gb), order.nvars) == HilbertData(numerator, order.nvars)

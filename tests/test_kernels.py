@@ -3,6 +3,7 @@ import random
 from conftest import random_poly
 from xyreg.fields import PrimeField, QQ
 from xyreg.groebner import GroebnerBasis, normal_form
+from xyreg.kernels import reduce_terms
 from xyreg.orders import MonomialOrder
 from xyreg.poly import Polynomial
 from xyreg.ring import VariableTable
@@ -40,3 +41,22 @@ def test_reduction_invariants_via_normal_form():
         for term in r.terms():
             assert not any(d.leading_monomial().divides(term.monomial)
                            for d in gb.polys)
+
+
+def test_kernel_takes_the_first_dividing_lead_in_list_order():
+    # the head x*y is divisible by both leads x and x*y; list order decides
+    gf = PrimeField(32003)
+    table = VariableTable.generic(["x", "y", "z", "w"])
+    order = MonomialOrder.grevlex(4)
+    x, y, z, w = (Polynomial.variable(table, gf, order, k) for k in range(4))
+    f = x * y
+    d_linear = x + w
+    d_quadric = x * y + z * z
+    for divisors, remainder in (([d_linear, d_quadric], (y * w).scale(-1)),
+                                ([d_quadric, d_linear], (z * z).scale(-1))):
+        gb = GroebnerBasis(order, divisors)
+        d_exps, d_keys, d_coeffs, d_starts, d_leads = gb.flat_arrays()
+        r_exps, r_coeffs = reduce_terms(gf, f.exps, order.keys(f.exps), f.coeffs,
+                                        d_exps, d_keys, d_coeffs, d_starts, d_leads)
+        assert Polynomial(table, gf, order, r_exps, r_coeffs) == remainder
+        assert normal_form(f, gb) == remainder

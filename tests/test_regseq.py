@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import entries_2x2, random_monomial
+from conftest import entries_2x2, grevlex_entries, random_monomial
 from xyreg.errors import (BudgetExceededError, CertificateFormatError,
                           CertificationError, UndefinedLeadError)
 from xyreg.fields import PrimeField, QQ
@@ -242,6 +242,17 @@ def test_oracle_examples(gf):
     assert sequence_oracle([product.x(1, 1), product.y(1, 1)], "hilbert").regular
     assert sequence_oracle([], "hilbert").regular
     assert sequence_oracle([], "colon").regular
+
+
+def test_hilbert_verdict_names_the_first_differing_degree(gf):
+    full, _ = grevlex_entries(gf, 3, True)
+    report = sequence_oracle(full, "hilbert")
+    assert report.verdict == "not-regular"
+    assert report.details == ["degree 5: Hilbert function 16758, complete intersection 16722"]
+    # the 2x2 set leaves the complete-intersection series in degree 4
+    report = sequence_oracle(entries_2x2(gf), "hilbert")
+    assert report.details == ["degree 4: Hilbert function 195, complete intersection 192"]
+    assert sequence_oracle(selected_entries(3, field=gf), "hilbert").details == []
 
 
 def test_oracle_budget_is_an_error_not_a_verdict(gf):

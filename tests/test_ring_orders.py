@@ -5,7 +5,9 @@ import pytest
 
 from conftest import random_monomial
 from xyreg.errors import DimensionError
-from xyreg.orders import MonomialOrder, certification_precedence
+from xyreg.fields import PrimeField
+from xyreg.orders import ORDER_NAMES, MonomialOrder, certification_precedence
+from xyreg.poly import Polynomial
 from xyreg.ring import Monomial, VariableTable, format_monomial
 
 
@@ -118,6 +120,39 @@ def test_elimination_block_order():
     aux = Monomial.variable(4, 3)
     big = Monomial(np.array([5, 5, 5, 0], dtype=np.int64))
     assert elim.compare(aux, big) > 0  # the adjoined slot outranks any inner monomial
+
+
+def test_elimination_orders_with_different_inner_orders_differ():
+    lex_elim = MonomialOrder.lex(3).eliminate_last()
+    grevlex_elim = MonomialOrder.grevlex(3).eliminate_last()
+    x0 = [1, 0, 0, 0]
+    x1_squared = [0, 2, 0, 0]
+    assert lex_elim.compare(x0, x1_squared) == 1
+    assert grevlex_elim.compare(x0, x1_squared) == -1
+    assert lex_elim != grevlex_elim
+    assert hash(lex_elim) != hash(grevlex_elim)
+    assert lex_elim == MonomialOrder.lex(3).eliminate_last()
+    assert hash(lex_elim) == hash(MonomialOrder.lex(3).eliminate_last())
+    # resort must re-sort: the rows come out descending under the new order
+    gf = PrimeField(32003)
+    table = VariableTable.generic(["a", "b", "c", "t"])
+    p = Polynomial.from_terms(table, gf, lex_elim,
+                              [(gf.one, Monomial(x0)), (gf.one, Monomial(x1_squared))])
+    assert p.exps.tolist() == [x0, x1_squared]
+    q = p.resort(grevlex_elim)
+    assert q.order == grevlex_elim
+    assert q.exps.tolist() == [x1_squared, x0]
+
+
+def test_order_from_name():
+    assert ORDER_NAMES == ("paper", "grevlex", "lex")
+    for n in (2, 3):
+        assert MonomialOrder.from_name("paper", n) == MonomialOrder.paper(n)
+        assert MonomialOrder.from_name("grevlex", n) == MonomialOrder.grevlex(2 * n * n)
+        assert MonomialOrder.from_name("lex", n) == MonomialOrder.lex(2 * n * n)
+    for bad in ("elim", "Lex", ""):
+        with pytest.raises(ValueError):
+            MonomialOrder.from_name(bad, 2)
 
 
 def dense_weights(kind, precedence, inner=None):
