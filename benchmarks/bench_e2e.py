@@ -1,0 +1,156 @@
+"""End-to-end reach timings of the certify path, one fresh process per run.
+
+Each case runs ``python -m xyreg.cli`` in a new interpreter, the way a user
+runs ``xyreg``, and times it from spawn to exit (import and JSON emission
+included):
+
+* ``certify --n N --format json`` for each N in ``--sizes``, and
+* ``recheck`` of that certificate for N in ``RECHECK_SIZES``.
+
+Each run's peak resident memory comes from the child process itself
+(``os.wait4``).  The run is recorded under ``--label`` in a
+``BENCH_<date>.json`` file, with the Python and numpy versions,
+``xyreg.active_backend()``, the processor and the sha256 of every
+certificate, so two labels in one file (a parent commit and a change)
+compare like for like.  An existing file gains the label; other labels in
+it are kept.
+
+    python3 benchmarks/bench_e2e.py --label change
+    python3 benchmarks/bench_e2e.py --label parent --src /path/to/parent/src
+
+``--src`` points at the ``src`` directory to import xyreg from (default:
+this checkout's).  Threads of the numeric libraries are pinned to 1.
+"""
+
+import argparse
+import datetime
+import hashlib
+import json
+import os
+import platform
+import signal
+import subprocess
+import sys
+import tempfile
+import threading
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = (16, 24, 32, 48, 64)
+RECHECK_SIZES = (32, 48)
+TIMEOUT_S = 900  # a run still going after this is killed and recorded as stopped
+
+STAMP_CODE = """
+import json, sys, numpy, xyreg
+print(json.dumps({"python": sys.version.split()[0], "numpy": numpy.__version__,
+                  "backend": xyreg.active_backend()}))
+"""
+
+
+def child_env(src):
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = "1"
+    return env
+
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or None
+
+
+def stamp(src):
+    out = subprocess.run([sys.executable, "-c", STAMP_CODE], env=child_env(src),
+                         capture_output=True, text=True, check=True)
+    info = json.loads(out.stdout)
+    info.update(nproc=os.cpu_count(), cpu=cpu_model(), platform=platform.platform())
+    return info
+
+
+def timed_cli(src, argv, timeout):
+    """(wall seconds, exit code, peak RSS in MB) of one fresh
+    ``python -m xyreg.cli`` run; the run is killed after ``timeout`` s."""
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "xyreg.cli", *argv],
+                                env=child_env(src), stdout=subprocess.DEVNULL, stderr=err)
+        timer = threading.Timer(timeout, proc.kill)
+        timer.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            timer.cancel()
+        seconds = time.perf_counter() - start
+        proc.returncode = code = os.waitstatus_to_exitcode(status)
+        if code not in (0, -signal.SIGKILL):
+            err.seek(0)
+            sys.stderr.write(err.read().decode(errors="replace"))
+    return seconds, code, usage.ru_maxrss / 1024
+
+
+def run_case(src, name, argv):
+    """One timed run of ``argv``; the record names the command with its
+    file arguments as FILE."""
+    command = " ".join(["xyreg"] + ["FILE" if prev in ("--out", "--input") else a
+                                    for prev, a in zip([""] + argv, argv)])
+    seconds, code, peak = timed_cli(src, argv, TIMEOUT_S)
+    if code == -signal.SIGKILL:
+        print(f"{name}: stopped after {TIMEOUT_S} s", flush=True)
+        return {"command": command, "timeout_s": TIMEOUT_S, "wall_s": None}
+    if code != 0:
+        raise SystemExit(f"{name}: exit code {code}")
+    print(f"{name}: {seconds:.2f} s, peak RSS {peak:.1f} MB", flush=True)
+    return {"command": command, "wall_s": round(seconds, 3), "peak_rss_mb": round(peak, 1)}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True,
+                        help="name of this run in the file, e.g. parent or change")
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="src directory to import xyreg from")
+    parser.add_argument("--sizes", type=int, nargs="*", default=list(SIZES),
+                        help="certify sizes; those in %s are also rechecked" % (RECHECK_SIZES,))
+    parser.add_argument("--note", default="", help="free text stored with the run")
+    parser.add_argument("--out", default=None,
+                        help="output file (default BENCH_<today>.json at the repository root)")
+    args = parser.parse_args(argv)
+
+    src = Path(args.src).resolve()
+    out = Path(args.out) if args.out else ROOT / f"BENCH_{datetime.date.today():%Y-%m-%d}.json"
+    record = {"stamp": stamp(src), "note": args.note, "cases": {}}
+    print(json.dumps(record["stamp"]), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in args.sizes:
+            cert = Path(tmp) / f"cert-{n}.json"
+            name = f"certify n={n}"
+            case = run_case(src, name, ["certify", "--n", str(n), "--format", "json",
+                                        "--out", str(cert)])
+            if case["wall_s"] is not None:
+                data = cert.read_bytes()
+                case.update(sha256=hashlib.sha256(data).hexdigest(), bytes=len(data),
+                            steps=len(json.loads(data)["steps"]))
+            record["cases"][name] = case
+            if n in RECHECK_SIZES and case["wall_s"] is not None:
+                name = f"recheck n={n}"
+                record["cases"][name] = run_case(
+                    src, name, ["recheck", "--input", str(cert), "--format", "json"])
+
+    doc = json.loads(out.read_text()) if out.exists() else {
+        "what": "fresh-process wall time and peak RSS of xyreg certify/recheck runs; "
+                "written by benchmarks/bench_e2e.py",
+        "runs": {}}
+    doc["runs"][args.label] = record
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {out} [{args.label}]")
+
+
+if __name__ == "__main__":
+    main()

@@ -28,7 +28,7 @@ from .groebner import groebner_basis, normal_form
 from .orders import MonomialOrder
 from .poly import Polynomial, format_poly
 from .regseq import (ROLE_BARE, ROLE_BASE, ROLE_TECHNICAL, RegularityCertificate,
-                     check_technical_step, coprime_extend_element)
+                     _PriorLeads, check_technical_step, coprime_extend_element)
 from .ring import Monomial, VariableTable, _xy_slot, format_monomial
 
 PERMUTATION_NOTE = (
@@ -185,7 +185,7 @@ def _certified_steps(n, field):
     """
     order = certification_order(n)
     product = GenericProduct(n, field=field, order=order)
-    steps = []
+    steps = _PriorLeads(product.table.nvars)
     for kind, a, t in PatternSpec.build(n).augmented:
         label = f"{kind}[{a},{t}]"
         if kind == "y":

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, OrderMismatchError, ParseError, UndefinedLeadError
-from .ring import Monomial, format_monomial
+from .ring import Monomial, _format_exponents
 
 # the largest exponent the parser accepts; sums of a few stay far inside int64
 MAX_EXPONENT = 2**31 - 1
@@ -236,12 +236,11 @@ def format_poly(p):
     pieces = []
     for k in range(p.num_terms):
         coeff = p.coeffs[k]
-        mono = Monomial(p.exps[k])
         sign = ""
         if field.is_exact_rational and coeff < 0:
             sign = "-"
             coeff = -coeff
-        mono_text = format_monomial(mono, p.table)
+        mono_text = _format_exponents(p.exps[k], p.table)
         if mono_text == "1":
             body = field.format(coeff)
         elif coeff == field.one:

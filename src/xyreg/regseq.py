@@ -10,6 +10,18 @@ each step function takes the steps certified so far and returns the next,
 with the outcome of every check it made.  Coprimality is checked by
 counting, per variable, how many earlier leads use it, not by pairwise
 gcds; the check names and the JSON form are those of the pairwise checks.
+
+The earlier steps are read through one private accumulator,
+``_PriorLeads``: a list of the certified steps whose ``append`` adds the
+new effective lead to the per-variable counts of non-bare leads and of
+bare monomials, and indexes it by the variables it uses.  A step
+therefore costs work in its own terms, not in the number of earlier steps
+times the number of variables: each term's bare-divisor test reads only
+the index lists of that term's variables (first divisor in step order
+wins), and every check reads the accumulated counts.  A walk
+(``pattern._certified_steps``) grows one accumulator step by step; a plain
+list passed to a step function is accumulated afresh through the same
+``append``, so both take one code path.  The checks run at every step.
 A stored certificate is re-checked by certifying again and comparing
 (``pattern.recheck_certificate``), never by trusting its recorded steps.
 
@@ -37,7 +49,7 @@ from .groebner import buchberger, groebner_basis, multi_divide, normal_form
 from .hilbert import HilbertData, complete_intersection_numerator, hilbert_series_quotient
 from .orders import MonomialOrder
 from .poly import Polynomial, Term, format_poly
-from .ring import Monomial, VariableTable, format_monomial
+from .ring import Monomial, VariableTable, _support, format_monomial
 
 ROLE_BASE = "base"
 ROLE_BARE = "bare-monomial"
@@ -83,19 +95,95 @@ def check_coprime_leads(seq, order=None):
     return True, None
 
 
-def _lead_block(steps, nvars):
-    """The (len(steps), nvars) exponent block of the steps' effective leads."""
-    return np.array([s.effective_lead.exps for s in steps],
-                    dtype=np.int64).reshape(-1, nvars)
+class _VariableIndex:
+    """Monomials indexed by the variables they use.
 
-
-def _variable_counts(block):
-    """For each variable, how many rows of the exponent block it divides.
-
-    The rows are pairwise coprime iff no count exceeds 1, and a monomial
-    is coprime to all of them iff each of its variables counts 0.
+    For each variable it keeps the (row, exponent) pairs of the monomials
+    that use it, so a divisibility test against one monomial reads only the
+    lists of that monomial's own variables, not every earlier row.
     """
-    return np.count_nonzero(block, axis=0)
+
+    def __init__(self):
+        self.monomials = []
+        self._sizes = []  # row -> number of variables its monomial uses
+        self._units = []  # rows of the monomial 1, which uses none
+        self._by_var = {}
+
+    def add(self, mono):
+        row = len(self.monomials)
+        slots, powers = _support(mono.exps)
+        self.monomials.append(mono)
+        self._sizes.append(len(slots))
+        if not slots:
+            self._units.append(row)
+        for v, a in zip(slots, powers):
+            self._by_var.setdefault(v, []).append((row, a))
+
+    def first_divisor(self, exps):
+        """The first monomial, in insertion order, dividing the exponent
+        row ``exps``; None if there is none."""
+        hits = {}
+        for v, e in zip(*_support(exps)):
+            for row, a in self._by_var.get(v, ()):
+                if a <= e:
+                    hits[row] = hits.get(row, 0) + 1
+        # a row divides when all of its variables fit
+        first = self._units[0] if self._units else None
+        for row, count in hits.items():
+            if count == self._sizes[row] and (first is None or row < first):
+                first = row
+        return None if first is None else self.monomials[first]
+
+    def divides_some(self, exps):
+        """True iff the exponent row ``exps`` divides some indexed monomial."""
+        slots, powers = _support(exps)
+        if not slots:
+            return bool(self.monomials)
+        hits = {}
+        for v, e in zip(slots, powers):
+            for row, a in self._by_var.get(v, ()):
+                if e <= a:
+                    hits[row] = hits.get(row, 0) + 1
+        return len(slots) in hits.values()
+
+
+class _PriorLeads(list):
+    """The steps certified so far, with their effective leads accumulated.
+
+    ``append`` updates, per variable, how many earlier non-bare effective
+    leads (``lead_counts``) and bare monomials (``bare_counts``) use it, and
+    indexes both kinds of lead by variable.  Leads are pairwise coprime iff
+    no count exceeds 1, and a monomial is coprime to all of them iff each of
+    its variables counts 0.  Only ``append`` and ``extend`` keep the state.
+    """
+
+    def __init__(self, nvars, steps=()):
+        super().__init__()
+        self.lead_counts = np.zeros(nvars, dtype=np.int64)
+        self.bare_counts = np.zeros(nvars, dtype=np.int64)
+        self.leads = _VariableIndex()
+        self.bare = _VariableIndex()
+        self.extend(steps)
+
+    def append(self, step):
+        lead = step.effective_lead
+        if step.role == ROLE_BARE:
+            self.bare_counts += lead.exps > 0
+            self.bare.add(lead)
+        else:
+            self.lead_counts += lead.exps > 0
+            self.leads.add(lead)
+        super().append(step)
+
+    def extend(self, steps):
+        for step in steps:
+            self.append(step)
+
+
+def _prior_leads(prior, nvars):
+    """``prior`` as a :class:`_PriorLeads`, accumulated afresh unless it
+    already is one."""
+    return prior if isinstance(prior, _PriorLeads) else _PriorLeads(nvars, prior)
 
 
 def check_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label=""):
@@ -115,34 +203,31 @@ def check_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label="")
     if h.is_zero():
         raise CertificationError("residue_nonzero", "the element is zero")
 
-    nvars = h.table.nvars
-    bare_monos = [s.effective_lead for s in prior if s.role == ROLE_BARE]
-    is_bare = np.array([s.role == ROLE_BARE for s in prior], dtype=bool)
-    leads = _lead_block(prior, nvars)
-    bare_block, lead_block = leads[is_bare], leads[~is_bare]
+    prior = _prior_leads(prior, h.table.nvars)
     subtractions = []
     residue_terms = []
-    for term in h.terms():
-        divides = (bare_block <= term.monomial.exps).all(axis=1)
-        if not divides.any():
-            residue_terms.append(term)
+    for coeff, exps in zip(h.coeffs.tolist(), h.exps):
+        hit = prior.bare.first_divisor(exps)
+        if hit is None:
+            residue_terms.append(Term(coeff, Monomial(exps)))
         else:
-            hit = bare_monos[divides.argmax()]  # the first dividing one
-            subtractions.append((hit, Term(term.coefficient, term.monomial / hit)))
+            subtractions.append((hit, Term(coeff, Monomial(exps - hit.exps))))
 
     if not residue_terms:
         raise CertificationError(
             "residue_nonzero", "every term is divisible by a prior bare monomial")
-    # terms() preserves the canonical descending sort, so the first is the lead
+    # the rows keep the canonical descending sort, so the first is the lead
     residue_lead = residue_terms[0].monomial
     lead_coeff = residue_terms[0].coefficient
 
     checks = {}
 
     def record(name, ok, message):
+        """Record a check; on failure the message is formatted with the
+        residue lead, so passing checks format nothing."""
         checks[name] = bool(ok)
         if not ok:
-            raise CertificationError(name, message)
+            raise CertificationError(name, message.format(lead=residue_lead))
 
     try:
         h.field.inv(lead_coeff)
@@ -151,8 +236,7 @@ def check_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label="")
         unit = False
     record("residue_lead_unit", unit, "residue lead coefficient is not invertible")
 
-    lead_counts = _variable_counts(lead_block)
-    bare_counts = _variable_counts(bare_block)
+    lead_counts, bare_counts = prior.lead_counts, prior.bare_counts
     residue_vars = residue_lead.exps > 0
     record("prior_leads_pairwise_coprime", (lead_counts <= 1).all(),
            "prior effective leads are not pairwise coprime")
@@ -164,14 +248,13 @@ def check_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label="")
     record("residue_lead_coprime_to_bare_monomials", not bare_counts[residue_vars].any(),
            "the residue lead shares a variable with a prior bare monomial")
     record("residue_lead_coprime_to_prior_leads", not lead_counts[residue_vars].any(),
-           f"the residue lead {residue_lead!r} shares a variable with a prior effective lead")
+           "the residue lead {lead!r} shares a variable with a prior effective lead")
 
     rows = order.keys(np.array([t.monomial.exps for t in residue_terms])).tolist()
     record("tail_below_residue_lead", all(row < rows[0] for row in rows[1:]),
            "a residue term is not strictly below the residue lead")
 
-    strict = all((t.monomial.exps <= lead_block).all(axis=1).any()
-                 for _, t in subtractions)
+    strict = all(prior.leads.divides_some(t.monomial.exps) for _, t in subtractions)
 
     return CertificateStep(kind="TECHNICAL", label=label, element=h,
                            effective_lead=residue_lead, role=role,
@@ -187,8 +270,9 @@ def coprime_extend_element(prior, p, order=None, *, role=ROLE_BASE, label=""):
     if p.is_zero():
         raise UndefinedLeadError("zero element has no leading term")
     lead = p.leading_monomial()
-    counts = _variable_counts(_lead_block(prior, p.table.nvars))
-    if counts[lead.exps > 0].any():
+    prior = _prior_leads(prior, p.table.nvars)
+    lead_vars = lead.exps > 0
+    if prior.lead_counts[lead_vars].any() or prior.bare_counts[lead_vars].any():
         raise CertificationError(
             "lead_coprime_to_prior",
             f"lead {lead!r} shares a variable with a prior effective lead")

@@ -164,10 +164,22 @@ class Monomial:
 
 def format_monomial(m, table):
     """Render a monomial in the text grammar, '1' for the empty product."""
-    parts = []
-    for slot, e in enumerate(m.exps):
-        if e == 0:
-            continue
-        name = table.names[slot]
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
+    return _format_exponents(m.exps, table)
+
+
+def _format_exponents(exps, table):
+    """Render one exponent row in the text grammar, reading only the
+    variables it uses; '1' when it uses none."""
+    slots, powers = _support(exps)
+    if not slots:
+        return "1"
+    names = table.names
+    return "*".join(names[v] if e == 1 else f"{names[v]}^{e}"
+                    for v, e in zip(slots, powers))
+
+
+def _support(exps):
+    """(slots, exponents) of the nonzero entries of one exponent row, as
+    Python lists in slot order."""
+    slots = exps.nonzero()[0]
+    return slots.tolist(), exps[slots].tolist()

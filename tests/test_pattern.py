@@ -144,7 +144,7 @@ def test_certify_all_sizes_with_lead_predictions(gf):
                 assert y_factor not in bare
 
 
-# sha256 of `xyreg certify --format json` for n = 2..8, 12 and 16 over
+# sha256 of `xyreg certify --format json` for n = 2..8, 12, 16, 24 and 32 over
 # GF(32003) and for n = 3 over Q: a change to any step, check or rendering
 # changes one
 GOLDEN_CERTIFICATES = {
@@ -157,6 +157,8 @@ GOLDEN_CERTIFICATES = {
     ("--n", "8"): "be1f2dc93720e877a453e9aca15a418cde7dfb144484b0fcf959f842f8c47b42",
     ("--n", "12"): "5a573f8f1a30f39915339f41e0368ceafe3eeca27f9a71e62729883ad026d02e",
     ("--n", "16"): "9941281e9fbd38bcfa396a22916f6903ffe0513f228993f28ffec5c439cc4016",
+    ("--n", "24"): "60a00c817be3a4ff34d586ef8c99412c5ab8d0249fa82f8b867d30473a5ce754",
+    ("--n", "32"): "938b826731d8ba2aa6171c203d18253221e862173b1085e3d8e2a80b3a079926",
     ("--n", "3", "--field", "rat"):
         "38cd88c7055f2b7e1bf2d25889e063bbde6128d7428af8b3bd9ae5f420efc587",
 }

@@ -9,7 +9,7 @@ from xyreg.fields import PrimeField, QQ
 from xyreg.orders import MonomialOrder
 from xyreg.pattern import GenericProduct
 from xyreg.poly import Polynomial, format_poly, parse_poly
-from xyreg.ring import VariableTable, format_monomial
+from xyreg.ring import Monomial, VariableTable, format_monomial
 
 
 @pytest.fixture
@@ -162,3 +162,78 @@ def test_immutability(ctx):
     p = parse("x[1,1] + y[1,1]")
     with pytest.raises(ValueError):
         p.exps[0, 0] = 7
+
+
+def all_slot_monomial(exps, table):
+    """The text of a monomial built by visiting every slot, zero or not."""
+    parts = []
+    for slot, e in enumerate(exps.tolist()):
+        if e:
+            parts.append(table.names[slot] if e == 1 else f"{table.names[slot]}^{e}")
+    return "*".join(parts) if parts else "1"
+
+
+def all_slot_poly(p):
+    """The text of a polynomial rendered term by term with all_slot_monomial."""
+    if p.is_zero():
+        return "0"
+    pieces = []
+    for k, (coeff, exps) in enumerate(zip(p.coeffs.tolist(), p.exps)):
+        negative = p.field.is_exact_rational and coeff < 0
+        coeff = -coeff if negative else coeff
+        mono = all_slot_monomial(exps, p.table)
+        if mono == "1":
+            body = p.field.format(coeff)
+        elif coeff == p.field.one:
+            body = mono
+        else:
+            body = f"{p.field.format(coeff)}*{mono}"
+        if k == 0:
+            pieces.append(f"-{body}" if negative else body)
+        else:
+            pieces.append(f" {'-' if negative else '+'} {body}")
+    return "".join(pieces)
+
+
+def random_wide_poly(rng, table, field, order):
+    """Up to six terms with exponents up to 5, the constant term included
+    now and then, and signed fractions over Q."""
+    from fractions import Fraction
+
+    terms = []
+    for _ in range(rng.randint(0, 6)):
+        exps = np.zeros(table.nvars, dtype=np.int64)
+        if rng.random() < 0.8:
+            for slot in rng.sample(range(table.nvars), rng.randint(1, min(4, table.nvars))):
+                exps[slot] = rng.choice([1, 1, 2, 3, 5])
+        if field.is_exact_rational:
+            coeff = Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 9))
+        else:
+            coeff = rng.choice([1, 2, rng.randint(1, field.p - 1)])
+        terms.append((coeff, exps))
+    return Polynomial.from_terms(table, field, order, terms)
+
+
+def test_sparse_rendering_matches_all_slot_rendering(gf):
+    rng = random.Random(4242)
+    tables = [VariableTable.xy(2), VariableTable.xy(3),
+              VariableTable.generic(["u", "v", "w"]),
+              VariableTable.generic([f"t{k}" for k in range(11)])]
+    seen_one = seen_power = seen_minus = False
+    for table in tables:
+        order = MonomialOrder.grevlex(table.nvars)
+        for field in (gf, QQ):
+            for _ in range(60):
+                p = random_wide_poly(rng, table, field, order)
+                text = format_poly(p)
+                assert text == all_slot_poly(p)
+                for exps in p.exps:
+                    mono = format_monomial(Monomial(exps), table)
+                    assert mono == all_slot_monomial(exps, table)
+                    seen_one |= mono == "1"
+                    seen_power |= "^" in mono
+                seen_minus |= "-" in text
+                if table.n is not None:
+                    assert parse_poly(text, table, field, order) == p
+    assert seen_one and seen_power and seen_minus
+    assert format_monomial(Monomial.one(8), tables[0]) == "1"

@@ -16,7 +16,7 @@ from xyreg.pattern import (GenericProduct, certification_order, certify_pattern,
                            recheck_certificate, selected_entries)
 from xyreg.poly import Polynomial, Term, format_poly
 from xyreg.regseq import (ROLE_BARE, ROLE_BASE, ROLE_TECHNICAL,
-                          CertificateStep, check_coprime_leads,
+                          CertificateStep, _PriorLeads, check_coprime_leads,
                           check_technical_step, coprime_extend_element,
                           greedy_extend, nonzerodivisor_colon,
                           regular_oracle_hilbert, sequence_oracle)
@@ -189,19 +189,26 @@ def expected_failure(bare, leads, lead):
     return next((name for name, ok in conditions if not ok), None)
 
 
-def test_variable_counts_agree_with_pairwise_coprime_200_lists(gf):
+def random_monomial_lists(gf):
+    """200 lists of 1-6 random monomials of degree <= 2 in 8 variables, each
+    as (monomials, their one-term polynomials, a role for all but the last,
+    the hand-built prior steps of all but the last)."""
     rng = random.Random(2718)
     nvars = 8
     table = VariableTable.generic([f"v{k}" for k in range(nvars)])
     order = MonomialOrder.grevlex(nvars)
-    outcomes = set()
     for _ in range(200):
         monos = [random_monomial(rng, nvars, 2) for _ in range(rng.randint(1, 6))]
-        *earlier, last = monos
         polys = [Polynomial.from_terms(table, gf, order, [(1, m)]) for m in monos]
-        roles = [rng.choice([ROLE_BARE, ROLE_BASE, ROLE_TECHNICAL]) for _ in earlier]
+        roles = [rng.choice([ROLE_BARE, ROLE_BASE, ROLE_TECHNICAL]) for _ in monos[:-1]]
         prior = [prior_step(p, role) for p, role in zip(polys, roles)]
+        yield monos, polys, roles, prior
 
+
+def test_variable_counts_agree_with_pairwise_coprime_200_lists(gf):
+    outcomes = set()
+    for monos, polys, roles, prior in random_monomial_lists(gf):
+        *earlier, last = monos
         try:
             coprime_extend_element(prior, polys[-1])
             extended = True
@@ -221,6 +228,96 @@ def test_variable_counts_agree_with_pairwise_coprime_200_lists(gf):
         assert condition == expected, monos
         outcomes.add(condition)
     assert len(outcomes) == 7  # every condition, and acceptance, was reached
+
+
+def outcome(step_fn, prior, p):
+    """The step ``step_fn`` certifies, or the condition and text it fails with."""
+    try:
+        return step_fn(prior, p)
+    except CertificationError as exc:
+        return exc.condition, str(exc)
+
+
+def test_accumulated_priors_agree_with_plain_lists_200_lists(gf):
+    for monos, polys, _, prior in random_monomial_lists(gf):
+        grown = _PriorLeads(len(monos[0].exps))
+        for k in range(len(prior) + 1):
+            for step_fn in (check_technical_step, coprime_extend_element):
+                assert outcome(step_fn, prior[:k], polys[-1]) == \
+                    outcome(step_fn, grown, polys[-1]), (monos, k)
+            if k < len(prior):
+                grown.append(prior[k])
+        assert list(grown) == prior
+
+
+def test_accumulated_priors_fail_the_same_named_check(gf):
+    product = GenericProduct(3, field=gf)
+    order = certification_order(3)
+    x, y = product.x, product.y
+    cases = [
+        ([prior_step(x(1, 1) * y(1, 1), ROLE_BASE), prior_step(y(2, 2), ROLE_BARE),
+          prior_step(x(1, 1) * y(2, 1), ROLE_TECHNICAL)],
+         product.entry(3, 3), "prior_leads_pairwise_coprime"),
+        ([prior_step(y(1, 2), ROLE_BARE), prior_step(x(2, 2) * y(2, 2), ROLE_BASE),
+          prior_step(y(1, 2) * y(3, 2), ROLE_BARE)],
+         product.entry(3, 1), "bare_monomials_pairwise_coprime"),
+        ([prior_step(y(1, 3), ROLE_BARE), prior_step(y(1, 3), ROLE_BARE)],
+         product.entry(2, 1), "bare_monomials_pairwise_coprime"),
+        ([prior_step(x(1, 1) * y(1, 1), ROLE_BASE), prior_step(y(1, 1), ROLE_BARE)],
+         product.entry(3, 3), "bare_monomials_coprime_to_prior_leads"),
+    ]
+    for prior, h, condition in cases:
+        grown = _PriorLeads(product.table.nvars)
+        grown.extend(prior)
+        for form in (prior, grown):
+            with pytest.raises(CertificationError) as exc:
+                check_technical_step(form, h, order)
+            assert exc.value.condition == condition
+        with pytest.raises(CertificationError) as exc:
+            coprime_extend_element(grown, prior[0].element, order)
+        assert exc.value.condition == "lead_coprime_to_prior"
+
+
+def test_failure_conditions_and_messages(gf):
+    product = GenericProduct(2, field=gf)
+    order = certification_order(2)
+    x, y = product.x, product.y
+    rows = np.vstack([(x(1, 2) * y(2, 2)).exps, (x(1, 1) * y(1, 2)).exps])
+    unsorted = Polynomial(product.table, gf, order, rows, gf.array([1, 1]))
+    technical = [
+        ([prior_step(x(1, 1) * y(1, 1), ROLE_BASE),
+          prior_step(x(1, 1) * y(2, 1), ROLE_TECHNICAL)], product.entry(2, 2),
+         "prior_leads_pairwise_coprime", "prior effective leads are not pairwise coprime"),
+        ([prior_step(y(1, 2), ROLE_BARE), prior_step(y(1, 2) * y(2, 1), ROLE_BARE)],
+         product.entry(2, 1),
+         "bare_monomials_pairwise_coprime", "prior bare monomials are not pairwise coprime"),
+        ([prior_step(x(1, 1) * y(1, 1), ROLE_BASE), prior_step(y(1, 1), ROLE_BARE)],
+         product.entry(2, 2), "bare_monomials_coprime_to_prior_leads",
+         "a bare monomial shares a variable with a prior effective lead"),
+        ([prior_step(x(1, 1) * x(1, 1), ROLE_BARE)], product.entry(1, 2),
+         "residue_lead_coprime_to_bare_monomials",
+         "the residue lead shares a variable with a prior bare monomial"),
+        ([], unsorted, "tail_below_residue_lead",
+         "a residue term is not strictly below the residue lead"),
+        ([prior_step(product.entry(1, 1), ROLE_BASE)], product.entry(1, 2),
+         "residue_lead_coprime_to_prior_leads",
+         "the residue lead Monomial((1, 0, 0, 0, 0, 1, 0, 0)) shares a variable "
+         "with a prior effective lead"),
+        ([prior_step(y(1, 2), ROLE_BARE)], x(1, 1) * y(1, 2),
+         "residue_nonzero", "every term is divisible by a prior bare monomial"),
+        ([], Polynomial.zero(product.table, gf, order),
+         "residue_nonzero", "the element is zero"),
+    ]
+    cases = [(check_technical_step, *case) for case in technical]
+    cases.append((coprime_extend_element, [prior_step(product.entry(1, 1), ROLE_BASE)],
+                  x(1, 1), "lead_coprime_to_prior",
+                  "lead Monomial((1, 0, 0, 0, 0, 0, 0, 0)) shares a variable "
+                  "with a prior effective lead"))
+    for step_fn, prior, h, condition, message in cases:
+        with pytest.raises(CertificationError) as exc:
+            step_fn(prior, h, order)
+        assert exc.value.condition == condition
+        assert str(exc.value) == f"[{condition}] {message}"
 
 
 # ---------------------------------------------------------------------------
