@@ -1,11 +1,14 @@
-"""End-to-end reach timings of the certify path, one fresh process per run.
+"""End-to-end reach timings, one fresh process per run.
 
 Each case runs ``python -m xyreg.cli`` in a new interpreter, the way a user
 runs ``xyreg``, and times it from spawn to exit (import and JSON emission
 included):
 
-* ``certify --n N --format json`` for each N in ``--sizes``, and
-* ``recheck`` of that certificate for N in ``RECHECK_SIZES``.
+* ``certify --n N --format json`` for each N in ``--sizes``,
+* ``recheck`` of that certificate for N in ``RECHECK_SIZES``,
+* ``oracle --method hilbert --n N --format json`` for each N in ``--hilbert``
+  and ``oracle --method colon`` for each N in ``--colon``, with the verdict
+  and the sha256 of the report.
 
 Each run's peak resident memory comes from the child process itself
 (``os.wait4``).  The run is recorded under ``--label`` in a
@@ -39,6 +42,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (16, 24, 32, 48, 64)
 RECHECK_SIZES = (32, 48)
+HILBERT_SIZES = (4, 5, 6)
+COLON_SIZES = (3, 4)
 TIMEOUT_S = 900  # a run still going after this is killed and recorded as stopped
 
 STAMP_CODE = """
@@ -118,6 +123,10 @@ def main(argv=None):
                         help="src directory to import xyreg from")
     parser.add_argument("--sizes", type=int, nargs="*", default=list(SIZES),
                         help="certify sizes; those in %s are also rechecked" % (RECHECK_SIZES,))
+    parser.add_argument("--hilbert", type=int, nargs="*", default=list(HILBERT_SIZES),
+                        help="sizes of the hilbert oracle runs")
+    parser.add_argument("--colon", type=int, nargs="*", default=list(COLON_SIZES),
+                        help="sizes of the colon oracle runs")
     parser.add_argument("--note", default="", help="free text stored with the run")
     parser.add_argument("--out", default=None,
                         help="output file (default BENCH_<today>.json at the repository root)")
@@ -142,9 +151,21 @@ def main(argv=None):
                 name = f"recheck n={n}"
                 record["cases"][name] = run_case(
                     src, name, ["recheck", "--input", str(cert), "--format", "json"])
+        oracles = [("hilbert", n) for n in args.hilbert] + [("colon", n) for n in args.colon]
+        # cheapest first, so the largest hilbert run (which may hit the timeout) ends the list
+        for method, n in sorted(oracles, key=lambda c: (c[1], c[0] == "hilbert")):
+            report = Path(tmp) / f"{method}-{n}.json"
+            name = f"oracle {method} n={n}"
+            case = run_case(src, name, ["oracle", "--method", method, "--n", str(n),
+                                        "--format", "json", "--out", str(report)])
+            if case["wall_s"] is not None:
+                data = report.read_bytes()
+                case.update(verdict=json.loads(data)["verdict"],
+                            sha256=hashlib.sha256(data).hexdigest())
+            record["cases"][name] = case
 
     doc = json.loads(out.read_text()) if out.exists() else {
-        "what": "fresh-process wall time and peak RSS of xyreg certify/recheck runs; "
+        "what": "fresh-process wall time and peak RSS of xyreg certify/recheck/oracle runs; "
                 "written by benchmarks/bench_e2e.py",
         "runs": {}}
     doc["runs"][args.label] = record

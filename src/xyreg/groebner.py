@@ -6,27 +6,107 @@ pair with the smallest lcm total degree, ties broken by smallest (i, j);
 criteria (coprime leads, chain) are applied, and every basis element is
 stored monic, so the reduced basis coming out of :func:`reduce_basis` is
 canonical whatever the strategy.
+
+A basis under construction lives in one append-only divisor state (exps,
+packed order keys, coefficients, starts and lead block in the kernel's flat
+layout): an element's keys are computed once, when it is appended, and an
+S-polynomial is never built as a polynomial; the kernel is seeded with the
+two shifted tails (:func:`kernels.reduce_spair`).  The basis that
+:func:`buchberger` returns records its :class:`PairStats`.
 """
 
 import heapq
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import BudgetExceededError, DimensionError, OrderMismatchError, UndefinedLeadError
 from .poly import Polynomial
+from .ring import Monomial
+
+
+@dataclass
+class PairStats:
+    """What :func:`buchberger` did with its critical pairs: how many it
+    considered, pruned as coprime, pruned by the chain criterion, reduced,
+    and how many of those reduced to zero."""
+
+    considered: int = 0
+    coprime: int = 0
+    chain: int = 0
+    reduced: int = 0
+    zero: int = 0
+
+
+class _Divisors:
+    """A divisor list in the kernel's flat layout, grown one monic element
+    at a time.
+
+    Holds the rows of every element, element after element (exps, their
+    packed keys, their coefficients as a list), ``starts`` (element k owns
+    rows starts[k]:starts[k+1]) and the lead block (row k is element k's
+    lead).  ``append`` is the only way in, so a basis under construction and
+    :meth:`GroebnerBasis.flat_arrays` build their state on one path.
+    """
+
+    def __init__(self, order):
+        self.order = order
+        self._exps = np.empty((16, order.nvars), dtype=np.int64)
+        self._leads = np.empty((4, order.nvars), dtype=np.int64)
+        self.keys = []
+        self.coeffs = []
+        self.starts = [0]
+
+    def __len__(self):
+        return len(self.starts) - 1
+
+    @property
+    def leads(self):
+        return self._leads[:len(self)]
+
+    def append(self, exps, coeffs, keys=None):
+        """Add one monic element; ``keys`` are its packed keys, computed when
+        not given."""
+        if keys is None:
+            keys = kernels.pack_keys(self.order.keys(exps))
+        rows, k = self.starts[-1], len(self)
+        if rows + len(exps) > len(self._exps):
+            self._exps = _grown(self._exps, rows + len(exps))
+        if k == len(self._leads):
+            self._leads = _grown(self._leads, k + 1)
+        self._exps[rows:rows + len(exps)] = exps
+        self._leads[k] = exps[0]
+        self.keys.extend(keys)
+        self.coeffs.extend(np.asarray(coeffs).tolist())
+        self.starts.append(rows + len(exps))
+
+    def arrays(self):
+        """(exps, keys, coeffs, starts, lead_exps), the kernel's divisor arguments."""
+        return self._exps[:self.starts[-1]], self.keys, self.coeffs, self.starts, self.leads
+
+
+def _grown(buf, need):
+    out = np.empty((max(need, 2 * len(buf)), buf.shape[1]), dtype=buf.dtype)
+    out[:len(buf)] = buf
+    return out
 
 
 class GroebnerBasis:
-    """An order, a monic generator tuple, and whether the set is reduced."""
+    """An order, a monic generator tuple, and whether the set is reduced.
 
-    __slots__ = ("order", "polys", "reduced", "_flat")
+    ``stats`` is the :class:`PairStats` of the :func:`buchberger` run that
+    produced the basis (carried through :func:`reduce_basis`), else None.
+    """
 
-    def __init__(self, order, polys, reduced=False):
+    __slots__ = ("order", "polys", "reduced", "stats", "_divisors")
+
+    def __init__(self, order, polys, reduced=False, stats=None):
         self.order = order
         self.polys = tuple(polys)
         self.reduced = reduced
-        self._flat = None
+        self.stats = stats
+        self._divisors = None
 
     def __len__(self):
         return len(self.polys)
@@ -46,16 +126,13 @@ class GroebnerBasis:
         return any(p.leading_monomial().is_one() for p in self.polys)
 
     def flat_arrays(self):
-        """Concatenated (exps, keys, coeffs, starts, lead_exps) for kernel calls."""
-        if self._flat is None:
-            exps = np.concatenate([p.exps for p in self.polys])
-            coeffs = np.concatenate([p.coeffs for p in self.polys])
-            starts = np.zeros(len(self.polys) + 1, dtype=np.int64)
-            np.cumsum([p.num_terms for p in self.polys], out=starts[1:])
-            leads = np.array([p.exps[0] for p in self.polys], dtype=np.int64)
-            keys = self.order.keys(exps)
-            self._flat = (exps, keys, coeffs, starts, leads)
-        return self._flat
+        """Concatenated (exps, packed keys, coeffs, starts, lead_exps) for
+        kernel calls; exps and lead_exps are int64 blocks, the rest lists."""
+        if self._divisors is None:
+            self._divisors = _Divisors(self.order)
+            for p in self.polys:
+                self._divisors.append(p.exps, p.coeffs)
+        return self._divisors.arrays()
 
 
 def _check_inputs(f, divisors):
@@ -121,14 +198,13 @@ def normal_form(f, gb):
         raise OrderMismatchError("polynomial and basis carry different order tags")
     if f.table.nvars != gb.table.nvars:
         raise DimensionError("polynomial over a different-size variable table")
+    if f.field != gb.field:
+        raise ValueError("divisor over a different coefficient field")
     if f.is_zero():
         return f
-    d_exps, d_keys, d_coeffs, d_starts, d_leads = gb.flat_arrays()
-    f_keys = gb.order.keys(f.exps)
-    r_exps, r_coeffs = kernels.reduce_terms(
-        f.field, f.exps, f_keys, f.coeffs,
-        d_exps, d_keys, d_coeffs, d_starts, d_leads,
-    )
+    f_keys = kernels.pack_keys(gb.order.keys(f.exps))
+    r_exps, r_coeffs, _ = kernels.reduce_terms(f.field, f.exps, f_keys, f.coeffs,
+                                               *gb.flat_arrays())
     return Polynomial(f.table, f.field, f.order, r_exps, r_coeffs)
 
 
@@ -166,14 +242,17 @@ def buchberger(gens, order=None, *, strategy="normal",
     if not basis:
         raise ValueError("all generators are zero")
 
-    # the leads as one block, one row per basis element
-    leads = np.array([p.exps[0] for p in basis], dtype=np.int64)
+    field, table = basis[0].field, basis[0].table
+    divisors = _Divisors(order)
+    for p in basis:
+        divisors.append(p.exps, p.coeffs)
     heap = []
     pending = set()
     seq = 0
 
     def push_pairs(j):
         nonlocal seq
+        leads = divisors.leads
         lcm_degs = np.maximum(leads[:j], leads[j]).sum(axis=1).tolist()
         for i, lcm_deg in enumerate(lcm_degs):
             key = (lcm_deg, i, j) if strategy == "normal" else (seq,)
@@ -184,26 +263,27 @@ def buchberger(gens, order=None, *, strategy="normal",
     for j in range(len(basis)):
         push_pairs(j)
 
-    considered = 0
-    view = GroebnerBasis(order, basis)
+    stats = PairStats()
     while heap:
         key, i, j = heapq.heappop(heap)
         pending.discard((i, j))
-        considered += 1
-        if pair_budget is not None and considered > pair_budget:
+        stats.considered += 1
+        if pair_budget is not None and stats.considered > pair_budget:
             raise BudgetExceededError(
                 f"pair budget {pair_budget} exhausted",
-                pairs_considered=considered,
+                pairs_considered=stats.considered,
             )
+        leads = divisors.leads
         lcm = np.maximum(leads[i], leads[j])
         lcm_deg = int(lcm.sum())
         if degree_budget is not None and lcm_deg > degree_budget:
             raise BudgetExceededError(
                 f"degree budget {degree_budget} exceeded by a pair of degree {lcm_deg}",
-                pairs_considered=considered, degree_reached=lcm_deg,
+                pairs_considered=stats.considered, degree_reached=lcm_deg,
             )
         if not np.minimum(leads[i], leads[j]).any():
-            continue  # coprime leads
+            stats.coprime += 1
+            continue
         chained = False
         for k in np.flatnonzero((leads <= lcm).all(axis=1)).tolist():
             if k in (i, j):
@@ -212,17 +292,21 @@ def buchberger(gens, order=None, *, strategy="normal",
                 chained = True
                 break
         if chained:
+            stats.chain += 1
             continue
-        s = s_poly(basis[i], basis[j])
-        r = normal_form(s, view)
-        if r.is_zero():
+        stats.reduced += 1
+        lcm_key = kernels.pack_keys(order.keys(lcm[None]))[0]
+        r_exps, r_coeffs, r_keys = kernels.reduce_spair(field, i, j, lcm, lcm_key,
+                                                        *divisors.arrays())
+        if len(r_coeffs) == 0:
+            stats.zero += 1
             continue
-        basis.append(r.monic())
-        leads = np.vstack([leads, r.exps[:1]])
+        r = Polynomial(table, field, order, r_exps, r_coeffs).monic()
+        basis.append(r)
+        divisors.append(r.exps, r.coeffs, r_keys)
         push_pairs(len(basis) - 1)
-        view = GroebnerBasis(order, basis)
 
-    return GroebnerBasis(order, basis, reduced=False)
+    return GroebnerBasis(order, basis, reduced=False, stats=stats)
 
 
 def reduce_basis(gb):
@@ -231,22 +315,25 @@ def reduce_basis(gb):
     polys = [p.monic() for p in gb.polys if not p.is_zero()]
     if not polys:
         raise ValueError("empty basis")
-    # minimalize: drop any generator whose lead another kept lead divides
-    polys.sort(key=lambda p: p.leading_monomial().degree)
-    kept = []
-    for p in polys:
-        lm = p.leading_monomial()
-        if any(q.leading_monomial().divides(lm) for q in kept):
-            continue
-        kept = [q for q in kept if not lm.divides(q.leading_monomial())] + [p]
+    # minimalize: drop any generator whose lead an earlier lead divides, in
+    # ascending degree (an earlier lead dividing it means a kept one does)
+    polys.sort(key=lambda p: int(p.exps[0].sum()))
+    leads = np.array([p.exps[0] for p in polys], dtype=np.int64)
+    kept = [k for k in range(len(polys)) if not (leads[:k] <= leads[k]).all(axis=1).any()]
     # tail-reduce in one ascending pass: a tail term lies below its lead, so
     # only a smaller lead can divide it, and the smaller elements are final
-    ascending = order.sort_desc(np.array([p.exps[0] for p in kept]))[::-1]
+    field, table = polys[0].field, polys[0].table
+    divisors = _Divisors(order)
     final = []
-    for k in ascending.tolist():
-        final.append(normal_form(kept[k], GroebnerBasis(order, final)))
+    for k in order.sort_desc(leads[kept])[::-1].tolist():
+        p = polys[kept[k]]
+        r_exps, r_coeffs, r_keys = kernels.reduce_terms(
+            field, p.exps, kernels.pack_keys(order.keys(p.exps)), p.coeffs,
+            *divisors.arrays())
+        divisors.append(r_exps, r_coeffs, r_keys)
+        final.append(Polynomial(table, field, order, r_exps, r_coeffs))
     final.reverse()
-    return GroebnerBasis(order, final, reduced=True)
+    return GroebnerBasis(order, final, reduced=True, stats=gb.stats)
 
 
 def groebner_basis(gens, order=None, **kwargs):
@@ -256,10 +343,11 @@ def groebner_basis(gens, order=None, **kwargs):
 
 def lead_ideal(gb):
     """Minimal generating monomials of the leading-term ideal."""
-    leads = [p.leading_monomial() for p in gb.polys]
-    leads.sort(key=lambda m: (m.degree, m.as_tuple()))
-    minimal = []
-    for m in leads:
-        if not any(g.divides(m) for g in minimal):
-            minimal.append(m)
-    return minimal
+    if not gb.polys:
+        return []
+    leads = np.array([p.exps[0] for p in gb.polys], dtype=np.int64)
+    # ascending (degree, exponent tuple); a lead divisible by an earlier one
+    # is divisible by an earlier minimal one
+    leads = leads[np.lexsort([*leads.T[::-1], leads.sum(axis=1)])]
+    return [Monomial(m) for k, m in enumerate(leads)
+            if not (leads[:k] <= m).all(axis=1).any()]

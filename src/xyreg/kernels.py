@@ -1,19 +1,39 @@
-"""Normal-form reduction kernel.
+"""Normal-form reduction kernel on packed order keys.
 
 The inner loop of every Groebner computation is the repeated step "find a
 basis lead dividing the current head term, subtract the matching multiple".
-The kernel runs it over numpy term arrays, for GF(p) and exact-rational
-coefficients alike.
+The kernel runs it for GF(p) and exact-rational coefficients alike, through
+the field's scalar operations.
 
 Kernel contract: inputs are one polynomial and a flattened divisor list with
-their order keys, all terms strictly descending under those keys, all
+their packed order keys, all terms strictly descending under those keys, all
 divisors monic; output is the fully reduced remainder, none of whose terms is
-divisible by any divisor lead.  Divisor selection is first match in list
-order: each head term is tested against the whole block of divisor leads at
-once and the first dividing row is taken.
+divisible by any divisor lead, with its packed keys.  Divisor selection is
+first match in list order: each head term is tested against the whole block
+of divisor leads at once and the first dividing row is taken.
+
+Packed keys: :func:`pack_keys` turns each row of int64 order-key columns
+(``MonomialOrder.keys``) into one Python int, the columns biased by 2**63
+and read as base-2**64 digits, most significant first.  Integer order is
+then the lexicographic order of the key rows, which is the monomial order.
+Packing is linear up to a constant and order keys are linear in the
+exponents, so a divisor term t shifted by head/lead has the key
+``pk(t) + pk(head) - pk(lead)``: one int add.  Every field is exactly as
+wide as an int64 key column, so a monomial packs exactly whenever its keys
+fit int64, shifted terms included; there is no width to choose.
+
+The working polynomial is a dict from packed key to coefficient, a dict from
+packed key to exponent row, and a max-heap of the keys (stored negated).  A
+term whose coefficient cancels leaves the dicts; its heap entry is skipped
+when popped, and a term that comes back is pushed again.  A step costs work
+in the divisor's tail, never a re-sort of the rest.
 """
 
+from heapq import heappop, heappush
+
 import numpy as np
+
+_SIGN = np.uint64(1 << 63)
 
 
 def active_backend():
@@ -21,67 +41,93 @@ def active_backend():
     return "numpy"
 
 
-def _merge_canonical(field, exps_a, coeffs_a, keys_a, exps_b, coeffs_b, keys_b):
-    """Merge two strictly descending term blocks, summing equal monomials."""
-    exps = np.concatenate([exps_a, exps_b])
-    coeffs = np.concatenate([coeffs_a, coeffs_b])
-    keys = np.concatenate([keys_a, keys_b])
-    if len(coeffs) == 0:
-        return exps, coeffs, keys
-    idx = np.lexsort(keys[:, ::-1].T)[::-1]
-    exps, coeffs, keys = exps[idx], coeffs[idx], keys[idx]
-    boundary = np.empty(len(coeffs), dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    starts = np.flatnonzero(boundary)
-    if len(starts) != len(coeffs):
-        coeffs = field.canon_array(np.add.reduceat(coeffs, starts))
-        exps, keys = exps[starts], keys[starts]
-    mask = field.nonzero_mask(coeffs)
-    if not mask.all():
-        exps, coeffs, keys = exps[mask], coeffs[mask], keys[mask]
-    return exps, coeffs, keys
+def pack_keys(keys):
+    """The packed ints (see the module docstring) of the rows of an (m, k)
+    int64 order-key block, as a list."""
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    width = 8 * keys.shape[1]
+    raw = (keys.view(np.uint64) ^ _SIGN).astype(">u8").tobytes()
+    from_bytes = int.from_bytes
+    return [from_bytes(raw[at:at + width], "big") for at in range(0, len(raw), width)]
 
 
-def nf_numpy(field, f_exps, f_keys, f_coeffs,
-             d_exps, d_keys, d_coeffs, d_starts, d_lead_exps):
-    """Fully reduce f by the divisor list; see the module docstring contract."""
-    w_exps = f_exps
-    w_coeffs = f_coeffs
-    w_keys = f_keys
-    r_exps, r_coeffs = [], []
-    while len(w_coeffs) > 0:
-        head_exps = w_exps[0]
-        divides = (d_lead_exps <= head_exps).all(axis=1)
+def _absorb(field, work, keys, exps, values, scale, delta):
+    """Add scale * (the terms with packed keys ``keys`` + delta, exponent rows
+    ``exps`` and coefficients ``values``) to the working polynomial."""
+    coeffs, rows, heap = work
+    add, mul, zero = field.add, field.mul, field.zero
+    for key, row, value in zip(keys, exps, values):
+        key += delta
+        value = mul(scale, value)
+        old = coeffs.get(key)
+        if old is None:
+            coeffs[key] = value
+            rows[key] = row
+            heappush(heap, -key)
+            continue
+        value = add(old, value)
+        if value == zero:
+            del coeffs[key], rows[key]
+        else:
+            coeffs[key] = value
+
+
+def _absorb_tail(field, work, divisors, k, scale, key, exps):
+    """Add scale * (m/lead_k) * tail_k, where lead_k divides the monomial m
+    with packed key ``key`` and exponent row ``exps``."""
+    d_exps, d_keys, d_coeffs, d_starts, d_lead_exps = divisors
+    lo, hi = d_starts[k], d_starts[k + 1]
+    _absorb(field, work, d_keys[lo + 1:hi], d_exps[lo + 1:hi] + (exps - d_lead_exps[k]),
+            d_coeffs[lo + 1:hi], scale, key - d_keys[lo])
+
+
+def _reduce(field, work, nvars, divisors):
+    """Reduce the working polynomial to its remainder (exps, coeffs, keys)."""
+    coeffs, rows, heap = work
+    d_lead_exps = divisors[4]
+    neg = field.neg
+    r_exps, r_coeffs, r_keys = [], [], []
+    while heap:
+        key = -heappop(heap)
+        c = coeffs.pop(key, None)
+        if c is None:
+            continue  # cancelled, or a second heap entry of a popped key
+        head = rows.pop(key)
+        divides = (d_lead_exps <= head).all(axis=1)
         hit = int(divides.argmax())  # the first dividing lead, if any
         if not divides[hit]:
-            r_exps.append(head_exps)
-            r_coeffs.append(w_coeffs[0])
-            w_exps, w_coeffs, w_keys = w_exps[1:], w_coeffs[1:], w_keys[1:]
+            r_exps.append(head)
+            r_coeffs.append(c)
+            r_keys.append(key)
             continue
-        lo, hi = d_starts[hit], d_starts[hit + 1]
-        c = w_coeffs[0]  # divisor is monic
-        shift = head_exps - d_lead_exps[hit]
-        key_shift = w_keys[0] - d_keys[lo]
-        tail_exps = d_exps[lo + 1:hi] + shift
-        tail_keys = d_keys[lo + 1:hi] + key_shift
-        tail_coeffs = field.canon_array(
-            field.neg_array(field.scale_array(c, d_coeffs[lo + 1:hi]))
-        )
-        w_exps, w_coeffs, w_keys = _merge_canonical(
-            field, w_exps[1:], w_coeffs[1:], w_keys[1:],
-            tail_exps, tail_coeffs, tail_keys,
-        )
+        _absorb_tail(field, work, divisors, hit, neg(c), key, head)
     if not r_coeffs:
-        return (np.zeros((0, f_exps.shape[1]), dtype=np.int64),
-                np.zeros(0, dtype=field.dtype))
-    return np.array(r_exps, dtype=np.int64), np.array(r_coeffs, dtype=field.dtype)
+        return (np.zeros((0, nvars), dtype=np.int64), np.zeros(0, dtype=field.dtype), [])
+    out = np.empty(len(r_coeffs), dtype=field.dtype)
+    out[:] = r_coeffs
+    return np.array(r_exps, dtype=np.int64), out, r_keys
 
 
 def reduce_terms(field, f_exps, f_keys, f_coeffs,
                  d_exps, d_keys, d_coeffs, d_starts, d_lead_exps):
-    """Fully reduce f by the divisor list; a no-op when either is empty."""
+    """Fully reduce f by the divisor list; returns the remainder's (exps,
+    coeffs, packed keys), f itself when either input is empty."""
     if len(f_coeffs) == 0 or len(d_starts) <= 1:
-        return f_exps, f_coeffs
-    return nf_numpy(field, f_exps, f_keys, f_coeffs,
-                    d_exps, d_keys, d_coeffs, d_starts, d_lead_exps)
+        return f_exps, f_coeffs, list(f_keys)
+    work = ({}, {}, [])
+    _absorb(field, work, f_keys, f_exps, np.asarray(f_coeffs).tolist(), field.one, 0)
+    return _reduce(field, work, f_exps.shape[1],
+                   (d_exps, d_keys, d_coeffs, d_starts, d_lead_exps))
+
+
+def reduce_spair(field, i, j, lcm_exps, lcm_key,
+                 d_exps, d_keys, d_coeffs, d_starts, d_lead_exps):
+    """Fully reduce the S-polynomial (lcm/lead_i)*d_i - (lcm/lead_j)*d_j of
+    divisors i and j, built from their tails alone (the leads cancel);
+    ``lcm_key`` is the packed key of the leads' lcm.  Returns what
+    :func:`reduce_terms` returns."""
+    divisors = (d_exps, d_keys, d_coeffs, d_starts, d_lead_exps)
+    work = ({}, {}, [])
+    for k, scale in ((i, field.one), (j, field.neg(field.one))):
+        _absorb_tail(field, work, divisors, k, scale, lcm_key, lcm_exps)
+    return _reduce(field, work, d_exps.shape[1], divisors)

@@ -258,3 +258,38 @@ def test_budget_stops_fire_at_pinned_pair_counts(gf):
         assert (info.value.pairs_considered, info.value.degree_reached) == (pairs, degree)
     with pytest.raises(BudgetExceededError, match="exceeded by a pair of degree 7"):
         buchberger(gens, order, degree_budget=6)
+
+
+@pytest.mark.parametrize("basis_field", [QQ, PrimeField(11)], ids=repr)
+def test_normal_form_rejects_a_basis_over_another_field(basis_field):
+    table, order, u, v, w = small_ring(PrimeField(7))
+    _, _, bu, bv, _ = small_ring(basis_field)
+    gb = GroebnerBasis(order, [bu - bv.scale(basis_field.inv(3))])
+    with pytest.raises(ValueError, match="divisor over a different coefficient field"):
+        normal_form(u * u, gb)
+
+
+# (considered, pruned coprime, pruned by the chain criterion, reduced,
+# reduced to zero) under grevlex over GF(32003); the reduced and zero counts
+# were recorded by counting the normal_form calls of the S-pair loop before
+# S-pairs were seeded in the kernel
+PAIR_STATS = {
+    ("n3", 3, False): (78, 45, 8, 25, 17),
+    ("full3x3", 3, True): (1770, 807, 663, 300, 249),
+}
+
+
+@pytest.mark.parametrize("key", list(PAIR_STATS), ids=lambda k: k[0])
+def test_buchberger_records_its_pair_counts(gf, key):
+    _, n, full = key
+    gens, order = grevlex_entries(gf, n, full)
+    gb = buchberger(gens, order)
+    stats = gb.stats
+    counts = (stats.considered, stats.coprime, stats.chain, stats.reduced, stats.zero)
+    assert counts == PAIR_STATS[key]
+    # every pair of the final basis is considered once, and is pruned or reduced
+    assert stats.considered == len(gb) * (len(gb) - 1) // 2
+    assert stats.considered == stats.coprime + stats.chain + stats.reduced
+    assert stats.reduced - stats.zero == len(gb) - len(gens)
+    assert reduce_basis(gb).stats == stats
+    assert groebner_basis(gens, order).stats == stats
