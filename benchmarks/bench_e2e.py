@@ -43,7 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (16, 24, 32, 48, 64)
 RECHECK_SIZES = (32, 48)
 HILBERT_SIZES = (4, 5, 6)
-COLON_SIZES = (3, 4)
+COLON_SIZES = (3, 4, 5)
 TIMEOUT_S = 900  # a run still going after this is killed and recorded as stopped
 
 STAMP_CODE = """

@@ -13,8 +13,8 @@ from .errors import (BudgetExceededError, CertificateFormatError,
                      OrderMismatchError, ParseError, UndefinedLeadError,
                      XyregError)
 from .fields import DEFAULT_PRIME, QQ, PrimeField, RationalField
-from .groebner import (GroebnerBasis, buchberger, groebner_basis, lead_ideal,
-                       multi_divide, normal_form, reduce_basis, s_poly)
+from .groebner import (GroebnerBasis, SignatureStats, buchberger, groebner_basis,
+                       lead_ideal, multi_divide, normal_form, reduce_basis, s_poly)
 from .hilbert import (HilbertData, complete_intersection_numerator,
                       hilbert_numerator, hilbert_series_quotient)
 from .kernels import active_backend
@@ -24,10 +24,10 @@ from .pattern import (GenericProduct, PatternSpec, augmented_sequence,
                       column_limit, counterexample_2x2, expected_effective_lead,
                       recheck_certificate, selected_entries, selected_rows)
 from .poly import Polynomial, Term, format_poly, parse_poly
-from .regseq import (CertificateStep, ExtensionReport, OracleReport,
+from .regseq import (CertificateStep, ColonStep, ExtensionReport, OracleReport,
                      RegularityCertificate, check_coprime_leads,
-                     check_technical_step, greedy_extend, nonzerodivisor_colon,
-                     regular_oracle_hilbert, sequence_oracle)
+                     check_technical_step, colon_witness_holds, greedy_extend,
+                     nonzerodivisor_colon, regular_oracle_hilbert, sequence_oracle)
 from .ring import Monomial, VariableTable, format_monomial
 
 __version__ = "0.1.0"

@@ -238,12 +238,18 @@ def cmd_oracle(args):
         payload = {"method": report.method, "verdict": report.verdict,
                    "first_failure": report.first_failure,
                    "details": list(report.details)}
+        if report.witness is not None:
+            payload["witness"] = {"index": report.first_failure,
+                                  "u": format_poly(report.witness)}
         _emit(args, json.dumps(payload, indent=2))
     else:
         lines = [f"oracle method: {report.method}", f"verdict: {report.verdict}"]
         if report.first_failure is not None:
             lines.append(f"first failure at index {report.first_failure}")
         lines += [f"  {d}" for d in report.details]
+        if report.witness is not None:
+            lines.append(f"witness at index {report.first_failure}: "
+                         f"u = {format_poly(report.witness)}")
         _emit(args, "\n".join(lines))
     return EXIT_OK if report.regular else EXIT_FAIL
 

@@ -12,7 +12,10 @@ packed order keys, coefficients, starts and lead block in the kernel's flat
 layout): an element's keys are computed once, when it is appended, and an
 S-polynomial is never built as a polynomial; the kernel is seeded with the
 two shifted tails (:func:`kernels.reduce_spair`).  The basis that
-:func:`buchberger` returns records its :class:`PairStats`.
+:func:`buchberger` returns records its :class:`PairStats`.  The colon
+oracle's signature step (:func:`regseq.nonzerodivisor_colon`) grows the
+same state past a basis of J with signed rows (:class:`_SignedDivisors`)
+and records :class:`SignatureStats`.
 """
 
 import heapq
@@ -35,6 +38,20 @@ class PairStats:
     considered: int = 0
     coprime: int = 0
     chain: int = 0
+    reduced: int = 0
+    zero: int = 0
+
+
+@dataclass
+class SignatureStats:
+    """What one signature step (:func:`regseq.nonzerodivisor_colon`) did
+    with its J-pairs: how many it formed, dropped because the signature
+    lies in in(J) (the syzygy criterion), dropped as covered, reduced, and
+    how many reductions (f's own included) gave zero."""
+
+    considered: int = 0
+    syzygy: int = 0
+    cover: int = 0
     reduced: int = 0
     zero: int = 0
 
@@ -86,6 +103,55 @@ class _Divisors:
         return self._exps[:self.starts[-1]], self.keys, self.coeffs, self.starts, self.leads
 
 
+class _SignedDivisors(_Divisors):
+    """The rows of a basis of J, then the pairs (u, v) of one signature step.
+
+    Each pair appends v as a divisor row; its u-part (exps, packed keys,
+    coefficients, ``u_starts``), the packed key of its signature lm(u) and
+    its signature row in the ``sigs`` block are kept alongside.  ``first``
+    is the divisor index of the first pair.
+    """
+
+    def __init__(self, gb):
+        super().__init__(gb.order)
+        for p in gb.polys:
+            self.append(p.exps, p.coeffs)
+        self.first = len(self)
+        self._u_exps = np.empty((16, gb.order.nvars), dtype=np.int64)
+        self._sigs = np.empty((4, gb.order.nvars), dtype=np.int64)
+        self.u_keys = []
+        self.u_coeffs = []
+        self.u_starts = [0]
+        self.sig_keys = []
+
+    @property
+    def sigs(self):
+        return self._sigs[:len(self.sig_keys)]
+
+    def append_pair(self, u, v):
+        """Add the pair (u, v), each an (exps, coeffs, packed keys) triple
+        sorted descending, v monic."""
+        self.append(*v)
+        u_exps, u_coeffs, u_keys = u
+        rows, k = self.u_starts[-1], len(self.sig_keys)
+        if rows + len(u_exps) > len(self._u_exps):
+            self._u_exps = _grown(self._u_exps, rows + len(u_exps))
+        if k == len(self._sigs):
+            self._sigs = _grown(self._sigs, k + 1)
+        self._u_exps[rows:rows + len(u_exps)] = u_exps
+        self._sigs[k] = u_exps[0]
+        self.u_keys.extend(u_keys)
+        self.u_coeffs.extend(np.asarray(u_coeffs).tolist())
+        self.u_starts.append(rows + len(u_exps))
+        self.sig_keys.append(u_keys[0])
+
+    def signed(self):
+        """(first, sig_keys, u_exps, u_keys, u_coeffs, u_starts), the signed
+        part of :func:`kernels.reduce_jpair`'s arguments."""
+        return (self.first, self.sig_keys, self._u_exps[:self.u_starts[-1]],
+                self.u_keys, self.u_coeffs, self.u_starts)
+
+
 def _grown(buf, need):
     out = np.empty((max(need, 2 * len(buf)), buf.shape[1]), dtype=buf.dtype)
     out[:len(buf)] = buf
@@ -95,8 +161,9 @@ def _grown(buf, need):
 class GroebnerBasis:
     """An order, a monic generator tuple, and whether the set is reduced.
 
-    ``stats`` is the :class:`PairStats` of the :func:`buchberger` run that
-    produced the basis (carried through :func:`reduce_basis`), else None.
+    ``stats`` is the :class:`PairStats` of the :func:`buchberger` run, or
+    the :class:`SignatureStats` of the signature step, that produced the
+    basis (carried through :func:`reduce_basis`), else None.
     """
 
     __slots__ = ("order", "polys", "reduced", "stats", "_divisors")

@@ -27,6 +27,14 @@ packed key to exponent row, and a max-heap of the keys (stored negated).  A
 term whose coefficient cancels leaves the dicts; its heap entry is skipped
 when popped, and a term that comes back is pushed again.  A step costs work
 in the divisor's tail, never a re-sort of the rest.
+
+The colon oracle's signature step runs the same loop through
+:func:`reduce_jpair`.  The divisor rows past a basis of J are pairs (u, v)
+with the packed key of their signature lm(u); such a row reduces a head
+only below the J-pair's signature bound, its u-part goes into a second
+working polynomial through the same :func:`_absorb`, and the reduction
+stops at the first irreducible head (a top reduction).  Without a bound,
+every row is admissible and the loop is the one above.
 """
 
 from heapq import heappop, heappush
@@ -81,10 +89,20 @@ def _absorb_tail(field, work, divisors, k, scale, key, exps):
             d_coeffs[lo + 1:hi], scale, key - d_keys[lo])
 
 
-def _reduce(field, work, nvars, divisors):
-    """Reduce the working polynomial to its remainder (exps, coeffs, keys)."""
+def _reduce(field, work, nvars, divisors, signed=None):
+    """Reduce the working polynomial to its remainder (exps, coeffs, keys).
+
+    With ``signed`` (see :func:`reduce_jpair`) the reduction is a regular
+    top reduction: it stops at the first head no admissible divisor
+    divides, which becomes the lead of the result, and returns the rest of
+    the working polynomial unreduced.  The divisor rows from ``signed[0]``
+    on are signature-bounded: such a row reduces the head only when its
+    shifted signature lies below the bound, and its u-part is carried into
+    ``signed``'s u work polynomial.
+    """
     coeffs, rows, heap = work
-    d_lead_exps = divisors[4]
+    d_keys, d_starts, d_lead_exps = divisors[1], divisors[3], divisors[4]
+    bounded = len(d_starts) - 1 if signed is None else signed[0]
     neg = field.neg
     r_exps, r_coeffs, r_keys = [], [], []
     while heap:
@@ -96,9 +114,21 @@ def _reduce(field, work, nvars, divisors):
         divides = (d_lead_exps <= head).all(axis=1)
         hit = int(divides.argmax())  # the first dividing lead, if any
         if not divides[hit]:
+            hit = -1
+        elif hit >= bounded:
+            hit = _first_admissible(signed, d_keys, d_starts, divides, hit, key)
+            if hit >= 0:
+                _absorb_u(field, signed, divisors, hit, neg(c), key, head)
+        if hit < 0:
             r_exps.append(head)
             r_coeffs.append(c)
             r_keys.append(key)
+            if signed is not None:  # top reduction only: the tail stays as it is
+                tail = sorted(coeffs, reverse=True)
+                r_exps.extend(rows[k] for k in tail)
+                r_coeffs.extend(coeffs[k] for k in tail)
+                r_keys.extend(tail)
+                break
             continue
         _absorb_tail(field, work, divisors, hit, neg(c), key, head)
     if not r_coeffs:
@@ -106,6 +136,26 @@ def _reduce(field, work, nvars, divisors):
     out = np.empty(len(r_coeffs), dtype=field.dtype)
     out[:] = r_coeffs
     return np.array(r_exps, dtype=np.int64), out, r_keys
+
+
+def _first_admissible(signed, d_keys, d_starts, divides, hit, key):
+    """The first bounded row from ``hit`` on whose lead divides the term with
+    packed key ``key`` at a shifted signature below the bound; -1 if none."""
+    first, bound, sig_keys = signed[:3]
+    for k in (np.flatnonzero(divides[hit:]) + hit).tolist():
+        if sig_keys[k - first] + key - d_keys[d_starts[k]] < bound:
+            return k
+    return -1
+
+
+def _absorb_u(field, signed, divisors, k, scale, key, exps):
+    """Add scale * (m/lead_k) * u_k to the u work polynomial, where lead_k
+    divides the monomial m with packed key ``key`` and exponent row ``exps``."""
+    first, _, _, u_work, u_exps, u_keys, u_coeffs, u_starts = signed
+    d_keys, d_starts, d_lead_exps = divisors[1], divisors[3], divisors[4]
+    lo, hi = u_starts[k - first], u_starts[k - first + 1]
+    _absorb(field, u_work, u_keys[lo:hi], u_exps[lo:hi] + (exps - d_lead_exps[k]),
+            u_coeffs[lo:hi], scale, key - d_keys[d_starts[k]])
 
 
 def reduce_terms(field, f_exps, f_keys, f_coeffs,
@@ -131,3 +181,41 @@ def reduce_spair(field, i, j, lcm_exps, lcm_key,
     for k, scale in ((i, field.one), (j, field.neg(field.one))):
         _absorb_tail(field, work, divisors, k, scale, lcm_key, lcm_exps)
     return _reduce(field, work, d_exps.shape[1], divisors)
+
+
+def reduce_jpair(field, k, shift_exps, shift_key, signed,
+                 d_exps, d_keys, d_coeffs, d_starts, d_lead_exps):
+    """Regular-reduce the J-pair t*(u_k, v_k) of the signed divisor k, where t
+    has exponent row ``shift_exps`` and packed key ``shift_key``.
+
+    ``signed`` is (first, sig_keys, u_exps, u_keys, u_coeffs, u_starts):
+    rows from ``first`` on are pairs (u, v) with u*f = v modulo the ideal of
+    the rows before ``first``; row k's u-part owns rows
+    u_starts[k-first]:u_starts[k-first+1] and sig_keys[k-first] is the packed
+    key of lm(u_k), its signature.  The head is reduced until no admissible
+    divisor divides it; the tail is left as it is.  Rows before ``first``
+    are always admissible; a later row only when its shifted signature lies
+    strictly below the J-pair's, so the signature is kept.  Returns the
+    top-reduced v and the u-part as two (exps, coeffs, packed keys) triples
+    sorted descending.
+    """
+    first, sig_keys, u_exps, u_keys, u_coeffs, u_starts = signed
+    divisors = (d_exps, d_keys, d_coeffs, d_starts, d_lead_exps)
+    j = k - first
+    bound = sig_keys[j] + shift_key
+    u_work = ({}, {}, [])
+    lo, hi = u_starts[j], u_starts[j + 1]
+    _absorb(field, u_work, u_keys[lo:hi], u_exps[lo:hi] + shift_exps, u_coeffs[lo:hi],
+            field.one, shift_key)
+    work = ({}, {}, [])
+    lo, hi = d_starts[k], d_starts[k + 1]
+    _absorb(field, work, d_keys[lo:hi], d_exps[lo:hi] + shift_exps, d_coeffs[lo:hi],
+            field.one, shift_key)
+    v = _reduce(field, work, d_exps.shape[1], divisors,
+                (first, bound, sig_keys, u_work, u_exps, u_keys, u_coeffs, u_starts))
+    coeffs, rows, _ = u_work
+    keys = sorted(coeffs, reverse=True)
+    exps = np.array([rows[key] for key in keys], dtype=np.int64).reshape(-1, d_exps.shape[1])
+    out = np.empty(len(keys), dtype=field.dtype)
+    out[:] = [coeffs[key] for key in keys]
+    return v, (exps, out, keys)

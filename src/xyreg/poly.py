@@ -199,14 +199,6 @@ class Polynomial:
             return self
         return canonicalize(self.table, self.field, order, self.exps, self.coeffs)
 
-    def lift_to(self, table, order):
-        """Same polynomial over a larger table whose leading slots coincide."""
-        extra = table.nvars - self.table.nvars
-        if extra < 0:
-            raise DimensionError("target table is smaller than the current one")
-        exps = np.hstack([self.exps, np.zeros((self.num_terms, extra), dtype=np.int64)])
-        return canonicalize(table, self.field, order, exps, self.coeffs)
-
     # -- comparison -----------------------------------------------------------
     def __eq__(self, other):
         return (

@@ -27,16 +27,26 @@ A stored certificate is re-checked by certifying again and comparing
 
 Two independent oracles decide regularity outright: the Hilbert-series
 criterion for homogeneous sequences (quotient series equals the complete-
-intersection product formula iff the sequence is regular) and a stepwise
-colon-ideal test ((J : f) = J iff f is a non-zerodivisor modulo J).
-A not-regular Hilbert verdict names the first degree where the two series
-differ, with both values; a colon verdict names the first failing index.
-Oracles run under graded-reverse-lexicographic order whatever the
-certification order; regularity does not depend on that choice.
+intersection product formula iff the sequence is regular, computed from a
+Buchberger basis) and a stepwise colon-ideal test ((J : f) = J iff f is a
+non-zerodivisor modulo J).  The colon oracle walks the sequence once: each
+index is one G2V signature step (Gao, Guan & Volny, ISSAC 2010, with the
+cover criterion of Gao, Volny & Wang, Math. Comp. 85, 2016) on the reduced
+basis of the prefix, which returns the verdict and the reduced basis of
+the next prefix, so no prefix basis is computed from scratch.  On a
+regular sequence the step reduces no J-pair to zero; a zero reduction is a
+proof of a zerodivisor and comes with its witness u (u*f in J, u not in
+J), which is re-checked by normal forms before it is reported.  The two
+oracles share no Groebner algorithm.  A not-regular Hilbert verdict names
+the first degree where the two series differ, with both values; a colon
+verdict names the first failing index.  Oracles run under graded-reverse-
+lexicographic order whatever the certification order; regularity does not
+depend on that choice.
 """
 
+import heapq
 from dataclasses import dataclass, field as dc_field
-from itertools import zip_longest
+from itertools import count, zip_longest
 
 import numpy as np
 
@@ -45,7 +55,9 @@ from .errors import (BudgetExceededError, CertificationError, HomogeneityError,
 from .fields import PrimeField
 # buchberger is not called here; perfbench/tracer.py rebinds it in every
 # module that holds it, and perfbench/selftest.py expects it in this one
-from .groebner import buchberger, groebner_basis, multi_divide, normal_form
+from . import kernels
+from .groebner import (GroebnerBasis, SignatureStats, _SignedDivisors, buchberger,
+                       normal_form, reduce_basis)
 from .hilbert import HilbertData, complete_intersection_numerator, hilbert_series_quotient
 from .orders import MonomialOrder
 from .poly import Polynomial, Term, format_poly
@@ -390,44 +402,173 @@ def _hilbert_criterion(seq, pair_budget, degree_budget):
                    f"complete intersection {expected.series_coefficients(d)[d]}"]
 
 
-def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
-    """True iff (J : f) = J for the ideal J of the given basis.
+@dataclass
+class ColonStep:
+    """What :func:`nonzerodivisor_colon` found for f modulo J.
 
-    Computes J intersect <f> by adjoining one elimination variable ranked
-    above everything, divides the intersection generators by f, and tests
-    each quotient for membership in J.  The auxiliary variable never leaks
-    into results.
+    ``basis`` is the reduced basis of J + <f> when f is a non-zerodivisor;
+    ``witness``, when f is a nonzero zerodivisor, is a u with u*f in J and
+    u not in J, reduced modulo J and monic; ``stats`` counts the J-pairs.
     """
+
+    regular: bool
+    basis: GroebnerBasis = None
+    witness: Polynomial = None
+    stats: SignatureStats = dc_field(default_factory=SignatureStats)
+
+
+def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
+    """One G2V signature step: is (J : f) = J for the ideal J of the reduced
+    basis ``prefix_gb``, and what is the reduced basis of J + <f>?
+
+    The step keeps pairs (u, v) with u*f = v modulo J; lm(u) is the pair's
+    *signature*.  It starts from (1, NF(f, J)) and takes J-pairs in
+    increasing signature: for two rows whose v-leads have lcm L, the row
+    whose shifted signature (L/lm(v))*lm(u) is larger, shifted by L/lm(v)
+    (rows of J's basis have no signature; equal signatures make a singular
+    pair, which is not needed).  A J-pair is dropped when its signature
+    lies in in(J) (the syzygy criterion: J is inside (J : f)) or when a
+    pair whose signature divides it has a smaller shifted lead (the cover
+    criterion).  The rest are top-reduced by J's rows and by pairs of
+    strictly smaller shifted signature (:func:`kernels.reduce_jpair`).  No
+    pair left is super top-reducible, i.e. has a head divisible by a pair
+    at exactly its signature and by no admissible row: that head would be
+    a shifted lead at its signature no larger than the lcm, which the cover
+    criterion rules out below the lcm and the J-pair's partner reduces at
+    it.
+
+    A reduction to zero at a signature T outside in(J) gives u*f in J with
+    lm(u) = T, so u is not in J: f is a zerodivisor and u, reduced modulo
+    J, the witness.  When every J-pair is done without one, in(J : f) =
+    in(J), so (J : f) = J, and J's rows with the v-parts form a basis of
+    J + <f>.  Budgets are hard stops: ``pair_budget`` bounds the J-pairs
+    formed, ``degree_budget`` the degree of a signature taken.
+    """
+    stats = SignatureStats()
     if f.is_zero():
-        return False
+        return ColonStep(False, stats=stats)
     if prefix_gb is None or len(prefix_gb.polys) == 0:
-        return True  # the ambient ring is a domain
+        # the ambient ring is a domain
+        return ColonStep(True, GroebnerBasis(f.order, [f.monic()], reduced=True), stats=stats)
     if prefix_gb.contains_unit():
-        return True  # J = R, the colon is again R
-    order = prefix_gb.order
-    table = prefix_gb.table
-    ext_table = table.extend("_elim")
-    ext_order = order.eliminate_last()
-    aux_slot = ext_table.nvars - 1
-    fld = f.field
-    t_poly = Polynomial.variable(ext_table, fld, ext_order, aux_slot)
-    one = Polynomial.constant(ext_table, fld, ext_order, fld.one)
-    f_ext = f.lift_to(ext_table, ext_order)
-    gens = [t_poly * g.lift_to(ext_table, ext_order) for g in prefix_gb.polys]
-    gens.append((one - t_poly) * f_ext)
-    ext_gb = groebner_basis(gens, ext_order,
-                            pair_budget=pair_budget, degree_budget=degree_budget)
-    for g in ext_gb.polys:
-        if (g.exps[:, aux_slot] != 0).any():
+        return ColonStep(True, prefix_gb, stats=stats)  # J = R, the colon is again R
+    order, field, table = prefix_gb.order, f.field, f.table
+    f = f.resort(order)
+    div = _SignedDivisors(prefix_gb)
+    first = div.first
+    in_j = div.leads.copy()
+    polys = list(prefix_gb.polys)
+    ratios = []  # per pair: packed key of lm(u) minus that of lm(v)
+    heap = []
+    tick = count()
+
+    def pack(exps):
+        return kernels.pack_keys(order.keys(exps))
+
+    def admit(u, v):
+        """Append the pair (u, v), made monic, and push its J-pairs with
+        every earlier row that survive the syzygy criterion."""
+        inv = field.inv(v[1][0])
+        v = (v[0], field.scale_array(inv, v[1]), v[2])
+        u = (u[0], field.scale_array(inv, u[1]), u[2])
+        polys.append(Polynomial(table, field, order, v[0], v[1]))
+        div.append_pair(u, v)
+        leads, keys, starts = div.leads, div.keys, div.starts
+        k = len(div) - 1
+        ratio = div.sig_keys[-1] - keys[starts[k]]
+        ratios.append(ratio)
+        # a partner at an equal shifted signature makes a singular pair, not needed
+        partners = np.array([i for i in range(k) if i < first or ratios[i - first] != ratio],
+                            dtype=np.intp)
+        if not len(partners):
+            return
+        # the side of a J-pair is the row with the larger shifted signature
+        sides = np.array([k if i < first or ratios[i - first] < ratio else i
+                          for i in partners.tolist()], dtype=np.intp)
+        others = np.where(sides == k, partners, k)
+        lcms = np.maximum(leads[partners], leads[k])
+        stats.considered += len(sides)
+        if pair_budget is not None and stats.considered > pair_budget:
+            raise BudgetExceededError(f"pair budget {pair_budget} exhausted",
+                                      pairs_considered=stats.considered)
+        in_ideal = _in_monomial_ideal(lcms - leads[sides] + div.sigs[sides - first], in_j)
+        stats.syzygy += int(in_ideal.sum())
+        keep = np.flatnonzero(~in_ideal)
+        for side, other, lcm_key in zip(sides[keep].tolist(), others[keep].tolist(),
+                                        pack(lcms[keep])):
+            heapq.heappush(heap, (lcm_key + ratios[side - first], lcm_key, next(tick),
+                                  side, other))
+
+    one = np.zeros((1, order.nvars), dtype=np.int64)
+    v = kernels.reduce_terms(field, f.exps, pack(f.exps), f.coeffs, *div.arrays())
+    u = (one, field.array([field.one]), pack(one))
+    if len(v[1]) == 0:  # f lies in J: u = 1 is the witness
+        stats.zero += 1
+        return ColonStep(False, witness=Polynomial.constant(table, field, order, field.one),
+                         stats=stats)
+    admit(u, v)
+    while heap:
+        sig_key, lcm_key, _, k, other = heapq.heappop(heap)
+        leads = div.leads
+        shift = np.maximum(leads[k], leads[other]) - leads[k]
+        sig_row = shift + div.sigs[k - first]
+        degree = int(sig_row.sum())
+        if degree_budget is not None and degree > degree_budget:
+            raise BudgetExceededError(
+                f"degree budget {degree_budget} exceeded by a J-pair of signature degree "
+                f"{degree}", pairs_considered=stats.considered, degree_reached=degree)
+        pair_ratio = sig_key - lcm_key
+        if any(ratios[i] > pair_ratio
+               for i in np.flatnonzero((div.sigs <= sig_row).all(axis=1)).tolist()):
+            stats.cover += 1
             continue
-        base = Polynomial(table, fld, order, g.exps[:, :aux_slot], g.coeffs)
-        base = base.resort(order)
-        quots, rem = multi_divide(base, [f])
-        if not rem.is_zero():
-            raise RuntimeError("intersection generator not divisible by f")
-        if not normal_form(quots[0], prefix_gb).is_zero():
-            return False
-    return True
+        stats.reduced += 1
+        v, u = kernels.reduce_jpair(field, k, shift, sig_key - div.sig_keys[k - first],
+                                    div.signed(), *div.arrays())
+        if len(v[1]) == 0:
+            stats.zero += 1
+            u = Polynomial(table, field, order, *u[:2])
+            return ColonStep(False, witness=normal_form(u, prefix_gb).monic(), stats=stats)
+        admit(u, v)
+    return ColonStep(True, reduce_basis(GroebnerBasis(order, polys, stats=stats)), stats=stats)
+
+
+def _in_monomial_ideal(rows, gens, chunk=1 << 22):
+    """For each exponent row, whether some generator row divides it.
+
+    Both sides are packed into uint64 words of guarded bit fields, as in
+    :mod:`hilbert`: g divides m iff ((m | G) - g) & G == G word by word,
+    where G holds every field's top (guard) bit.
+    """
+    width = int(max(rows.max(initial=0), gens.max(initial=0))).bit_length() + 1
+    per = 64 // width
+    words = -(-rows.shape[1] // per)
+    shifts = np.arange(per, dtype=np.uint64) * np.uint64(width)
+    guard = np.uint64(sum(1 << (k * width + width - 1) for k in range(per)))
+
+    def pack(a):
+        a = np.pad(a, ((0, 0), (0, words * per - a.shape[1]))).astype(np.uint64)
+        return np.bitwise_or.reduce(a.reshape(len(a), words, per) << shifts, axis=2)
+
+    packed, gens = pack(rows) | guard, pack(gens)
+    out = np.empty(len(rows), dtype=bool)
+    step = max(1, chunk // max(1, len(gens)))
+    for at in range(0, len(rows), step):
+        block = packed[at:at + step]
+        # per (row, generator): the guard bits that the subtraction cleared
+        miss = np.zeros((len(block), len(gens)), dtype=np.uint64)
+        for w in range(words):
+            miss |= ((block[:, w, None] - gens[None, :, w]) & guard) ^ guard
+        out[at:at + step] = (miss == 0).any(axis=1)
+    return out
+
+
+def colon_witness_holds(prefix_gb, f, u):
+    """True iff u certifies f as a zerodivisor modulo the ideal J of the
+    basis: NF(u, J) != 0 and NF(u*f, J) = 0."""
+    u = u.resort(prefix_gb.order)
+    return (not normal_form(u, prefix_gb).is_zero()
+            and normal_form(u * f.resort(prefix_gb.order), prefix_gb).is_zero())
 
 
 @dataclass
@@ -436,6 +577,7 @@ class OracleReport:
     verdict: str  # "regular" | "not-regular"
     first_failure: int = None  # 1-based index (colon method)
     details: list = dc_field(default_factory=list)
+    witness: Polynomial = None  # colon method, a zerodivisor: u*f in J, u not in J
 
     @property
     def regular(self):
@@ -444,7 +586,8 @@ class OracleReport:
 
 def sequence_oracle(seq, method="hilbert", *, pair_budget=None, degree_budget=None):
     """Decide regularity of the sequence; the colon method also locates the
-    first failing index.  Budget stops raise BudgetExceededError."""
+    first failing index and, for a zerodivisor, returns a witness.  Budget
+    stops raise BudgetExceededError."""
     seq = list(seq)
     if method not in ("hilbert", "colon"):
         raise ValueError(f"unknown oracle method {method!r}")
@@ -456,27 +599,40 @@ def sequence_oracle(seq, method="hilbert", *, pair_budget=None, degree_budget=No
         ok, details = _hilbert_criterion(seq, pair_budget, degree_budget)
         return OracleReport(method=method, verdict="regular" if ok else "not-regular",
                             details=details)
+    return _colon_walk(seq, budgets)[0]
 
-    order = _oracle_order(seq[0].table)
-    seq = [p.resort(order) for p in seq]
+
+def _colon_walk(seq, budgets):
+    """The colon oracle's report on ``seq`` and, when it is regular, the
+    reduced basis of the whole sequence (else None)."""
     details = []
     gb = None
     for i, p in enumerate(seq, start=1):
-        if p.is_zero():
-            return OracleReport(method=method, verdict="not-regular",
-                                first_failure=i,
-                                details=details + [f"index {i}: zero element"])
-        if not nonzerodivisor_colon(gb, p, **budgets):
-            return OracleReport(method=method, verdict="not-regular",
-                                first_failure=i,
-                                details=details + [f"index {i}: zerodivisor modulo the prefix"])
-        gb = groebner_basis(seq[:i], order, **budgets)
-        if gb.contains_unit():
-            return OracleReport(method=method, verdict="not-regular",
-                                first_failure=i,
-                                details=details + [f"index {i}: the ideal becomes the whole ring"])
+        failure, step = _colon_index(gb, p, budgets)
+        if failure is not None:
+            return OracleReport(method="colon", verdict="not-regular", first_failure=i,
+                                details=details + [f"index {i}: {failure}"],
+                                witness=step and step.witness), None
+        gb = step.basis
         details.append(f"index {i}: non-zerodivisor, ideal still proper")
-    return OracleReport(method=method, verdict="regular", details=details)
+    return OracleReport(method="colon", verdict="regular", details=details), gb
+
+
+def _colon_index(gb, p, budgets):
+    """One index of the colon walk on the prefix basis ``gb``: (the failure
+    named in its detail line or None, the :class:`ColonStep` or None).  A
+    zerodivisor's witness is checked before it is reported."""
+    p = p.resort(_oracle_order(p.table))
+    if p.is_zero():
+        return "zero element", None
+    step = nonzerodivisor_colon(gb, p, **budgets)
+    if not step.regular:
+        if not colon_witness_holds(gb, p, step.witness):
+            raise RuntimeError("the colon step's witness fails its re-check")
+        return "zerodivisor modulo the prefix", step
+    if step.basis.contains_unit():
+        return "the ideal becomes the whole ring", step
+    return None, step
 
 
 @dataclass
@@ -489,24 +645,34 @@ class ExtensionReport:
 def greedy_extend(base, candidates, method="hilbert", *,
                   pair_budget=None, degree_budget=None):
     """Scan candidates in order, appending each one that keeps the sequence
-    regular.  An inconclusive oracle run skips the candidate and logs it;
-    it is never accepted silently."""
+    regular.  The colon method keeps the chain's reduced basis and runs one
+    step per candidate on it.  An inconclusive oracle run skips the
+    candidate and logs it; it is never accepted silently."""
     budgets = dict(pair_budget=pair_budget, degree_budget=degree_budget)
     base = list(base)
-    report = sequence_oracle(base, method, **budgets)
+    if method == "colon":
+        report, gb = _colon_walk(base, budgets)
+    else:
+        report = sequence_oracle(base, method, **budgets)
     if not report.regular:
         raise ValueError("the base sequence is not regular")
     chain = list(base)
     accepted, rejected = [], []
     for pos, cand in enumerate(candidates):
         try:
-            verdict = sequence_oracle(chain + [cand], method, **budgets)
+            if method == "colon":
+                failure, step = _colon_index(gb, cand, budgets)
+                regular = failure is None
+            else:
+                regular = sequence_oracle(chain + [cand], method, **budgets).regular
         except BudgetExceededError as exc:
             rejected.append((pos, f"inconclusive: {exc}"))
             continue
-        if verdict.regular:
+        if regular:
             chain.append(cand)
             accepted.append(pos)
+            if method == "colon":
+                gb = step.basis
         else:
             rejected.append((pos, "not-regular"))
     return ExtensionReport(chain=chain, accepted=accepted, rejected=rejected)

@@ -1,8 +1,8 @@
 """Variable tables and exponent-vector monomials.
 
 The ring of interest is K[x_ij, y_ij | 1 <= i,j <= n] with 2n^2 variables in
-a fixed slot layout; auxiliary tables (extra elimination variable, ad-hoc
-test rings) reuse the same machinery with arbitrary names.
+a fixed slot layout; generic tables (ad-hoc test rings) reuse the same
+machinery with arbitrary names.
 """
 
 import numpy as np
@@ -65,10 +65,6 @@ class VariableTable:
 
     def index(self, name):
         return self._index[name]
-
-    def extend(self, name):
-        """New table with one extra slot appended (used for elimination)."""
-        return VariableTable(self.names + (name,))
 
     def __eq__(self, other):
         return isinstance(other, VariableTable) and other.names == self.names

@@ -17,8 +17,8 @@ from xyreg.pattern import (GenericProduct, certification_order, certify_pattern,
 from xyreg.poly import Polynomial, Term, format_poly
 from xyreg.regseq import (ROLE_BARE, ROLE_BASE, ROLE_TECHNICAL,
                           CertificateStep, _PriorLeads, check_coprime_leads,
-                          check_technical_step, coprime_extend_element,
-                          greedy_extend, nonzerodivisor_colon,
+                          check_technical_step, colon_witness_holds,
+                          coprime_extend_element, greedy_extend, nonzerodivisor_colon,
                           regular_oracle_hilbert, sequence_oracle)
 from xyreg.ring import Monomial, VariableTable, format_monomial
 
@@ -370,14 +370,21 @@ def test_nonzerodivisor_colon_examples(gf):
     x11 = Polynomial.variable(table, gf, order, table.slot("x", 1, 1))
     y11 = Polynomial.variable(table, gf, order, table.slot("y", 1, 1))
     gb = groebner_basis([x11])
-    assert nonzerodivisor_colon(gb, y11) is True
+    step = nonzerodivisor_colon(gb, y11)
+    assert step.regular is True and step.witness is None
+    assert step.basis.polys == groebner_basis([x11, y11]).polys
     gb2 = groebner_basis([x11 * y11])
-    assert nonzerodivisor_colon(gb2, x11) is False
+    step = nonzerodivisor_colon(gb2, x11)
+    assert step.regular is False and step.basis is None
+    assert format_poly(step.witness) == "y[1,1]"
+    assert colon_witness_holds(gb2, x11, step.witness)
 
     product = GenericProduct(2, field=gf, order=order)
     gb3 = groebner_basis([product.entry(1, 1), product.entry(1, 2),
                           product.entry(2, 1)])
-    assert nonzerodivisor_colon(gb3, product.entry(2, 2)) is False
+    step = nonzerodivisor_colon(gb3, product.entry(2, 2))
+    assert step.regular is False
+    assert colon_witness_holds(gb3, product.entry(2, 2), step.witness)
 
 
 def random_coprime_lead_sequence(rng):
