@@ -8,7 +8,9 @@ included):
 * ``recheck`` of that certificate for N in ``RECHECK_SIZES``,
 * ``oracle --method hilbert --n N --format json`` for each N in ``--hilbert``
   and ``oracle --method colon`` for each N in ``--colon``, with the verdict
-  and the sha256 of the report.
+  and the sha256 of the report,
+* ``search --method hilbert|colon --n N --format json`` for each N in
+  ``--search``, with the accepted entries and the sha256 of the report.
 
 Each run's peak resident memory comes from the child process itself
 (``os.wait4``).  The run is recorded under ``--label`` in a
@@ -44,6 +46,7 @@ SIZES = (16, 24, 32, 48, 64)
 RECHECK_SIZES = (32, 48)
 HILBERT_SIZES = (4, 5, 6)
 COLON_SIZES = (3, 4, 5)
+SEARCH_SIZES = (3, 4)
 TIMEOUT_S = 900  # a run still going after this is killed and recorded as stopped
 
 STAMP_CODE = """
@@ -127,6 +130,8 @@ def main(argv=None):
                         help="sizes of the hilbert oracle runs")
     parser.add_argument("--colon", type=int, nargs="*", default=list(COLON_SIZES),
                         help="sizes of the colon oracle runs")
+    parser.add_argument("--search", type=int, nargs="*", default=list(SEARCH_SIZES),
+                        help="sizes of the search runs, each with both methods")
     parser.add_argument("--note", default="", help="free text stored with the run")
     parser.add_argument("--out", default=None,
                         help="output file (default BENCH_<today>.json at the repository root)")
@@ -163,6 +168,17 @@ def main(argv=None):
                 case.update(verdict=json.loads(data)["verdict"],
                             sha256=hashlib.sha256(data).hexdigest())
             record["cases"][name] = case
+        for n in args.search:
+            for method in ("colon", "hilbert"):
+                report = Path(tmp) / f"search-{method}-{n}.json"
+                name = f"search {method} n={n}"
+                case = run_case(src, name, ["search", "--method", method, "--n", str(n),
+                                            "--format", "json", "--out", str(report)])
+                if case["wall_s"] is not None:
+                    data = report.read_bytes()
+                    case.update(accepted=json.loads(data)["accepted"],
+                                sha256=hashlib.sha256(data).hexdigest())
+                record["cases"][name] = case
 
     doc = json.loads(out.read_text()) if out.exists() else {
         "what": "fresh-process wall time and peak RSS of xyreg certify/recheck/oracle runs; "

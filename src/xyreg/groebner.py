@@ -11,15 +11,24 @@ A basis under construction lives in one append-only divisor state (exps,
 packed order keys, coefficients, starts and lead block in the kernel's flat
 layout): an element's keys are computed once, when it is appended, and an
 S-polynomial is never built as a polynomial; the kernel is seeded with the
-two shifted tails (:func:`kernels.reduce_spair`).  The basis that
-:func:`buchberger` returns records its :class:`PairStats`.  The colon
-oracle's signature step (:func:`regseq.nonzerodivisor_colon`) grows the
-same state past a basis of J with signed rows (:class:`_SignedDivisors`)
-and records :class:`SignatureStats`.
+two shifted tails (:func:`kernels.reduce_spair`).  When an element is
+appended, one numpy pass gives the lcm rows, lcm degrees and coprimality
+of all its pairs with the earlier elements; a popped pair only looks them
+up.  The pair loop is one generator, :func:`_buchberger_walk`:
+:func:`buchberger` drains it, and the Hilbert oracle
+(:func:`hilbert._first_difference`) reads the lead block at each degree
+boundary it yields and may stop early.  The basis that :func:`buchberger`
+returns records its :class:`PairStats`, and every basis built here carries
+its elements' packed keys, so :func:`reduce_basis` and the steps after it
+do not pack them again.  The colon oracle's signature step
+(:func:`regseq.nonzerodivisor_colon`) grows the same state past a basis of
+J with signed rows (:class:`_SignedDivisors`) and records
+:class:`SignatureStats`.
 """
 
 import heapq
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -102,6 +111,11 @@ class _Divisors:
         """(exps, keys, coeffs, starts, lead_exps), the kernel's divisor arguments."""
         return self._exps[:self.starts[-1]], self.keys, self.coeffs, self.starts, self.leads
 
+    def element_keys(self):
+        """Each element's packed keys, element by element."""
+        starts = self.starts
+        return [self.keys[starts[k]:starts[k + 1]] for k in range(len(self))]
+
 
 class _SignedDivisors(_Divisors):
     """The rows of a basis of J, then the pairs (u, v) of one signature step.
@@ -114,8 +128,8 @@ class _SignedDivisors(_Divisors):
 
     def __init__(self, gb):
         super().__init__(gb.order)
-        for p in gb.polys:
-            self.append(p.exps, p.coeffs)
+        for p, keys in zip(gb.polys, gb._element_keys()):
+            self.append(p.exps, p.coeffs, keys)
         self.first = len(self)
         self._u_exps = np.empty((16, gb.order.nvars), dtype=np.int64)
         self._sigs = np.empty((4, gb.order.nvars), dtype=np.int64)
@@ -163,16 +177,20 @@ class GroebnerBasis:
 
     ``stats`` is the :class:`PairStats` of the :func:`buchberger` run, or
     the :class:`SignatureStats` of the signature step, that produced the
-    basis (carried through :func:`reduce_basis`), else None.
+    basis (carried through :func:`reduce_basis`), else None.  The packed
+    order keys of the elements, where the code that built the basis had
+    them, ride along in ``_keys`` (one list per element), so that no
+    later step packs them again.
     """
 
-    __slots__ = ("order", "polys", "reduced", "stats", "_divisors")
+    __slots__ = ("order", "polys", "reduced", "stats", "_keys", "_divisors")
 
     def __init__(self, order, polys, reduced=False, stats=None):
         self.order = order
         self.polys = tuple(polys)
         self.reduced = reduced
         self.stats = stats
+        self._keys = None
         self._divisors = None
 
     def __len__(self):
@@ -197,9 +215,16 @@ class GroebnerBasis:
         kernel calls; exps and lead_exps are int64 blocks, the rest lists."""
         if self._divisors is None:
             self._divisors = _Divisors(self.order)
-            for p in self.polys:
-                self._divisors.append(p.exps, p.coeffs)
+            for p, keys in zip(self.polys, self._element_keys()):
+                self._divisors.append(p.exps, p.coeffs, keys)
         return self._divisors.arrays()
+
+    def _element_keys(self):
+        """Each element's packed order keys, computed once when the basis
+        was built without them."""
+        if self._keys is None:
+            self._keys = [kernels.pack_keys(self.order.keys(p.exps)) for p in self.polys]
+        return self._keys
 
 
 def _check_inputs(f, divisors):
@@ -298,6 +323,25 @@ def buchberger(gens, order=None, *, strategy="normal",
     Budgets are hard stops: exceeding either raises BudgetExceededError and
     the partial state is discarded, never returned as an answer.
     """
+    walk = _buchberger_walk(gens, order, strategy, pair_budget, degree_budget)
+    while True:
+        try:
+            next(walk)
+        except StopIteration as done:
+            return done.value
+
+
+def _buchberger_walk(gens, order, strategy, pair_budget=None, degree_budget=None):
+    """The pair loop of :func:`buchberger`, as a generator returning the
+    basis.
+
+    Under the ``normal`` strategy it yields (d, leads) before taking the
+    first pair of each new lcm degree, when every pair of lcm degree <= d
+    is done, with ``leads`` the lead block of the basis so far (a view,
+    valid until the loop resumes); for homogeneous input the leads then
+    generate the lead ideal through degree d.  It yields (None, leads) once
+    every pair is done, under either strategy.
+    """
     if strategy not in ("normal", "fifo"):
         raise ValueError(f"unknown pair strategy {strategy!r}")
     gens = list(gens)
@@ -310,29 +354,38 @@ def buchberger(gens, order=None, *, strategy="normal",
         raise ValueError("all generators are zero")
 
     field, table = basis[0].field, basis[0].table
+    normal = strategy == "normal"
     divisors = _Divisors(order)
     for p in basis:
         divisors.append(p.exps, p.coeffs)
     heap = []
+    tick = count()  # the fifo strategy's creation order
     pending = set()
-    seq = 0
+    # per element j, its pairs (i, j) with i < j: lcm rows, lcm degrees and
+    # whether the leads are coprime, computed once when j is appended
+    pair_lcms, pair_degs, pair_coprime = [], [], []
 
     def push_pairs(j):
-        nonlocal seq
         leads = divisors.leads
-        lcm_degs = np.maximum(leads[:j], leads[j]).sum(axis=1).tolist()
-        for i, lcm_deg in enumerate(lcm_degs):
-            key = (lcm_deg, i, j) if strategy == "normal" else (seq,)
-            heapq.heappush(heap, (key, i, j))
+        lcms = np.maximum(leads[:j], leads[j])
+        degs = lcms.sum(axis=1).tolist()
+        pair_lcms.append(lcms)
+        pair_degs.append(degs)
+        pair_coprime.append((~np.minimum(leads[:j], leads[j]).any(axis=1)).tolist())
+        for i, lcm_deg in enumerate(degs):
+            heapq.heappush(heap, (lcm_deg if normal else next(tick), i, j))
             pending.add((i, j))
-            seq += 1
 
     for j in range(len(basis)):
         push_pairs(j)
 
     stats = PairStats()
+    done = -1  # every pair of lcm degree <= done has been taken
     while heap:
-        key, i, j = heapq.heappop(heap)
+        if normal and heap[0][0] > done + 1:
+            done = heap[0][0] - 1
+            yield done, divisors.leads
+        _, i, j = heapq.heappop(heap)
         pending.discard((i, j))
         stats.considered += 1
         if pair_budget is not None and stats.considered > pair_budget:
@@ -340,19 +393,18 @@ def buchberger(gens, order=None, *, strategy="normal",
                 f"pair budget {pair_budget} exhausted",
                 pairs_considered=stats.considered,
             )
-        leads = divisors.leads
-        lcm = np.maximum(leads[i], leads[j])
-        lcm_deg = int(lcm.sum())
+        lcm_deg = pair_degs[j][i]
         if degree_budget is not None and lcm_deg > degree_budget:
             raise BudgetExceededError(
                 f"degree budget {degree_budget} exceeded by a pair of degree {lcm_deg}",
                 pairs_considered=stats.considered, degree_reached=lcm_deg,
             )
-        if not np.minimum(leads[i], leads[j]).any():
+        if pair_coprime[j][i]:
             stats.coprime += 1
             continue
+        lcm = pair_lcms[j][i]
         chained = False
-        for k in np.flatnonzero((leads <= lcm).all(axis=1)).tolist():
+        for k in np.flatnonzero((divisors.leads <= lcm).all(axis=1)).tolist():
             if k in (i, j):
                 continue
             if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
@@ -373,34 +425,40 @@ def buchberger(gens, order=None, *, strategy="normal",
         divisors.append(r.exps, r.coeffs, r_keys)
         push_pairs(len(basis) - 1)
 
-    return GroebnerBasis(order, basis, reduced=False, stats=stats)
+    yield None, divisors.leads
+    out = GroebnerBasis(order, basis, reduced=False, stats=stats)
+    out._keys = divisors.element_keys()
+    return out
 
 
 def reduce_basis(gb):
     """The unique reduced basis of the same ideal; idempotent."""
     order = gb.order
-    polys = [p.monic() for p in gb.polys if not p.is_zero()]
-    if not polys:
+    known = gb._keys or [None] * len(gb.polys)
+    items = [(p.monic(), keys) for p, keys in zip(gb.polys, known) if not p.is_zero()]
+    if not items:
         raise ValueError("empty basis")
     # minimalize: drop any generator whose lead an earlier lead divides, in
     # ascending degree (an earlier lead dividing it means a kept one does)
-    polys.sort(key=lambda p: int(p.exps[0].sum()))
-    leads = np.array([p.exps[0] for p in polys], dtype=np.int64)
-    kept = [k for k in range(len(polys)) if not (leads[:k] <= leads[k]).all(axis=1).any()]
+    items.sort(key=lambda item: int(item[0].exps[0].sum()))
+    leads = np.array([p.exps[0] for p, _ in items], dtype=np.int64)
+    kept = [k for k in range(len(items)) if not (leads[:k] <= leads[k]).all(axis=1).any()]
     # tail-reduce in one ascending pass: a tail term lies below its lead, so
     # only a smaller lead can divide it, and the smaller elements are final
-    field, table = polys[0].field, polys[0].table
+    field, table = items[0][0].field, items[0][0].table
     divisors = _Divisors(order)
     final = []
     for k in order.sort_desc(leads[kept])[::-1].tolist():
-        p = polys[kept[k]]
-        r_exps, r_coeffs, r_keys = kernels.reduce_terms(
-            field, p.exps, kernels.pack_keys(order.keys(p.exps)), p.coeffs,
-            *divisors.arrays())
+        p, keys = items[kept[k]]
+        if keys is None:
+            keys = kernels.pack_keys(order.keys(p.exps))
+        r_exps, r_coeffs, r_keys = kernels.reduce_terms(field, p.exps, keys, p.coeffs,
+                                                        *divisors.arrays())
         divisors.append(r_exps, r_coeffs, r_keys)
         final.append(Polynomial(table, field, order, r_exps, r_coeffs))
-    final.reverse()
-    return GroebnerBasis(order, final, reduced=True, stats=gb.stats)
+    out = GroebnerBasis(order, final[::-1], reduced=True, stats=gb.stats)
+    out._keys = divisors.element_keys()[::-1]
+    return out
 
 
 def groebner_basis(gens, order=None, **kwargs):

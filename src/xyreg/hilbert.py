@@ -1,54 +1,56 @@
-"""Hilbert series of monomial quotients via the generator-pivot recursion.
+"""Hilbert series of monomial quotients via Bigatti's variable pivot.
 
-The numerator h(t) of the series h(t)/(1-t)^N of R/<m_1..m_k> satisfies
+The numerator N(I) of the series N(I)/(1-t)^N of R/I, for a monomial ideal
+I, satisfies for every variable x_v and e >= 1
 
-    h(<m_1..m_k>) = h(<m_2..m_k>) - t^deg(m_1) * h(<m_2..m_k> : m_1)
+    N(I) = N(I + x_v^e) + t^e * N(I : x_v^e)
 
-with h(<>) = 1.  The recursion minimalizes at every node, splits
-support-disjoint generator groups into factors, and memoizes on the
-generator set, which keeps the desk-scale inputs here well in hand.
+with N(<>) = 1 (A. M. Bigatti, *Computation of Hilbert-Poincare series*,
+JPAA 119, 1997).  The pivot's variable is the one the most minimal
+generators use (the lowest index on a tie) and e is its least positive
+exponent among them.  Every generator using x_v is then a multiple of
+x_v^e, so I + x_v^e is x_v^e beside the generators free of x_v and
+N(I + x_v^e) = (1 - t^e) * N(those generators); I : x_v^e lowers the
+exponents of x_v.  Once no variable is shared by two generators,
+N(I) = prod (1 - t^deg m).  The recursion memoizes on the minimal
+generator set.  A numerator is a sparse {degree: coefficient} dict, so a
+generator of degree 2**31 costs one entry, not 2**31.
+
+A lead ideal grows one monomial at a time through N(J + m) = N(J) -
+t^deg(m) * N(J : m) (:class:`_LeadSeries`, one memo for every colon it
+takes).  The Hilbert oracle (:func:`_first_difference`) grows it with the
+leads :func:`groebner.buchberger`'s pair loop appends.  For homogeneous
+input taken in the ``normal`` strategy, once every pair of lcm degree <= d
+is done the leads so far generate in(I) through degree d, so the series of
+R/I is exact through d, and the oracle stops at the first degree where it
+leaves the complete-intersection series.
 
 Inside the recursion every monomial is one Python int: variable i owns the
-byte-aligned bit field starting at bit i*w, whose top bit is a guard bit
-kept clear, and w grows with the largest exponent (w = 32 at the parser's
-limit 2**31 - 1).  With G the mask of all guard bits and LOW the mask of
-each field's lowest bit, g divides m iff ((m | G) - g) & G == G (no field
-borrows from its neighbour, and a field's guard bit survives iff m_i >= g_i);
-the colon m : p keeps the fields of (m | G) - p whose guard bit survived;
-and ((m | G) - LOW) & G marks the support of m.  A divisor is never larger
-than its multiple as an int, so sorting ascending puts divisors first and
-minimalizing is one sorted pass.
+bit field of w = 8, 16, 32, 64, ... bits starting at bit i*w, whose top
+bit is a guard bit kept clear, and w grows with the largest exponent
+(w = 32 at the parser's limit 2**31 - 1).  With G the mask of all guard bits and LOW
+the mask of each field's lowest bit, g divides m iff ((m | G) - g) & G == G
+(no field borrows from its neighbour, and a field's guard bit survives iff
+m_i >= g_i); the colon m : p keeps the fields of (m | G) - p whose guard
+bit survived; and ((m | G) - LOW) & G marks the support of m.  The field
+values of an int (and so its degree, or per-variable counts of a sum of
+supports) are its bytes read as an array of w-bit words (shifted out one
+by one past w = 64).  A divisor is
+never larger than its multiple as an int, so sorting ascending puts
+divisors first and minimalizing is one sorted pass.
 
 A graded quotient and its lead-term quotient share a Hilbert series, so
 composing buchberger -> lead_ideal -> numerator yields the series of an
 arbitrary homogeneous quotient.
 """
 
+import sys
+from bisect import insort
 from dataclasses import dataclass
 from math import comb
 
 from .errors import HomogeneityError
-from .groebner import buchberger, lead_ideal
-
-
-def poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def poly_sub(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+from .groebner import _buchberger_walk, buchberger, lead_ideal
 
 
 def _trim(p):
@@ -67,16 +69,8 @@ class HilbertData:
 
     def series_coefficients(self, upto):
         """Dimensions of the graded pieces in degrees 0..upto."""
-        out = []
-        n = self.nvars
-        for d in range(upto + 1):
-            s = 0
-            for j, hj in enumerate(self.numerator):
-                if j > d:
-                    break
-                s += hj * comb(n - 1 + d - j, n - 1)
-            out.append(s)
-        return out
+        numerator = dict(enumerate(self.numerator))
+        return [_hilbert_function(numerator, self.nvars, d) for d in range(upto + 1)]
 
     def __eq__(self, other):
         return (isinstance(other, HilbertData)
@@ -87,13 +81,42 @@ class HilbertData:
         return hash((tuple(_trim(self.numerator)), self.nvars))
 
 
+def _hilbert_function(numerator, nvars, d):
+    """The series coefficient in degree d of the sparse ``numerator`` over
+    (1-t)^nvars."""
+    return sum(c * comb(nvars - 1 + d - j, nvars - 1) for j, c in numerator.items() if j <= d)
+
+
+def _axpy(a, b, e, scale):
+    """The sparse polynomial a + scale * t^e * b."""
+    out = dict(a)
+    for d, c in b.items():
+        d += e
+        c = out.get(d, 0) + scale * c
+        if c:
+            out[d] = c
+        else:
+            del out[d]
+    return out
+
+
+def _dense(numerator):
+    """A sparse numerator as its coefficient tuple, without trailing zeros."""
+    return tuple(numerator.get(d, 0) for d in range(max(numerator, default=-1) + 1))
+
+
 class _Packing:
     """Exponent vectors as ints with one guarded bit field per variable."""
 
-    __slots__ = ("shifts", "top", "low", "guard", "value_bits")
+    __slots__ = ("nbytes", "word", "shifts", "top", "low", "guard", "value_bits")
 
     def __init__(self, nvars, max_exp):
-        width = 8 * ((max_exp.bit_length() + 8) // 8)  # room for the guard bit
+        size = 1  # bytes per field, with room for the guard bit
+        while 8 * size <= max_exp.bit_length():
+            size *= 2
+        width = 8 * size
+        self.nbytes = nvars * size
+        self.word = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(size)
         self.shifts = range(0, nvars * width, width)
         self.top = width - 1  # the guard bit's place in its field
         self.low = sum(1 << s for s in self.shifts)
@@ -103,8 +126,31 @@ class _Packing:
     def pack(self, exps):
         return sum(e << s for e, s in zip(exps, self.shifts))
 
+    def fields(self, m):
+        """The field values of m, variable by variable."""
+        if self.word is None:
+            mask = (1 << (self.top + 1)) - 1
+            return [(m >> s) & mask for s in self.shifts]
+        return memoryview(m.to_bytes(self.nbytes, sys.byteorder)).cast(self.word)
+
     def degree(self, m):
-        return sum((m >> s) & self.value_bits for s in self.shifts)
+        return sum(self.fields(m))
+
+    def counts(self, gens):
+        """For each variable, how many of the monomials ``gens`` use it."""
+        guard, low, top = self.guard, self.low, self.top
+        sups = [(((m | guard) - low) & guard) >> top for m in gens]
+        # at most 255 ones per field and sum: no field carries into the next
+        out = list(self.fields(sum(sups[:255])))
+        for at in range(255, len(sups), 255):
+            out = [a + b for a, b in zip(out, self.fields(sum(sups[at:at + 255])))]
+        return out
+
+    def colon(self, m, p):
+        """The monomial m : p."""
+        diff = (m | self.guard) - p
+        kept = diff & self.guard  # the guard bits of the fields with m_i >= p_i
+        return diff & (kept - (kept >> self.top))
 
 
 def _minimalize(gens, guard):
@@ -116,51 +162,33 @@ def _minimalize(gens, guard):
     return tuple(out)
 
 
-def _components(gens, pk):
-    """Group generators into support-disjoint classes."""
-    groups = []
-    for m in gens:
-        sup = ((m | pk.guard) - pk.low) & pk.guard
-        merged = [m]
-        rest = []
-        for gsup, members in groups:
-            if gsup & sup:
-                sup |= gsup
-                merged += members
-            else:
-                rest.append((gsup, members))
-        groups = rest + [(sup, merged)]
-    return [tuple(members) for _, members in groups]
-
-
 def _numerator(gens, memo, pk):
-    gens = _minimalize(gens, pk.guard)
-    if gens in memo:
-        return memo[gens]
+    """N(<gens>) as a sparse {degree: coefficient} dict; ``gens`` is the
+    ascending tuple of the minimal generators.  The result is shared through
+    ``memo`` and must not be changed."""
+    res = memo.get(gens)
+    if res is not None:
+        return res
     if not gens:
-        res = [1]
+        res = {0: 1}
     elif gens[0] == 0:
-        res = []  # 1 lies in the ideal: the quotient is zero
-    elif len(gens) == 1:
-        d = pk.degree(gens[0])
-        res = [1] + [0] * (d - 1) + [-1]
+        res = {}  # 1 lies in the ideal: the quotient is zero
     else:
-        comps = _components(gens, pk)
-        if len(comps) > 1:
-            res = [1]
-            for comp in comps:
-                res = poly_mul(res, _numerator(comp, memo, pk))
+        counts = pk.counts(gens)
+        most = max(counts)
+        if most == 1:  # pairwise coprime
+            res = {0: 1}
+            for m in gens:
+                res = _axpy(res, res, pk.degree(m), -1)
         else:
-            pivot, rest = gens[0], gens[1:]
-            guard, top = pk.guard, pk.top
-            colon = []
-            for m in rest:
-                diff = (m | guard) - pivot
-                kept = diff & guard  # the guard bits of the fields with m_i >= p_i
-                colon.append(diff & (kept - (kept >> top)))
-            shifted = [0] * pk.degree(pivot) + _numerator(colon, memo, pk)
-            res = poly_sub(_numerator(rest, memo, pk), shifted)
-    res = _trim(res)
+            shift, bits = pk.shifts[counts.index(most)], pk.value_bits
+            powers = [(m >> shift) & bits for m in gens]
+            e = min(a for a in powers if a)
+            free = tuple(m for m, a in zip(gens, powers) if not a)
+            colon = _minimalize([m - (min(a, e) << shift) for m, a in zip(gens, powers)],
+                                pk.guard)
+            res = _numerator(free, memo, pk)
+            res = _axpy(_axpy(res, res, e, -1), _numerator(colon, memo, pk), e, 1)
     memo[gens] = res
     return res
 
@@ -176,16 +204,85 @@ def hilbert_numerator(monomials, nvars):
         raise ValueError("exponents must be non-negative")
     pk = _Packing(max((len(g) for g in gens), default=0),
                   max((e for g in gens for e in g), default=0))
-    memo = {}
-    return HilbertData(tuple(_numerator([pk.pack(g) for g in gens], memo, pk)), nvars)
+    gens = _minimalize([pk.pack(g) for g in gens], pk.guard)
+    return HilbertData(_dense(_numerator(gens, {}, pk)), nvars)
+
+
+class _LeadSeries:
+    """The numerator of R/J for a monomial ideal J grown one generator at a
+    time: N(J + m) = N(J) - t^deg(m) * N(J : m).
+
+    ``numerator`` is the sparse numerator of the ideal of every exponent
+    row added so far.  The packing widens, and the memo starts again, when
+    a row's exponent outgrows it.
+    """
+
+    def __init__(self, nvars):
+        self.pk = _Packing(nvars, 1)
+        self.memo = {}
+        self.gens = ()  # the ascending minimal generators
+        self.numerator = {0: 1}
+
+    def add(self, row):
+        """Add the monomial with exponent row ``row`` (ints) to J."""
+        top = max(row, default=0)
+        if top > self.pk.value_bits:
+            old, self.pk = self.pk, _Packing(len(row), top)
+            self.gens = tuple(sorted(self.pk.pack(old.fields(g)) for g in self.gens))
+            self.memo = {}  # its keys are packed the old way
+        pk = self.pk
+        m = pk.pack(row)
+        colon = _minimalize([pk.colon(g, m) for g in self.gens], pk.guard)
+        if colon and colon[0] == 0:
+            return  # m lies in J already
+        self.numerator = _axpy(self.numerator, _numerator(colon, self.memo, pk),
+                               sum(row), -1)
+        # m's multiples are no longer minimal
+        guard = pk.guard
+        kept = [g for g in self.gens if ((g | guard) - m) & guard != guard]
+        insort(kept, m)
+        self.gens = tuple(kept)
+
+
+def _complete_intersection(degrees):
+    """prod (1 - t^d) as a sparse numerator."""
+    out = {0: 1}
+    for d in degrees:
+        out = _axpy(out, out, d, -1)
+    return out
 
 
 def complete_intersection_numerator(degrees):
-    """prod (1 - t^d) as a coefficient list."""
-    out = [1]
-    for d in degrees:
-        out = poly_mul(out, [1] + [0] * (d - 1) + [-1])
-    return tuple(_trim(out))
+    """prod (1 - t^d) as a coefficient tuple."""
+    return _dense(_complete_intersection(degrees))
+
+
+def _first_difference(polys, order, degrees, **budget):
+    """Where the Hilbert series of R/<polys> first leaves the complete-
+    intersection series for ``degrees``: (degree, its value, the complete-
+    intersection value), or None when the two are equal.
+
+    ``polys`` are homogeneous and nonzero, under ``order``.  The leads of
+    :func:`groebner.buchberger`'s pair loop feed one :class:`_LeadSeries`;
+    at each degree boundary the numerators are compared through that
+    degree, and the first difference ends the run.
+    """
+    nvars = order.nvars
+    expected = _complete_intersection(degrees)
+    series = _LeadSeries(nvars)
+    absorbed = 0
+    for done, leads in _buchberger_walk(polys, order, "normal", **budget):
+        for row in leads[absorbed:].tolist():
+            series.add(row)
+        absorbed = len(leads)
+        computed = series.numerator
+        differ = [d for d in computed.keys() | expected.keys()
+                  if (done is None or d <= done) and computed.get(d, 0) != expected.get(d, 0)]
+        if differ:
+            d = min(differ)
+            return (d, _hilbert_function(computed, nvars, d),
+                    _hilbert_function(expected, nvars, d))
+    return None
 
 
 def hilbert_series_quotient(gens, order=None, **budget):

@@ -27,9 +27,10 @@ A stored certificate is re-checked by certifying again and comparing
 
 Two independent oracles decide regularity outright: the Hilbert-series
 criterion for homogeneous sequences (quotient series equals the complete-
-intersection product formula iff the sequence is regular, computed from a
-Buchberger basis) and a stepwise colon-ideal test ((J : f) = J iff f is a
-non-zerodivisor modulo J).  The colon oracle walks the sequence once: each
+intersection product formula iff the sequence is regular, computed from
+the leads of a Buchberger run degree by degree, which stops at the first
+degree where the two series differ) and a stepwise colon-ideal test
+((J : f) = J iff f is a non-zerodivisor modulo J).  The colon oracle walks the sequence once: each
 index is one G2V signature step (Gao, Guan & Volny, ISSAC 2010, with the
 cover criterion of Gao, Volny & Wang, Math. Comp. 85, 2016) on the reduced
 basis of the prefix, which returns the verdict and the reduced basis of
@@ -46,7 +47,7 @@ depend on that choice.
 
 import heapq
 from dataclasses import dataclass, field as dc_field
-from itertools import count, zip_longest
+from itertools import count
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from .fields import PrimeField
 from . import kernels
 from .groebner import (GroebnerBasis, SignatureStats, _SignedDivisors, buchberger,
                        normal_form, reduce_basis)
-from .hilbert import HilbertData, complete_intersection_numerator, hilbert_series_quotient
+from .hilbert import _first_difference
 from .orders import MonomialOrder
 from .poly import Polynomial, Term, format_poly
 from .ring import Monomial, VariableTable, _support, format_monomial
@@ -389,17 +390,13 @@ def _hilbert_criterion(seq, pair_budget, degree_budget):
     if any(d == 0 for d in degrees):
         return False, []  # a unit makes the ideal improper
     order = _oracle_order(seq[0].table)
-    computed = hilbert_series_quotient([p.resort(order) for p in seq], order,
-                                       pair_budget=pair_budget, degree_budget=degree_budget)
-    expected = HilbertData(complete_intersection_numerator(degrees), computed.nvars)
-    if computed == expected:
+    mismatch = _first_difference([p.resort(order) for p in seq], order, degrees,
+                                 pair_budget=pair_budget, degree_budget=degree_budget)
+    if mismatch is None:
         return True, []
-    # both series share the denominator (1-t)^nvars, so they first differ
-    # where the numerators first differ
-    pairs = zip_longest(computed.numerator, expected.numerator, fillvalue=0)
-    d = next(k for k, (a, b) in enumerate(pairs) if a != b)
-    return False, [f"degree {d}: Hilbert function {computed.series_coefficients(d)[d]}, "
-                   f"complete intersection {expected.series_coefficients(d)[d]}"]
+    d, computed, expected = mismatch
+    return False, [f"degree {d}: Hilbert function {computed}, "
+                   f"complete intersection {expected}"]
 
 
 @dataclass
@@ -530,7 +527,9 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
             u = Polynomial(table, field, order, *u[:2])
             return ColonStep(False, witness=normal_form(u, prefix_gb).monic(), stats=stats)
         admit(u, v)
-    return ColonStep(True, reduce_basis(GroebnerBasis(order, polys, stats=stats)), stats=stats)
+    basis = GroebnerBasis(order, polys, stats=stats)
+    basis._keys = div.element_keys()
+    return ColonStep(True, reduce_basis(basis), stats=stats)
 
 
 def _in_monomial_ideal(rows, gens, chunk=1 << 22):

@@ -8,8 +8,9 @@ import pytest
 from conftest import grevlex_entries
 from xyreg.errors import HomogeneityError
 from xyreg.fields import PrimeField
-from xyreg.hilbert import (HilbertData, complete_intersection_numerator,
-                           hilbert_numerator, hilbert_series_quotient)
+from xyreg.hilbert import (HilbertData, _complete_intersection, _dense, _LeadSeries,
+                           complete_intersection_numerator, hilbert_numerator,
+                           hilbert_series_quotient)
 from xyreg.groebner import buchberger, lead_ideal
 from xyreg.orders import MonomialOrder
 from xyreg.pattern import GenericProduct, selected_entries
@@ -187,3 +188,65 @@ def test_pinned_lead_ideal_numerators(n, full, numerator):
     gens, order = grevlex_entries(PrimeField(32003), n, full)
     gb = buchberger(gens, order)
     assert hilbert_numerator(lead_ideal(gb), order.nvars) == HilbertData(numerator, order.nvars)
+
+
+def random_ideal(rng, nvars, count, max_degree):
+    gens = set()
+    for _ in range(count):
+        e = [0] * nvars
+        for _ in range(rng.randint(1, max_degree)):
+            e[rng.randrange(nvars)] += 1
+        gens.add(tuple(e))
+    return sorted(gens)
+
+
+def test_variable_pivot_agrees_with_independent_counts():
+    """Ideals with up to 9 generators sharing variables, so the pivot
+    recursion runs several levels deep."""
+    rng = random.Random(1997)
+    for _ in range(60):
+        nvars = rng.randint(2, 6)
+        gens = random_ideal(rng, nvars, rng.randint(2, 9), 4)
+        hd = hilbert_numerator([M(*g) for g in gens], nvars)
+        assert {d: c for d, c in enumerate(hd.numerator) if c} == taylor_numerator(gens), gens
+        assert hd.series_coefficients(6) == [count_standard_monomials(gens, nvars, d)
+                                             for d in range(7)], gens
+
+
+def lead_series(rows, nvars):
+    series = _LeadSeries(nvars)
+    for row in rows:
+        series.add(row)
+    return HilbertData(_dense(series.numerator), nvars)
+
+
+@pytest.mark.parametrize("n, full", [(3, True), (4, False)])
+def test_lead_series_grown_in_build_order_equals_the_one_shot_numerator(n, full):
+    gens, order = grevlex_entries(PrimeField(32003), n, full)
+    gb = buchberger(gens, order)
+    rows = [p.exps[0].tolist() for p in gb.polys]
+    assert lead_series(rows, order.nvars) == hilbert_numerator(lead_ideal(gb), order.nvars)
+
+
+def test_lead_series_tolerates_redundant_rows_and_widens_its_fields():
+    rng = random.Random(31)
+    for _ in range(40):
+        nvars = rng.randint(1, 5)
+        rows = [list(g) for g in random_ideal(rng, nvars, rng.randint(1, 8), 5)]
+        rng.shuffle(rows)
+        rows += [list(rng.choice(rows))]  # a repeat lies in the ideal already
+        # past the 8-bit fields' 127: a multiple of a row, and a pure power
+        wide = [e * 100 for e in rng.choice(rows)]
+        power = [0] * nvars
+        power[rng.randrange(nvars)] = 200
+        for grown in (rows, rows + [wide], rows[:2] + [power] + rows[2:]):
+            assert lead_series(grown, nvars) == hilbert_numerator(grown, nvars), grown
+
+
+def test_huge_exponents_stay_sparse():
+    top = 2**31 - 1
+    series = _LeadSeries(3)
+    for row in ([top, 0, 0], [0, top, 0], [top, top, 1]):
+        series.add(row)
+    assert series.numerator == {0: 1, top: -2, 2 * top: 1}
+    assert _complete_intersection([top, top]) == series.numerator
