@@ -25,9 +25,9 @@ from .pattern import (GenericProduct, PatternSpec, augmented_sequence,
                       recheck_certificate, selected_entries, selected_rows)
 from .poly import Polynomial, Term, format_poly, parse_poly
 from .regseq import (CertificateStep, ColonStep, ExtensionReport, OracleReport,
-                     RegularityCertificate, check_coprime_leads,
-                     check_technical_step, colon_witness_holds, greedy_extend,
-                     nonzerodivisor_colon, regular_oracle_hilbert, sequence_oracle)
+                     RegularityCertificate, check_technical_step,
+                     colon_witness_holds, greedy_extend, nonzerodivisor_colon,
+                     regular_oracle_hilbert, sequence_oracle)
 from .ring import Monomial, VariableTable, format_monomial
 
 __version__ = "0.1.0"

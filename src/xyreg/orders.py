@@ -33,7 +33,7 @@ ORDER_NAMES = ("paper", "grevlex", "lex")
 class MonomialOrder:
     """Total multiplicative well-order on monomials over a fixed slot count."""
 
-    __slots__ = ("kind", "precedence", "_columns", "_graded_from")
+    __slots__ = ("kind", "precedence", "_columns", "_graded_from", "_ranks")
 
     def __init__(self, kind, precedence, inner=None):
         self.kind = kind
@@ -50,6 +50,7 @@ class MonomialOrder:
         else:
             self._columns = np.array(self.precedence, dtype=np.intp)
             self._graded_from = None
+        self._ranks = None  # slot -> its key column, built on first use
 
     @property
     def nvars(self):
@@ -99,6 +100,33 @@ class MonomialOrder:
         tail = keys[..., g:]  # a permutation of the graded slots
         return np.concatenate([keys[..., :g], tail.sum(axis=-1, keepdims=True), -tail],
                               axis=-1)
+
+    def _support_key(self, support):
+        """A tuple that compares as the key vector of the monomial with this
+        support does, built from its (slot, exponent) pairs alone.
+
+        Each nonzero key column j with value e becomes (width - j, e) when
+        e > 0 and (j - width, e) when e < 0, in column order, followed by
+        (0, 0): at the first column where two keys differ, the larger value
+        gives the larger pair, and a column one key lacks compares as 0.
+        """
+        if self._ranks is None:
+            self._ranks = np.argsort(self._columns).tolist()
+        ranks, graded = self._ranks, self._graded_from
+        cols = []
+        degree = 0
+        for v, e in support:
+            j = ranks[v]
+            if graded is not None and j >= graded:
+                degree += e
+                cols.append((j + 1, -e))
+            else:
+                cols.append((j, e))
+        if degree:
+            cols.append((graded, degree))
+        cols.sort()
+        width = len(ranks) + 2
+        return tuple((width - j, e) if e > 0 else (j - width, e) for j, e in cols) + ((0, 0),)
 
     def compare(self, a, b):
         """-1, 0 or 1 as a <, =, > b."""

@@ -28,8 +28,9 @@ from .groebner import groebner_basis, normal_form
 from .orders import MonomialOrder
 from .poly import Polynomial, format_poly
 from .regseq import (ROLE_BARE, ROLE_BASE, ROLE_TECHNICAL, RegularityCertificate,
-                     _PriorLeads, check_technical_step, coprime_extend_element)
-from .ring import Monomial, VariableTable, _xy_slot, format_monomial
+                     SparsePolynomial, _PriorLeads, check_technical_step,
+                     coprime_extend_element)
+from .ring import VariableTable, _xy_slot, format_monomial
 
 PERMUTATION_NOTE = (
     "Certified for the augmented ordered sequence; every element is "
@@ -153,16 +154,14 @@ def augmented_sequence(n, field=None, order=None):
 
 
 def expected_effective_lead(n, s, t):
-    """Predicted effective lead of the entry at selected position (s, t)."""
+    """Predicted effective lead of the entry at selected position (s, t), as
+    a support."""
     if not 1 <= t <= n:
         raise ValueError(f"column {t} outside 1..{n}")
     if s not in selected_rows(n, t):
         raise ValueError(f"row {s} is not selected in column {t} for n={n}")
-    e = np.zeros(2 * n * n, dtype=np.int64)
     k = s + t - 1  # x[s,s]*y[s,1] when t = 1
-    e[_xy_slot(n, "x", s, k)] = 1
-    e[_xy_slot(n, "y", k, t)] = 1
-    return Monomial(e)
+    return ((_xy_slot(n, "x", s, k), 1), (_xy_slot(n, "y", k, t), 1))
 
 
 def _empty_certificate(n, field):
@@ -176,32 +175,51 @@ def _empty_certificate(n, field):
                                  verdict="certified", note=PERMUTATION_NOTE)
 
 
+def _sparse_entry(table, field, order, i, j, var):
+    """f[i,j] as a SparsePolynomial in descending paper order, built in place.
+
+    Every x ranks above every y in the paper order, so the terms
+    x[i,k]*y[k,j] rank by x[i,k]: the diagonal k = i first, then the
+    superdiagonals k = i+1..n, then the subdiagonal k = 1..i-1.  ``var[v]``
+    is the pair (v, 1), shared by every term that uses slot v.
+    """
+    n, one = table.n, field.one
+    x = _xy_slot(n, "x", i, 1) - 1  # x[i,k] is slot x + k
+    y = _xy_slot(n, "y", 1, j) - n  # y[k,j] is slot y + k*n
+    terms = tuple((one, (var[x + k], var[y + k * n]))
+                  for k in (*range(i, n + 1), *range(1, i)))
+    return SparsePolynomial(table, field, order, terms)
+
+
 def _certified_steps(n, field):
     """Certify the augmented walk one step at a time, yielding each step.
 
-    Every computed effective lead is checked against its prediction.  Raises
-    CertificationError at the first step that fails; the steps yielded
-    before it are certified.
+    Every element is built as a SparsePolynomial, so the walk holds no dense
+    exponent row.  Every computed effective lead is checked against its
+    prediction.  Raises CertificationError at the first step that fails;
+    the steps yielded before it are certified.
     """
     order = certification_order(n)
-    product = GenericProduct(n, field=field, order=order)
-    steps = _PriorLeads(product.table.nvars)
+    table = build_ring(n)
+    var = [(v, 1) for v in range(table.nvars)]
+    steps = _PriorLeads()
     for kind, a, t in PatternSpec.build(n).augmented:
         label = f"{kind}[{a},{t}]"
         if kind == "y":
-            step = coprime_extend_element(steps, product.y(a, t), order,
-                                          role=ROLE_BARE, label=label)
+            y = SparsePolynomial(table, field, order,
+                                 ((field.one, (var[_xy_slot(n, "y", a, t)],)),))
+            step = coprime_extend_element(steps, y, order, role=ROLE_BARE, label=label)
         else:
             role = ROLE_BASE if t == 1 else ROLE_TECHNICAL
-            step = check_technical_step(steps, product.entry(a, t), order,
-                                        role=role, label=label)
+            entry = _sparse_entry(table, field, order, a, t, var)
+            step = check_technical_step(steps, entry, order, role=role, label=label)
             predicted = expected_effective_lead(n, a, t)
             if step.effective_lead != predicted:
                 raise CertificationError(
                     "lead_prediction",
                     f"effective lead of {label} is "
-                    f"{format_monomial(step.effective_lead, product.table)}, "
-                    f"predicted {format_monomial(predicted, product.table)}")
+                    f"{format_monomial(step.effective_lead, table)}, "
+                    f"predicted {format_monomial(predicted, table)}")
             step.checks["lead_matches_prediction"] = True
         steps.append(step)
         yield step

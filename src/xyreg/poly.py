@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, OrderMismatchError, ParseError, UndefinedLeadError
-from .ring import Monomial, _format_exponents
+from .ring import Monomial, _format_support, _support
 
 # the largest exponent the parser accepts; sums of a few stay far inside int64
 MAX_EXPONENT = 2**31 - 1
@@ -222,28 +222,30 @@ class Polynomial:
 
 def format_poly(p):
     """Canonical text rendering in the input grammar; parse(format(p)) == p."""
-    if p.is_zero():
-        return "0"
-    field = p.field
+    return _format_terms(p.field, zip(p.coeffs.tolist(), map(_support, p.exps)), p.table)
+
+
+def _format_terms(field, terms, table):
+    """Render (coefficient, support) terms, in the order given, as a sum in
+    the input grammar; '0' when there are none."""
     pieces = []
-    for k in range(p.num_terms):
-        coeff = p.coeffs[k]
+    for coeff, support in terms:
         sign = ""
         if field.is_exact_rational and coeff < 0:
             sign = "-"
             coeff = -coeff
-        mono_text = _format_exponents(p.exps[k], p.table)
+        mono_text = _format_support(support, table)
         if mono_text == "1":
             body = field.format(coeff)
         elif coeff == field.one:
             body = mono_text
         else:
             body = f"{field.format(coeff)}*{mono_text}"
-        if k == 0:
+        if not pieces:
             pieces.append(f"-{body}" if sign == "-" else body)
         else:
             pieces.append(f" {'-' if sign == '-' else '+'} {body}")
-    return "".join(pieces)
+    return "".join(pieces) or "0"
 
 
 class _Scanner:

@@ -11,18 +11,22 @@ with the outcome of every check it made.  Coprimality is checked by
 counting, per variable, how many earlier leads use it, not by pairwise
 gcds; the check names and the JSON form are those of the pairwise checks.
 
-The earlier steps are read through one private accumulator,
-``_PriorLeads``: a list of the certified steps whose ``append`` adds the
-new effective lead to the per-variable counts of non-bare leads and of
-bare monomials, and indexes it by the variables it uses.  A step
+Every monomial on this path is a support, the (slot, exponent) pairs of
+its nonzero exponents (see :mod:`ring`), and every element a
+:class:`SparsePolynomial` of (coefficient, support) terms; a Polynomial or
+Monomial argument is read into that form once, on the way in.  The
+earlier steps are read through one private accumulator, ``_PriorLeads``:
+a list of the certified steps whose ``append`` indexes the new effective
+lead by the variables it uses, non-bare leads and bare monomials apart,
+and keeps count of the variables two leads of a kind share.  A step
 therefore costs work in its own terms, not in the number of earlier steps
-times the number of variables: each term's bare-divisor test reads only
-the index lists of that term's variables (first divisor in step order
-wins), and every check reads the accumulated counts.  A walk
-(``pattern._certified_steps``) grows one accumulator step by step; a plain
-list passed to a step function is accumulated afresh through the same
-``append``, so both take one code path.  The checks run at every step.
-A stored certificate is re-checked by certifying again and comparing
+or of variables: each term's bare-divisor test reads only the index lists
+of that term's variables (first divisor in step order wins), and every
+check reads the accumulated state.  A walk (``pattern._certified_steps``)
+grows one accumulator step by step; a plain list passed to a step
+function is accumulated afresh through the same ``append``, so both take
+one code path.  The checks run at every step.  A stored certificate is
+re-checked by certifying again and comparing
 (``pattern.recheck_certificate``), never by trusting its recorded steps.
 
 Two independent oracles decide regularity outright: the Hilbert-series
@@ -52,7 +56,7 @@ from itertools import count
 import numpy as np
 
 from .errors import (BudgetExceededError, CertificationError, HomogeneityError,
-                     UndefinedLeadError)
+                     OrderMismatchError, UndefinedLeadError)
 from .fields import PrimeField
 # buchberger is not called here; perfbench/tracer.py rebinds it in every
 # module that holds it, and perfbench/selftest.py expects it in this one
@@ -61,12 +65,29 @@ from .groebner import (GroebnerBasis, SignatureStats, _SignedDivisors, buchberge
                        normal_form, reduce_basis)
 from .hilbert import _first_difference
 from .orders import MonomialOrder
-from .poly import Polynomial, Term, format_poly
-from .ring import Monomial, VariableTable, _support, format_monomial
+from .poly import Polynomial, Term, _format_terms
+from .ring import VariableTable, _format_support, _monomial, _quotient, _support
 
 ROLE_BASE = "base"
 ROLE_BARE = "bare-monomial"
 ROLE_TECHNICAL = "technical"
+
+
+@dataclass(frozen=True)
+class SparsePolynomial:
+    """A polynomial as its terms alone: (coefficient, support) pairs in row
+    order, which the technical step's tail check requires to descend under
+    ``order``.
+
+    The certificate walk builds its elements in this form, so no step holds
+    a dense exponent row; a :class:`Polynomial` passed to a step function is
+    read into it once, on the way in, keeping its row order.
+    """
+
+    table: VariableTable
+    field: object
+    order: MonomialOrder
+    terms: tuple
 
 
 @dataclass(frozen=True)
@@ -75,117 +96,120 @@ class CertificateStep:
 
     A COPRIME_EXTEND step's effective lead is its true lead; a TECHNICAL
     step's is the lead of its residue after the subtractions.  ``checks``
-    maps each condition checked to its outcome.
+    maps each condition checked to its outcome.  The steps the step
+    functions return carry their element as a :class:`SparsePolynomial` and
+    every monomial as a support (see :mod:`ring`).
     """
 
     kind: str  # "COPRIME_EXTEND" | "TECHNICAL"
     label: str
-    element: Polynomial
-    effective_lead: Monomial
+    element: SparsePolynomial
+    effective_lead: tuple
     role: str
-    subtractions: tuple = ()  # of (Monomial, Term) pairs
+    subtractions: tuple = ()  # of (bare monomial, Term of the multiplier) pairs
     checks: dict = dc_field(default_factory=dict)
     strict_form: bool = None
 
 
-def check_coprime_leads(seq, order=None):
-    """True iff all pairwise leading-monomial gcds are 1.
-
-    Returns (ok, witness); the witness names the first offending pair as
-    (i, j, lead_i, lead_j) and is None when ok.
-    """
-    leads = []
-    for p in seq:
-        if p.is_zero():
-            raise UndefinedLeadError("zero element has no leading term")
-        if order is not None and p.order != order:
-            p = p.resort(order)
-        leads.append(p.leading_monomial())
-    for i in range(len(leads)):
-        for j in range(i + 1, len(leads)):
-            if not leads[i].coprime(leads[j]):
-                return False, (i, j, leads[i], leads[j])
-    return True, None
+def _sparse(p, order):
+    """``p``, a Polynomial or a SparsePolynomial, as a SparsePolynomial under
+    ``order`` (its own when None).  A Polynomial is resorted only when its
+    order differs, then read row by row in its row order; a
+    SparsePolynomial must already be under ``order``."""
+    if isinstance(p, SparsePolynomial):
+        if order is not None and order != p.order:
+            raise OrderMismatchError("a SparsePolynomial is certified under its own order")
+        return p
+    if order is not None and p.order != order:
+        p = p.resort(order)
+    return SparsePolynomial(p.table, p.field, p.order,
+                            tuple(zip(p.coeffs.tolist(), map(_support, p.exps))))
 
 
 class _VariableIndex:
-    """Monomials indexed by the variables they use.
+    """Supports indexed by the variables they use.
 
-    For each variable it keeps the (row, exponent) pairs of the monomials
+    For each variable it keeps the (row, exponent) pairs of the supports
     that use it, so a divisibility test against one monomial reads only the
-    lists of that monomial's own variables, not every earlier row.
+    lists of that monomial's own variables, not every earlier row, and
+    ``clashes`` counts the variables two or more indexed supports use.
     """
 
     def __init__(self):
         self.monomials = []
-        self._sizes = []  # row -> number of variables its monomial uses
-        self._units = []  # rows of the monomial 1, which uses none
+        self.clashes = 0
+        self._units = []  # rows of the monomial 1, which uses no variable
         self._by_var = {}
 
-    def add(self, mono):
+    def add(self, support):
         row = len(self.monomials)
-        slots, powers = _support(mono.exps)
-        self.monomials.append(mono)
-        self._sizes.append(len(slots))
-        if not slots:
+        self.monomials.append(support)
+        if not support:
             self._units.append(row)
-        for v, a in zip(slots, powers):
-            self._by_var.setdefault(v, []).append((row, a))
+        for v, a in support:
+            rows = self._by_var.setdefault(v, [])
+            if len(rows) == 1:
+                self.clashes += 1
+            rows.append((row, a))
 
-    def first_divisor(self, exps):
-        """The first monomial, in insertion order, dividing the exponent
-        row ``exps``; None if there is none."""
+    def uses(self, v):
+        """True iff some indexed support uses variable ``v``."""
+        return v in self._by_var
+
+    def first_divisor(self, support):
+        """The first indexed support, in insertion order, dividing
+        ``support``; None if there is none."""
         hits = {}
-        for v, e in zip(*_support(exps)):
+        for v, e in support:
             for row, a in self._by_var.get(v, ()):
                 if a <= e:
                     hits[row] = hits.get(row, 0) + 1
         # a row divides when all of its variables fit
+        monomials = self.monomials
         first = self._units[0] if self._units else None
         for row, count in hits.items():
-            if count == self._sizes[row] and (first is None or row < first):
+            if count == len(monomials[row]) and (first is None or row < first):
                 first = row
-        return None if first is None else self.monomials[first]
+        return None if first is None else monomials[first]
 
-    def divides_some(self, exps):
-        """True iff the exponent row ``exps`` divides some indexed monomial."""
-        slots, powers = _support(exps)
-        if not slots:
+    def divides_some(self, support):
+        """True iff ``support`` divides some indexed support."""
+        if not support:
             return bool(self.monomials)
         hits = {}
-        for v, e in zip(slots, powers):
+        for v, e in support:
             for row, a in self._by_var.get(v, ()):
                 if e <= a:
                     hits[row] = hits.get(row, 0) + 1
-        return len(slots) in hits.values()
+        return len(support) in hits.values()
 
 
 class _PriorLeads(list):
     """The steps certified so far, with their effective leads accumulated.
 
-    ``append`` updates, per variable, how many earlier non-bare effective
-    leads (``lead_counts``) and bare monomials (``bare_counts``) use it, and
-    indexes both kinds of lead by variable.  Leads are pairwise coprime iff
-    no count exceeds 1, and a monomial is coprime to all of them iff each of
-    its variables counts 0.  Only ``append`` and ``extend`` keep the state.
+    ``append`` indexes each effective lead by its variables, bare monomials
+    (``bare``) apart from the other leads (``leads``), and notes whether
+    some variable is used by both kinds (``shared``).  Leads of one kind are
+    pairwise coprime iff its index has no clash, and a monomial is coprime
+    to all of them iff the index uses none of its variables, so every check
+    reads the accumulated state in the monomial's own terms.  Only
+    ``append`` and ``extend`` keep the state.
     """
 
-    def __init__(self, nvars, steps=()):
+    def __init__(self, steps=()):
         super().__init__()
-        self.lead_counts = np.zeros(nvars, dtype=np.int64)
-        self.bare_counts = np.zeros(nvars, dtype=np.int64)
         self.leads = _VariableIndex()
         self.bare = _VariableIndex()
+        self.shared = False
         self.extend(steps)
 
     def append(self, step):
         lead = step.effective_lead
-        if step.role == ROLE_BARE:
-            self.bare_counts += lead.exps > 0
-            self.bare.add(lead)
-        else:
-            self.lead_counts += lead.exps > 0
-            self.leads.add(lead)
+        if not isinstance(lead, tuple):  # a Monomial, read once
+            lead = _support(lead.exps)
+        index, other = (self.bare, self.leads) if step.role == ROLE_BARE else (self.leads, self.bare)
+        self.shared = self.shared or any(other.uses(v) for v, _ in lead)
+        index.add(lead)
         super().append(step)
 
     def extend(self, steps):
@@ -193,45 +217,43 @@ class _PriorLeads(list):
             self.append(step)
 
 
-def _prior_leads(prior, nvars):
+def _prior_leads(prior):
     """``prior`` as a :class:`_PriorLeads`, accumulated afresh unless it
     already is one."""
-    return prior if isinstance(prior, _PriorLeads) else _PriorLeads(nvars, prior)
+    return prior if isinstance(prior, _PriorLeads) else _PriorLeads(prior)
 
 
 def check_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label=""):
     """Decompose h against the prior bare monomials and certify the residue.
 
-    ``prior`` is the list of CertificateSteps certified so far.  Every term
-    of h divisible by a prior bare monomial joins the subtraction list
-    (first matching monomial wins); the residue's lead must then be coprime
-    to all prior effective leads and bare monomials, and every other residue
-    term must sit strictly below it.  Raises CertificationError with the
-    violated condition's name; on success returns the TECHNICAL step.
+    ``prior`` is the list of CertificateSteps certified so far, and ``h`` a
+    Polynomial or a SparsePolynomial.  Every term of h divisible by a prior
+    bare monomial joins the subtraction list (first matching monomial
+    wins); the residue's lead must then be coprime to all prior effective
+    leads and bare monomials, and every other residue term must sit
+    strictly below it.  Raises CertificationError with the violated
+    condition's name; on success returns the TECHNICAL step.
     """
-    if order is None:
-        order = h.order
-    elif h.order != order:
-        h = h.resort(order)
-    if h.is_zero():
+    h = _sparse(h, order)
+    if not h.terms:
         raise CertificationError("residue_nonzero", "the element is zero")
 
-    prior = _prior_leads(prior, h.table.nvars)
+    prior = _prior_leads(prior)
+    first_divisor = prior.bare.first_divisor
     subtractions = []
-    residue_terms = []
-    for coeff, exps in zip(h.coeffs.tolist(), h.exps):
-        hit = prior.bare.first_divisor(exps)
+    residue = []
+    for coeff, mono in h.terms:
+        hit = first_divisor(mono)
         if hit is None:
-            residue_terms.append(Term(coeff, Monomial(exps)))
+            residue.append((coeff, mono))
         else:
-            subtractions.append((hit, Term(coeff, Monomial(exps - hit.exps))))
+            subtractions.append((hit, Term(coeff, _quotient(mono, hit))))
 
-    if not residue_terms:
+    if not residue:
         raise CertificationError(
             "residue_nonzero", "every term is divisible by a prior bare monomial")
-    # the rows keep the canonical descending sort, so the first is the lead
-    residue_lead = residue_terms[0].monomial
-    lead_coeff = residue_terms[0].coefficient
+    # the terms keep the element's row order, so the first is the lead
+    lead_coeff, residue_lead = residue[0]
 
     checks = {}
 
@@ -240,7 +262,8 @@ def check_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label="")
         residue lead, so passing checks format nothing."""
         checks[name] = bool(ok)
         if not ok:
-            raise CertificationError(name, message.format(lead=residue_lead))
+            lead = _monomial(residue_lead, h.table.nvars)
+            raise CertificationError(name, message.format(lead=lead))
 
     try:
         h.field.inv(lead_coeff)
@@ -249,25 +272,26 @@ def check_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label="")
         unit = False
     record("residue_lead_unit", unit, "residue lead coefficient is not invertible")
 
-    lead_counts, bare_counts = prior.lead_counts, prior.bare_counts
-    residue_vars = residue_lead.exps > 0
-    record("prior_leads_pairwise_coprime", (lead_counts <= 1).all(),
+    leads, bare = prior.leads, prior.bare
+    record("prior_leads_pairwise_coprime", not leads.clashes,
            "prior effective leads are not pairwise coprime")
-    record("bare_monomials_pairwise_coprime", (bare_counts <= 1).all(),
+    record("bare_monomials_pairwise_coprime", not bare.clashes,
            "prior bare monomials are not pairwise coprime")
-    record("bare_monomials_coprime_to_prior_leads",
-           not ((lead_counts > 0) & (bare_counts > 0)).any(),
+    record("bare_monomials_coprime_to_prior_leads", not prior.shared,
            "a bare monomial shares a variable with a prior effective lead")
-    record("residue_lead_coprime_to_bare_monomials", not bare_counts[residue_vars].any(),
+    record("residue_lead_coprime_to_bare_monomials",
+           not any(bare.uses(v) for v, _ in residue_lead),
            "the residue lead shares a variable with a prior bare monomial")
-    record("residue_lead_coprime_to_prior_leads", not lead_counts[residue_vars].any(),
+    record("residue_lead_coprime_to_prior_leads",
+           not any(leads.uses(v) for v, _ in residue_lead),
            "the residue lead {lead!r} shares a variable with a prior effective lead")
 
-    rows = order.keys(np.array([t.monomial.exps for t in residue_terms])).tolist()
-    record("tail_below_residue_lead", all(row < rows[0] for row in rows[1:]),
+    key = h.order._support_key
+    top = key(residue_lead)
+    record("tail_below_residue_lead", all(key(mono) < top for _, mono in residue[1:]),
            "a residue term is not strictly below the residue lead")
 
-    strict = all(prior.leads.divides_some(t.monomial.exps) for _, t in subtractions)
+    strict = all(leads.divides_some(t.monomial) for _, t in subtractions)
 
     return CertificateStep(kind="TECHNICAL", label=label, element=h,
                            effective_lead=residue_lead, role=role,
@@ -276,19 +300,19 @@ def check_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label="")
 
 
 def coprime_extend_element(prior, p, order=None, *, role=ROLE_BASE, label=""):
-    """Certify p by its true lead, which must be coprime to the effective
-    lead of every step in ``prior``; returns the COPRIME_EXTEND step."""
-    if order is not None and p.order != order:
-        p = p.resort(order)
-    if p.is_zero():
+    """Certify p, a Polynomial or a SparsePolynomial, by its true lead, which
+    must be coprime to the effective lead of every step in ``prior``;
+    returns the COPRIME_EXTEND step."""
+    p = _sparse(p, order)
+    if not p.terms:
         raise UndefinedLeadError("zero element has no leading term")
-    lead = p.leading_monomial()
-    prior = _prior_leads(prior, p.table.nvars)
-    lead_vars = lead.exps > 0
-    if prior.lead_counts[lead_vars].any() or prior.bare_counts[lead_vars].any():
+    lead = p.terms[0][1]
+    prior = _prior_leads(prior)
+    if any(prior.leads.uses(v) or prior.bare.uses(v) for v, _ in lead):
         raise CertificationError(
             "lead_coprime_to_prior",
-            f"lead {lead!r} shares a variable with a prior effective lead")
+            f"lead {_monomial(lead, p.table.nvars)!r} shares a variable with a "
+            f"prior effective lead")
     return CertificateStep(kind="COPRIME_EXTEND", label=label, element=p,
                            effective_lead=lead, role=role,
                            checks={"lead_coprime_to_prior": True})
@@ -312,18 +336,17 @@ class RegularityCertificate:
 
     def step_json_dict(self, s):
         """The JSON form of one step, as it appears in ``to_json_dict``."""
+        table = self.table
+        lead = _format_support(s.effective_lead, table)
         return {
             "kind": s.kind,
             "label": s.label,
             "role": s.role,
-            "element": format_poly(s.element),
-            "effective_lead": format_monomial(s.effective_lead, self.table),
-            "subtractions": [
-                [format_monomial(m, self.table), _format_term(t, self.table)]
-                for m, t in s.subtractions
-            ],
-            "m_next": (format_monomial(s.effective_lead, self.table)
-                       if s.kind == "TECHNICAL" else None),
+            "element": _format_terms(s.element.field, s.element.terms, table),
+            "effective_lead": lead,
+            "subtractions": [[_format_support(m, table), _format_term(t, table)]
+                             for m, t in s.subtractions],
+            "m_next": lead if s.kind == "TECHNICAL" else None,
             "checks": dict(s.checks),
             "strict_form": s.strict_form,
         }
@@ -345,7 +368,7 @@ class RegularityCertificate:
 
 
 def _format_term(t, table):
-    mono = format_monomial(t.monomial, table)
+    mono = _format_support(t.monomial, table)
     if t.coefficient == 1:
         return mono
     if mono == "1":

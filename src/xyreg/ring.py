@@ -3,6 +3,11 @@
 The ring of interest is K[x_ij, y_ij | 1 <= i,j <= n] with 2n^2 variables in
 a fixed slot layout; generic tables (ad-hoc test rings) reuse the same
 machinery with arbitrary names.
+
+A monomial is either a dense :class:`Monomial` or its *support*: the tuple
+of its (slot, exponent) pairs with a nonzero exponent, in slot order.  The
+certificate path carries supports only, so its cost does not grow with the
+2n^2 slots.
 """
 
 import numpy as np
@@ -159,23 +164,36 @@ class Monomial:
 
 
 def format_monomial(m, table):
-    """Render a monomial in the text grammar, '1' for the empty product."""
-    return _format_exponents(m.exps, table)
+    """Render a monomial, a :class:`Monomial` or a support, in the text
+    grammar; '1' for the empty product."""
+    return _format_support(m if isinstance(m, tuple) else _support(m.exps), table)
 
 
-def _format_exponents(exps, table):
-    """Render one exponent row in the text grammar, reading only the
-    variables it uses; '1' when it uses none."""
-    slots, powers = _support(exps)
-    if not slots:
+def _format_support(support, table):
+    """Render one support in the text grammar, reading only the variables it
+    uses; '1' when it uses none."""
+    if not support:
         return "1"
     names = table.names
-    return "*".join(names[v] if e == 1 else f"{names[v]}^{e}"
-                    for v, e in zip(slots, powers))
+    return "*".join(names[v] if e == 1 else f"{names[v]}^{e}" for v, e in support)
 
 
 def _support(exps):
-    """(slots, exponents) of the nonzero entries of one exponent row, as
-    Python lists in slot order."""
+    """The support of one exponent row: its (slot, exponent) pairs with a
+    nonzero exponent, in slot order, as a tuple of Python ints."""
     slots = exps.nonzero()[0]
-    return slots.tolist(), exps[slots].tolist()
+    return tuple(zip(slots.tolist(), exps[slots].tolist()))
+
+
+def _quotient(support, divisor):
+    """The support of support/divisor, for a divisor that divides it."""
+    drop = dict(divisor)
+    return tuple((v, e - drop.get(v, 0)) for v, e in support if e != drop.get(v, 0))
+
+
+def _monomial(support, nvars):
+    """The dense :class:`Monomial` over ``nvars`` slots with this support."""
+    exps = np.zeros(nvars, dtype=np.int64)
+    for v, e in support:
+        exps[v] = e
+    return Monomial(exps)

@@ -26,7 +26,7 @@ from xyreg.regseq import regular_oracle_hilbert, sequence_oracle
 from xyreg.ring import Monomial, VariableTable
 
 from test_hilbert import count_standard_monomials
-from test_regseq import random_coprime_lead_sequence
+from test_regseq import check_coprime_leads, random_coprime_lead_sequence
 
 GF = PrimeField(32003)
 
@@ -100,8 +100,6 @@ def test_coprime_lead_suite_200_sequences():
     disagreements = 0
     for _ in range(200):
         seq, order = random_coprime_lead_sequence(rng)
-        from xyreg.regseq import check_coprime_leads
-
         ok, _ = check_coprime_leads(seq, order)
         assert ok
         if regular_oracle_hilbert(seq) is not True:

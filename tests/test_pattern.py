@@ -1,18 +1,21 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from xyreg.cli import main
 from xyreg.fields import PrimeField, QQ
 from xyreg.orders import MonomialOrder
-from xyreg.pattern import (GenericProduct, PatternSpec, augmented_sequence,
-                           build_ring, certification_order, certify_pattern,
-                           column_limit, counterexample_2x2,
+from xyreg.pattern import (GenericProduct, PatternSpec, _sparse_entry,
+                           augmented_sequence, build_ring, certification_order,
+                           certify_pattern, column_limit, counterexample_2x2,
                            expected_effective_lead, recheck_certificate,
                            selected_entries, selected_rows)
 from xyreg.poly import format_poly
-from xyreg.ring import format_monomial
+from xyreg.ring import _support, format_monomial
 
 
 def test_build_ring():
@@ -130,11 +133,11 @@ def test_certify_all_sizes_with_lead_predictions(gf):
                 assert step.label.startswith("y[")
                 assert step.label not in seen_y
                 seen_y.add(step.label)
-            leads.append(step.effective_lead)
+            leads.append({v for v, _ in step.effective_lead})
         # effective leads pairwise coprime across the whole walk
         for i in range(len(leads)):
             for j in range(i + 1, len(leads)):
-                assert leads[i].coprime(leads[j]), (n, i, j)
+                assert not leads[i] & leads[j], (n, i, j)
         # no bare variable reappears inside a later effective lead
         bare = {step.label for step in cert.steps if step.kind == "COPRIME_EXTEND"}
         for step in cert.steps:
@@ -144,9 +147,9 @@ def test_certify_all_sizes_with_lead_predictions(gf):
                 assert y_factor not in bare
 
 
-# sha256 of `xyreg certify --format json` for n = 2..8, 12, 16, 24 and 32 over
-# GF(32003) and for n = 3 over Q: a change to any step, check or rendering
-# changes one
+# sha256 of `xyreg certify --format json` for n = 2..8, 12, 16, 24, 32, 48
+# and 64 over GF(32003) and for n = 3 over Q: a change to any step, check or
+# rendering changes one
 GOLDEN_CERTIFICATES = {
     ("--n", "2"): "d0269ba83a7d32754e3d50d74b79550b2b9ac616115b17e7ccbe34bf1cfe64c1",
     ("--n", "3"): "69ae5c3ecc6adacd344d309f1be42822dc6f6637a837de73b0f9c042b8ae3874",
@@ -159,6 +162,8 @@ GOLDEN_CERTIFICATES = {
     ("--n", "16"): "9941281e9fbd38bcfa396a22916f6903ffe0513f228993f28ffec5c439cc4016",
     ("--n", "24"): "60a00c817be3a4ff34d586ef8c99412c5ab8d0249fa82f8b867d30473a5ce754",
     ("--n", "32"): "938b826731d8ba2aa6171c203d18253221e862173b1085e3d8e2a80b3a079926",
+    ("--n", "48"): "57dc052968242b996103783c8dbc0aa5d94fab2017b72f3d83f7c19152990502",
+    ("--n", "64"): "e6b61154643a6354dfb2e0ed59698e27d3362d5d0812d9364808b7794d69bd82",
     ("--n", "3", "--field", "rat"):
         "38cd88c7055f2b7e1bf2d25889e063bbde6128d7428af8b3bd9ae5f420efc587",
 }
@@ -170,6 +175,35 @@ def test_certificate_json_matches_golden_digests(tmp_path):
         assert main(["certify", *argv, "--format", "json", "--out", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, argv
         assert recheck_certificate(json.loads(path.read_bytes())) == "certified", argv
+
+
+def test_sparse_entries_match_the_product_entries(gf):
+    # the walk builds each entry already in descending paper order
+    for n in (2, 3, 5, 8):
+        product = GenericProduct(n, field=gf)
+        var = [(v, 1) for v in range(product.table.nvars)]
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                sparse = _sparse_entry(product.table, gf, product.order, i, j, var)
+                dense = product.entry(i, j)
+                assert sparse.terms == tuple(zip(dense.coeffs.tolist(),
+                                                 map(_support, dense.exps))), (n, i, j)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_certify_n64_peak_memory():
+    # A fresh interpreter reports its own peak.  Its VmHWM, not its
+    # ru_maxrss: Linux carries a spawning process's peak RSS into the
+    # ru_maxrss of the child, so that would read this test process's peak.
+    code = ("from xyreg.pattern import certify_pattern; "
+            "certify_pattern(64).to_json_dict(); "
+            "print(next(line.split()[1] for line in open('/proc/self/status') "
+            "if line.startswith('VmHWM:')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    peak_mb = int(out.stdout) / 1024  # VmHWM is in kB
+    assert peak_mb < 300, f"certify n=64 peaked at {peak_mb:.0f} MB"
 
 
 def test_counterexample(gf):

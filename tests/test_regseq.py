@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import entries_2x2, grevlex_entries, random_monomial
+from conftest import entries_2x2, grevlex_entries, random_monomial, random_poly
 from xyreg.errors import (BudgetExceededError, CertificateFormatError,
                           CertificationError, UndefinedLeadError)
 from xyreg.fields import PrimeField, QQ
@@ -14,18 +14,114 @@ from xyreg.groebner import groebner_basis
 from xyreg.orders import MonomialOrder
 from xyreg.pattern import (GenericProduct, certification_order, certify_pattern,
                            recheck_certificate, selected_entries)
-from xyreg.poly import Polynomial, Term, format_poly
+from xyreg.poly import Polynomial, Term, _format_terms, format_poly
 from xyreg.regseq import (ROLE_BARE, ROLE_BASE, ROLE_TECHNICAL,
-                          CertificateStep, _PriorLeads, check_coprime_leads,
-                          check_technical_step, colon_witness_holds,
-                          coprime_extend_element, greedy_extend, nonzerodivisor_colon,
-                          regular_oracle_hilbert, sequence_oracle)
-from xyreg.ring import Monomial, VariableTable, format_monomial
+                          CertificateStep, _PriorLeads, check_technical_step,
+                          colon_witness_holds, coprime_extend_element, greedy_extend,
+                          nonzerodivisor_colon, regular_oracle_hilbert, sequence_oracle)
+from xyreg.ring import Monomial, VariableTable, _support, format_monomial
 
 
 # ---------------------------------------------------------------------------
-# lead coprimality and the technical step
+# dense references: pairwise lead coprimality and the technical step
 # ---------------------------------------------------------------------------
+
+
+def check_coprime_leads(seq, order=None):
+    """True iff all pairwise leading-monomial gcds are 1.
+
+    Returns (ok, witness); the witness names the first offending pair as
+    (i, j, lead_i, lead_j) and is None when ok.
+    """
+    leads = []
+    for p in seq:
+        if p.is_zero():
+            raise UndefinedLeadError("zero element has no leading term")
+        if order is not None and p.order != order:
+            p = p.resort(order)
+        leads.append(p.leading_monomial())
+    for i in range(len(leads)):
+        for j in range(i + 1, len(leads)):
+            if not leads[i].coprime(leads[j]):
+                return False, (i, j, leads[i], leads[j])
+    return True, None
+
+
+def dense_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label=""):
+    """check_technical_step on dense exponent rows: the reference the sparse
+    step is tested against.
+
+    ``prior`` holds steps whose effective leads are Monomials.  Each check
+    reads per-variable counts summed afresh over the prior leads, and each
+    term's first dividing bare monomial is found by a scan in step order.
+    """
+    if order is None:
+        order = h.order
+    elif h.order != order:
+        h = h.resort(order)
+    if h.is_zero():
+        raise CertificationError("residue_nonzero", "the element is zero")
+
+    nvars = h.table.nvars
+    bare = [s.effective_lead for s in prior if s.role == ROLE_BARE]
+    leads = [s.effective_lead for s in prior if s.role != ROLE_BARE]
+    subtractions = []
+    residue_terms = []
+    for coeff, exps in zip(h.coeffs.tolist(), h.exps):
+        mono = Monomial(exps)
+        hit = next((b for b in bare if b.divides(mono)), None)
+        if hit is None:
+            residue_terms.append(Term(coeff, mono))
+        else:
+            subtractions.append((hit, Term(coeff, mono / hit)))
+
+    if not residue_terms:
+        raise CertificationError(
+            "residue_nonzero", "every term is divisible by a prior bare monomial")
+    residue_lead = residue_terms[0].monomial
+    lead_coeff = residue_terms[0].coefficient
+
+    checks = {}
+
+    def record(name, ok, message):
+        checks[name] = bool(ok)
+        if not ok:
+            raise CertificationError(name, message.format(lead=residue_lead))
+
+    try:
+        h.field.inv(lead_coeff)
+        unit = True
+    except ZeroDivisionError:
+        unit = False
+    record("residue_lead_unit", unit, "residue lead coefficient is not invertible")
+
+    def counts(monos):
+        return sum((m.exps > 0 for m in monos), np.zeros(nvars, dtype=np.int64))
+
+    lead_counts, bare_counts = counts(leads), counts(bare)
+    residue_vars = residue_lead.exps > 0
+    record("prior_leads_pairwise_coprime", (lead_counts <= 1).all(),
+           "prior effective leads are not pairwise coprime")
+    record("bare_monomials_pairwise_coprime", (bare_counts <= 1).all(),
+           "prior bare monomials are not pairwise coprime")
+    record("bare_monomials_coprime_to_prior_leads",
+           not ((lead_counts > 0) & (bare_counts > 0)).any(),
+           "a bare monomial shares a variable with a prior effective lead")
+    record("residue_lead_coprime_to_bare_monomials", not bare_counts[residue_vars].any(),
+           "the residue lead shares a variable with a prior bare monomial")
+    record("residue_lead_coprime_to_prior_leads", not lead_counts[residue_vars].any(),
+           "the residue lead {lead!r} shares a variable with a prior effective lead")
+
+    rows = order.keys(np.array([t.monomial.exps for t in residue_terms])).tolist()
+    record("tail_below_residue_lead", all(row < rows[0] for row in rows[1:]),
+           "a residue term is not strictly below the residue lead")
+
+    strict = all(any(t.monomial.divides(m) for m in leads) for _, t in subtractions)
+
+    return CertificateStep(kind="TECHNICAL", label=label, element=h,
+                           effective_lead=residue_lead, role=role,
+                           subtractions=tuple(subtractions), checks=checks,
+                           strict_form=strict)
 
 
 def test_check_coprime_leads_examples(gf):
@@ -165,7 +261,7 @@ def test_technical_step_subtracts_the_first_dividing_bare_monomial(gf):
         step = check_technical_step(prior, f11, order)
         assert len(step.subtractions) == 1
         mono, mult = step.subtractions[0]
-        assert mono == first.leading_monomial()
+        assert mono == _support(first.leading_monomial().exps)
         assert format_monomial(mult.monomial, product.table) == multiplier
         assert format_monomial(step.effective_lead, product.table) == "x[1,2]*y[2,1]"
 
@@ -240,7 +336,7 @@ def outcome(step_fn, prior, p):
 
 def test_accumulated_priors_agree_with_plain_lists_200_lists(gf):
     for monos, polys, _, prior in random_monomial_lists(gf):
-        grown = _PriorLeads(len(monos[0].exps))
+        grown = _PriorLeads()
         for k in range(len(prior) + 1):
             for step_fn in (check_technical_step, coprime_extend_element):
                 assert outcome(step_fn, prior[:k], polys[-1]) == \
@@ -267,8 +363,7 @@ def test_accumulated_priors_fail_the_same_named_check(gf):
          product.entry(3, 3), "bare_monomials_coprime_to_prior_leads"),
     ]
     for prior, h, condition in cases:
-        grown = _PriorLeads(product.table.nvars)
-        grown.extend(prior)
+        grown = _PriorLeads(prior)
         for form in (prior, grown):
             with pytest.raises(CertificationError) as exc:
                 check_technical_step(form, h, order)
@@ -318,6 +413,109 @@ def test_failure_conditions_and_messages(gf):
             step_fn(prior, h, order)
         assert exc.value.condition == condition
         assert str(exc.value) == f"[{condition}] {message}"
+
+
+def step_outcome(step_fn, prior, h):
+    """What ``step_fn`` makes of h: the failed condition and its message, or
+    "ok" with the element's text, the effective lead, the subtractions,
+    the strict form and the checks, every monomial as a support."""
+    try:
+        step = step_fn(prior, h)
+    except CertificationError as exc:
+        return exc.condition, str(exc)
+
+    def support(m):
+        return m if isinstance(m, tuple) else _support(m.exps)
+
+    element = step.element
+    text = (format_poly(element) if isinstance(element, Polynomial)
+            else _format_terms(element.field, element.terms, element.table))
+    subtractions = [(support(m), t.coefficient, support(t.monomial))
+                    for m, t in step.subtractions]
+    return "ok", (text, support(step.effective_lead), subtractions, step.strict_form,
+                  step.checks)
+
+
+def random_technical_prefixes(gf):
+    """200 (prior steps, element) pairs in 7 variables under a lex, grevlex
+    or elimination order.
+
+    There are 0-5 hand-built prior steps of random roles, bare monomials of
+    degree 1-2 and other leads of degree 1-3; half the time each takes its
+    variables from its own block, so the prior is certifiable.  The
+    element has 0-4 random terms of degree 1-3, half the time in the
+    variables no prior step uses, plus, half the time, two terms that a
+    prior bare monomial divides, their multipliers taken from a prior lead
+    or at random; one element in eight is a bare variable.
+    One element in four keeps its rows in a random order, and one in eight
+    has a zero coefficient on its first row.
+    """
+    rng = random.Random(1618)
+    nvars = 7
+    table = VariableTable.generic([f"v{k}" for k in range(nvars)])
+    orders = [MonomialOrder.lex(nvars), MonomialOrder.grevlex(nvars),
+              MonomialOrder.grevlex(nvars - 1).eliminate_last()]
+
+    def monomial(slots, degree):
+        exps = np.zeros(nvars, dtype=np.int64)
+        for _ in range(degree):
+            exps[rng.choice(slots)] += 1
+        return Monomial(exps)
+
+    for _ in range(200):
+        order = rng.choice(orders)
+        count = rng.randint(0, 5)
+        blocks = [list(range(nvars))] * count
+        if rng.random() < 0.5:
+            slots = rng.sample(range(nvars), nvars)
+            blocks = [slots[k::count] for k in range(count)]
+        prior = []
+        for block in blocks:
+            role = rng.choice([ROLE_BARE, ROLE_BASE, ROLE_TECHNICAL])
+            mono = monomial(block, rng.randint(1, 2 if role == ROLE_BARE else 3))
+            prior.append(prior_step(Polynomial.from_terms(table, gf, order, [(1, mono)]),
+                                    role))
+        if rng.random() < 0.125:
+            h = Polynomial.variable(table, gf, order, rng.randrange(nvars))
+        else:
+            used = {v for s in prior for v in np.flatnonzero(s.effective_lead.exps).tolist()}
+            fresh = [v for v in range(nvars) if v not in used]
+            pool = fresh if fresh and rng.random() < 0.5 else range(nvars)
+            terms = [(rng.randint(1, 50), monomial(pool, rng.randint(1, 3)))
+                     for _ in range(rng.randint(0, 4))]
+            bare = [s.effective_lead for s in prior if s.role == ROLE_BARE]
+            leads = [s.effective_lead for s in prior if s.role != ROLE_BARE]
+            if bare and rng.random() < 0.5:
+                for _ in range(2):
+                    if leads and rng.random() < 0.5:
+                        lead = rng.choice(leads)
+                        factor = monomial(np.flatnonzero(lead.exps).tolist(), 1)
+                    else:
+                        factor = monomial(range(nvars), 1)
+                    terms.append((rng.randint(1, 50), rng.choice(bare) * factor))
+            h = Polynomial.from_terms(table, gf, order, terms)
+        rows, coeffs = h.exps, h.coeffs.copy()
+        if h.num_terms > 1 and rng.random() < 0.25:
+            perm = rng.sample(range(h.num_terms), h.num_terms)
+            rows, coeffs = rows[perm], coeffs[perm]
+        if h.num_terms and rng.random() < 0.125:
+            coeffs[0] = 0
+        yield prior, Polynomial(table, gf, order, rows, coeffs)
+
+
+def test_sparse_technical_step_agrees_with_dense_reference_200_prefixes(gf):
+    seen = set()
+    for prior, h in random_technical_prefixes(gf):
+        expected = step_outcome(dense_technical_step, prior, h)
+        assert step_outcome(check_technical_step, prior, h) == expected, (prior, h)
+        assert step_outcome(check_technical_step, _PriorLeads(prior), h) == expected
+        seen.add(expected[0])
+    # every condition was failed at least once, and some element certified
+    assert seen == {"ok", "residue_nonzero", "residue_lead_unit",
+                    "prior_leads_pairwise_coprime", "bare_monomials_pairwise_coprime",
+                    "bare_monomials_coprime_to_prior_leads",
+                    "residue_lead_coprime_to_bare_monomials",
+                    "residue_lead_coprime_to_prior_leads", "tail_below_residue_lead"}
 
 
 # ---------------------------------------------------------------------------

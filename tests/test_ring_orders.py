@@ -8,7 +8,7 @@ from xyreg.errors import DimensionError
 from xyreg.fields import PrimeField
 from xyreg.orders import ORDER_NAMES, MonomialOrder, certification_precedence
 from xyreg.poly import Polynomial
-from xyreg.ring import Monomial, VariableTable, format_monomial
+from xyreg.ring import Monomial, VariableTable, _support, format_monomial
 
 
 def mono(table, spec):
@@ -218,3 +218,18 @@ def test_format_monomial(xy2):
     m = mono(xy2, {("x", 1, 1): 2, ("y", 2, 1): 1})
     assert format_monomial(m, xy2) == "x[1,1]^2*y[2,1]"
     assert format_monomial(Monomial.one(8), xy2) == "1"
+    # a support renders as its monomial does
+    assert format_monomial(_support(m.exps), xy2) == "x[1,1]^2*y[2,1]"
+    assert format_monomial((), xy2) == "1"
+
+
+@pytest.mark.parametrize("order", shipped_orders(), ids=lambda o: o.kind)
+def test_support_keys_compare_as_dense_keys(order):
+    rng = random.Random(11)
+    # small degrees, so that equal keys and shared prefixes occur
+    monos = [random_monomial(rng, order.nvars, 3) for _ in range(80)]
+    for a in monos:
+        for b in monos:
+            dense = order.compare(a, b)
+            ka, kb = order._support_key(_support(a.exps)), order._support_key(_support(b.exps))
+            assert (ka > kb) - (ka < kb) == dense, (order, a, b)
