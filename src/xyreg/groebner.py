@@ -1,34 +1,35 @@
 """Multivariate division, Buchberger's algorithm, reduced bases, normal forms.
 
-Pair selection is deterministic: the ``normal`` strategy picks the pending
-pair with the smallest lcm total degree, ties broken by smallest (i, j);
-``fifo`` processes pairs in creation order.  Both standard elimination
-criteria (coprime leads, chain) are applied, and every basis element is
-stored monic, so the reduced basis coming out of :func:`reduce_basis` is
-canonical whatever the strategy.
+Pair selection is deterministic: the pending pair with the smallest lcm
+total degree comes first, ties broken by smallest (i, j).  Both standard
+elimination criteria (coprime leads, chain) are applied, and every basis
+element is stored monic, so the reduced basis coming out of
+:func:`reduce_basis` is canonical whatever the generator order.
 
-A basis under construction lives in one append-only divisor state (exps,
-packed order keys, coefficients, starts and lead block in the kernel's flat
-layout): an element's keys are computed once, when it is appended, and an
-S-polynomial is never built as a polynomial; the kernel is seeded with the
-two shifted tails (:func:`kernels.reduce_spair`).  When an element is
-appended, one numpy pass gives the lcm rows, lcm degrees and coprimality
-of all its pairs with the earlier elements; a popped pair only looks them
-up.  The pair loop is one generator, :func:`_buchberger_walk`:
-:func:`buchberger` drains it, and the Hilbert oracle
-(:func:`hilbert._first_difference`) reads the lead block at each degree
-boundary it yields and may stop early.  The basis that :func:`buchberger`
-returns records its :class:`PairStats`, and every basis built here carries
-its elements' packed keys, so :func:`reduce_basis` and the steps after it
-do not pack them again.  The colon oracle's signature step
-(:func:`regseq.nonzerodivisor_colon`) grows the same state past a basis of
-J with signed rows (:class:`_SignedDivisors`) and records
-:class:`SignatureStats`.
+Every basis holds its elements as one :class:`kernels.Divisors` state, the
+kernel's flat divisor layout with packed order keys
+(:meth:`GroebnerBasis.flat_arrays`).  The code that builds a basis grows
+that state as it goes and hands it over: :func:`buchberger` appends each
+new element with the keys the kernel returned, :func:`reduce_basis` each
+tail-reduced one, and the colon oracle's signature step
+(:func:`regseq.nonzerodivisor_colon`) the v-parts of its pairs.  So an
+element's keys are packed once, and only a basis made from bare polys
+packs them, when its state is first asked for.  The elements of a reduced
+basis keep their exponents as views into its state, so they are held
+once.  An S-polynomial is never
+built as a polynomial; the kernel is seeded with the two shifted tails
+(:func:`kernels.reduce_spair`).  When an element is appended, one numpy
+pass gives the lcm rows, lcm degrees and coprimality of all its pairs with
+the earlier elements; a popped pair only looks them up.  The pair loop is
+one generator, :func:`_buchberger_walk`: :func:`buchberger` drains it, and
+the Hilbert oracle (:func:`hilbert._first_difference`) reads the lead block
+at each degree boundary it yields and may stop early.  The basis that
+:func:`buchberger` returns records its :class:`PairStats`; the signature
+step records :class:`SignatureStats`.
 """
 
 import heapq
 from dataclasses import dataclass
-from itertools import count
 
 import numpy as np
 
@@ -65,133 +66,24 @@ class SignatureStats:
     zero: int = 0
 
 
-class _Divisors:
-    """A divisor list in the kernel's flat layout, grown one monic element
-    at a time.
-
-    Holds the rows of every element, element after element (exps, their
-    packed keys, their coefficients as a list), ``starts`` (element k owns
-    rows starts[k]:starts[k+1]) and the lead block (row k is element k's
-    lead).  ``append`` is the only way in, so a basis under construction and
-    :meth:`GroebnerBasis.flat_arrays` build their state on one path.
-    """
-
-    def __init__(self, order):
-        self.order = order
-        self._exps = np.empty((16, order.nvars), dtype=np.int64)
-        self._leads = np.empty((4, order.nvars), dtype=np.int64)
-        self.keys = []
-        self.coeffs = []
-        self.starts = [0]
-
-    def __len__(self):
-        return len(self.starts) - 1
-
-    @property
-    def leads(self):
-        return self._leads[:len(self)]
-
-    def append(self, exps, coeffs, keys=None):
-        """Add one monic element; ``keys`` are its packed keys, computed when
-        not given."""
-        if keys is None:
-            keys = kernels.pack_keys(self.order.keys(exps))
-        rows, k = self.starts[-1], len(self)
-        if rows + len(exps) > len(self._exps):
-            self._exps = _grown(self._exps, rows + len(exps))
-        if k == len(self._leads):
-            self._leads = _grown(self._leads, k + 1)
-        self._exps[rows:rows + len(exps)] = exps
-        self._leads[k] = exps[0]
-        self.keys.extend(keys)
-        self.coeffs.extend(np.asarray(coeffs).tolist())
-        self.starts.append(rows + len(exps))
-
-    def arrays(self):
-        """(exps, keys, coeffs, starts, lead_exps), the kernel's divisor arguments."""
-        return self._exps[:self.starts[-1]], self.keys, self.coeffs, self.starts, self.leads
-
-    def element_keys(self):
-        """Each element's packed keys, element by element."""
-        starts = self.starts
-        return [self.keys[starts[k]:starts[k + 1]] for k in range(len(self))]
-
-
-class _SignedDivisors(_Divisors):
-    """The rows of a basis of J, then the pairs (u, v) of one signature step.
-
-    Each pair appends v as a divisor row; its u-part (exps, packed keys,
-    coefficients, ``u_starts``), the packed key of its signature lm(u) and
-    its signature row in the ``sigs`` block are kept alongside.  ``first``
-    is the divisor index of the first pair.
-    """
-
-    def __init__(self, gb):
-        super().__init__(gb.order)
-        for p, keys in zip(gb.polys, gb._element_keys()):
-            self.append(p.exps, p.coeffs, keys)
-        self.first = len(self)
-        self._u_exps = np.empty((16, gb.order.nvars), dtype=np.int64)
-        self._sigs = np.empty((4, gb.order.nvars), dtype=np.int64)
-        self.u_keys = []
-        self.u_coeffs = []
-        self.u_starts = [0]
-        self.sig_keys = []
-
-    @property
-    def sigs(self):
-        return self._sigs[:len(self.sig_keys)]
-
-    def append_pair(self, u, v):
-        """Add the pair (u, v), each an (exps, coeffs, packed keys) triple
-        sorted descending, v monic."""
-        self.append(*v)
-        u_exps, u_coeffs, u_keys = u
-        rows, k = self.u_starts[-1], len(self.sig_keys)
-        if rows + len(u_exps) > len(self._u_exps):
-            self._u_exps = _grown(self._u_exps, rows + len(u_exps))
-        if k == len(self._sigs):
-            self._sigs = _grown(self._sigs, k + 1)
-        self._u_exps[rows:rows + len(u_exps)] = u_exps
-        self._sigs[k] = u_exps[0]
-        self.u_keys.extend(u_keys)
-        self.u_coeffs.extend(np.asarray(u_coeffs).tolist())
-        self.u_starts.append(rows + len(u_exps))
-        self.sig_keys.append(u_keys[0])
-
-    def signed(self):
-        """(first, sig_keys, u_exps, u_keys, u_coeffs, u_starts), the signed
-        part of :func:`kernels.reduce_jpair`'s arguments."""
-        return (self.first, self.sig_keys, self._u_exps[:self.u_starts[-1]],
-                self.u_keys, self.u_coeffs, self.u_starts)
-
-
-def _grown(buf, need):
-    out = np.empty((max(need, 2 * len(buf)), buf.shape[1]), dtype=buf.dtype)
-    out[:len(buf)] = buf
-    return out
-
-
 class GroebnerBasis:
-    """An order, a monic generator tuple, and whether the set is reduced.
+    """An order and a monic generator tuple.
 
     ``stats`` is the :class:`PairStats` of the :func:`buchberger` run, or
     the :class:`SignatureStats` of the signature step, that produced the
-    basis (carried through :func:`reduce_basis`), else None.  The packed
-    order keys of the elements, where the code that built the basis had
-    them, ride along in ``_keys`` (one list per element), so that no
-    later step packs them again.
+    basis (carried through :func:`reduce_basis`), else None.
+    ``divisors`` is the basis as the kernel's divisor state, element k for
+    ``polys[k]``, handed over by the code that built it; see
+    :meth:`flat_arrays`.
     """
 
-    __slots__ = ("order", "polys", "reduced", "stats", "_keys", "_divisors")
+    __slots__ = ("order", "polys", "stats", "_divisors")
 
-    def __init__(self, order, polys, reduced=False, stats=None):
+    def __init__(self, order, polys, stats=None, divisors=None):
         self.order = order
         self.polys = tuple(polys)
-        self.reduced = reduced
         self.stats = stats
-        self._keys = None
-        self._divisors = None
+        self._divisors = divisors
 
     def __len__(self):
         return len(self.polys)
@@ -211,20 +103,18 @@ class GroebnerBasis:
         return any(p.leading_monomial().is_one() for p in self.polys)
 
     def flat_arrays(self):
-        """Concatenated (exps, packed keys, coeffs, starts, lead_exps) for
-        kernel calls; exps and lead_exps are int64 blocks, the rest lists."""
+        """The basis as a :class:`kernels.Divisors` state, for kernel calls;
+        built, and its keys packed, once when the basis was made without
+        one."""
         if self._divisors is None:
-            self._divisors = _Divisors(self.order)
-            for p, keys in zip(self.polys, self._element_keys()):
-                self._divisors.append(p.exps, p.coeffs, keys)
-        return self._divisors.arrays()
+            self._divisors = kernels.Divisors(self.order.nvars)
+            for p in self.polys:
+                self._divisors.append(p.exps, p.coeffs, _packed(self.order, p.exps))
+        return self._divisors
 
-    def _element_keys(self):
-        """Each element's packed order keys, computed once when the basis
-        was built without them."""
-        if self._keys is None:
-            self._keys = [kernels.pack_keys(self.order.keys(p.exps)) for p in self.polys]
-        return self._keys
+
+def _packed(order, exps):
+    return kernels.pack_keys(order.keys(exps))
 
 
 def _check_inputs(f, divisors):
@@ -294,9 +184,8 @@ def normal_form(f, gb):
         raise ValueError("divisor over a different coefficient field")
     if f.is_zero():
         return f
-    f_keys = kernels.pack_keys(gb.order.keys(f.exps))
-    r_exps, r_coeffs, _ = kernels.reduce_terms(f.field, f.exps, f_keys, f.coeffs,
-                                               *gb.flat_arrays())
+    r_exps, r_coeffs, _ = kernels.reduce_terms(f.field, f.exps, _packed(gb.order, f.exps),
+                                               f.coeffs, gb.flat_arrays())
     return Polynomial(f.table, f.field, f.order, r_exps, r_coeffs)
 
 
@@ -316,14 +205,13 @@ def _prepare_generators(gens, order):
     return polys
 
 
-def buchberger(gens, order=None, *, strategy="normal",
-               pair_budget=None, degree_budget=None):
+def buchberger(gens, order=None, *, pair_budget=None, degree_budget=None):
     """Complete the generator list to a Groebner basis.
 
     Budgets are hard stops: exceeding either raises BudgetExceededError and
     the partial state is discarded, never returned as an answer.
     """
-    walk = _buchberger_walk(gens, order, strategy, pair_budget, degree_budget)
+    walk = _buchberger_walk(gens, order, pair_budget, degree_budget)
     while True:
         try:
             next(walk)
@@ -331,19 +219,16 @@ def buchberger(gens, order=None, *, strategy="normal",
             return done.value
 
 
-def _buchberger_walk(gens, order, strategy, pair_budget=None, degree_budget=None):
+def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
     """The pair loop of :func:`buchberger`, as a generator returning the
     basis.
 
-    Under the ``normal`` strategy it yields (d, leads) before taking the
-    first pair of each new lcm degree, when every pair of lcm degree <= d
-    is done, with ``leads`` the lead block of the basis so far (a view,
-    valid until the loop resumes); for homogeneous input the leads then
-    generate the lead ideal through degree d.  It yields (None, leads) once
-    every pair is done, under either strategy.
+    It yields (d, leads) before taking the first pair of each new lcm
+    degree, when every pair of lcm degree <= d is done, with ``leads`` the
+    lead block of the basis so far (a view, valid until the loop resumes);
+    for homogeneous input the leads then generate the lead ideal through
+    degree d.  It yields (None, leads) once every pair is done.
     """
-    if strategy not in ("normal", "fifo"):
-        raise ValueError(f"unknown pair strategy {strategy!r}")
     gens = list(gens)
     if order is None:
         if not gens:
@@ -354,12 +239,10 @@ def _buchberger_walk(gens, order, strategy, pair_budget=None, degree_budget=None
         raise ValueError("all generators are zero")
 
     field, table = basis[0].field, basis[0].table
-    normal = strategy == "normal"
-    divisors = _Divisors(order)
+    divisors = kernels.Divisors(order.nvars)
     for p in basis:
-        divisors.append(p.exps, p.coeffs)
+        divisors.append(p.exps, p.coeffs, _packed(order, p.exps))
     heap = []
-    tick = count()  # the fifo strategy's creation order
     pending = set()
     # per element j, its pairs (i, j) with i < j: lcm rows, lcm degrees and
     # whether the leads are coprime, computed once when j is appended
@@ -373,7 +256,7 @@ def _buchberger_walk(gens, order, strategy, pair_budget=None, degree_budget=None
         pair_degs.append(degs)
         pair_coprime.append((~np.minimum(leads[:j], leads[j]).any(axis=1)).tolist())
         for i, lcm_deg in enumerate(degs):
-            heapq.heappush(heap, (lcm_deg if normal else next(tick), i, j))
+            heapq.heappush(heap, (lcm_deg, i, j))
             pending.add((i, j))
 
     for j in range(len(basis)):
@@ -382,7 +265,7 @@ def _buchberger_walk(gens, order, strategy, pair_budget=None, degree_budget=None
     stats = PairStats()
     done = -1  # every pair of lcm degree <= done has been taken
     while heap:
-        if normal and heap[0][0] > done + 1:
+        if heap[0][0] > done + 1:
             done = heap[0][0] - 1
             yield done, divisors.leads
         _, i, j = heapq.heappop(heap)
@@ -414,9 +297,8 @@ def _buchberger_walk(gens, order, strategy, pair_budget=None, degree_budget=None
             stats.chain += 1
             continue
         stats.reduced += 1
-        lcm_key = kernels.pack_keys(order.keys(lcm[None]))[0]
-        r_exps, r_coeffs, r_keys = kernels.reduce_spair(field, i, j, lcm, lcm_key,
-                                                        *divisors.arrays())
+        r_exps, r_coeffs, r_keys = kernels.reduce_spair(field, i, j, lcm,
+                                                        _packed(order, lcm[None])[0], divisors)
         if len(r_coeffs) == 0:
             stats.zero += 1
             continue
@@ -426,16 +308,13 @@ def _buchberger_walk(gens, order, strategy, pair_budget=None, degree_budget=None
         push_pairs(len(basis) - 1)
 
     yield None, divisors.leads
-    out = GroebnerBasis(order, basis, reduced=False, stats=stats)
-    out._keys = divisors.element_keys()
-    return out
+    return GroebnerBasis(order, basis, stats=stats, divisors=divisors)
 
 
 def reduce_basis(gb):
     """The unique reduced basis of the same ideal; idempotent."""
-    order = gb.order
-    known = gb._keys or [None] * len(gb.polys)
-    items = [(p.monic(), keys) for p, keys in zip(gb.polys, known) if not p.is_zero()]
+    order, div = gb.order, gb.flat_arrays()
+    items = [(p.monic(), div.element(k)[2]) for k, p in enumerate(gb.polys)]
     if not items:
         raise ValueError("empty basis")
     # minimalize: drop any generator whose lead an earlier lead divides, in
@@ -446,19 +325,22 @@ def reduce_basis(gb):
     # tail-reduce in one ascending pass: a tail term lies below its lead, so
     # only a smaller lead can divide it, and the smaller elements are final
     field, table = items[0][0].field, items[0][0].table
-    divisors = _Divisors(order)
-    final = []
+    ascending = kernels.Divisors(order.nvars)
+    coeffs = []
     for k in order.sort_desc(leads[kept])[::-1].tolist():
         p, keys = items[kept[k]]
-        if keys is None:
-            keys = kernels.pack_keys(order.keys(p.exps))
         r_exps, r_coeffs, r_keys = kernels.reduce_terms(field, p.exps, keys, p.coeffs,
-                                                        *divisors.arrays())
-        divisors.append(r_exps, r_coeffs, r_keys)
-        final.append(Polynomial(table, field, order, r_exps, r_coeffs))
-    out = GroebnerBasis(order, final[::-1], reduced=True, stats=gb.stats)
-    out._keys = divisors.element_keys()[::-1]
-    return out
+                                                        ascending)
+        ascending.append(r_exps, r_coeffs, r_keys)
+        coeffs.append(r_coeffs)
+    # the reduced basis and its divisor state run in descending lead order;
+    # the state is sized to fit and the polys' exponents are views into it
+    divisors = kernels.Divisors(order.nvars, ascending.starts[-1])
+    for k in reversed(range(len(ascending))):
+        divisors.append(*ascending.element(k))
+    polys = [Polynomial(table, field, order, divisors.element(k)[0], c)
+             for k, c in enumerate(coeffs[::-1])]
+    return GroebnerBasis(order, polys, stats=gb.stats, divisors=divisors)
 
 
 def groebner_basis(gens, order=None, **kwargs):

@@ -19,11 +19,11 @@ generator of degree 2**31 costs one entry, not 2**31.
 A lead ideal grows one monomial at a time through N(J + m) = N(J) -
 t^deg(m) * N(J : m) (:class:`_LeadSeries`, one memo for every colon it
 takes).  The Hilbert oracle (:func:`_first_difference`) grows it with the
-leads :func:`groebner.buchberger`'s pair loop appends.  For homogeneous
-input taken in the ``normal`` strategy, once every pair of lcm degree <= d
-is done the leads so far generate in(I) through degree d, so the series of
-R/I is exact through d, and the oracle stops at the first degree where it
-leaves the complete-intersection series.
+leads :func:`groebner.buchberger`'s pair loop appends.  That loop takes
+pairs by lcm degree, so for homogeneous input, once every pair of lcm
+degree <= d is done the leads so far generate in(I) through degree d, the
+series of R/I is exact through d, and the oracle stops at the first degree
+where it leaves the complete-intersection series.
 
 Inside the recursion every monomial is one Python int: variable i owns the
 bit field of w = 8, 16, 32, 64, ... bits starting at bit i*w, whose top
@@ -271,7 +271,7 @@ def _first_difference(polys, order, degrees, **budget):
     expected = _complete_intersection(degrees)
     series = _LeadSeries(nvars)
     absorbed = 0
-    for done, leads in _buchberger_walk(polys, order, "normal", **budget):
+    for done, leads in _buchberger_walk(polys, order, **budget):
         for row in leads[absorbed:].tolist():
             series.add(row)
         absorbed = len(leads)

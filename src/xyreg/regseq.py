@@ -38,7 +38,11 @@ degree where the two series differ) and a stepwise colon-ideal test
 index is one G2V signature step (Gao, Guan & Volny, ISSAC 2010, with the
 cover criterion of Gao, Volny & Wang, Math. Comp. 85, 2016) on the reduced
 basis of the prefix, which returns the verdict and the reduced basis of
-the next prefix, so no prefix basis is computed from scratch.  On a
+the next prefix, so no prefix basis is computed from scratch.  The step
+reads the prefix basis only through its divisor state: it grows a copy of
+that state with its pairs (:class:`kernels.SignedDivisors`, which never
+writes into the prefix's), and the next prefix basis receives the state
+:func:`groebner.reduce_basis` builds, so no element is packed again.  On a
 regular sequence the step reduces no J-pair to zero; a zero reduction is a
 proof of a zerodivisor and comes with its witness u (u*f in J, u not in
 J), which is re-checked by normal forms before it is reported.  The two
@@ -61,8 +65,7 @@ from .fields import PrimeField
 # buchberger is not called here; perfbench/tracer.py rebinds it in every
 # module that holds it, and perfbench/selftest.py expects it in this one
 from . import kernels
-from .groebner import (GroebnerBasis, SignatureStats, _SignedDivisors, buchberger,
-                       normal_form, reduce_basis)
+from .groebner import GroebnerBasis, SignatureStats, buchberger, normal_form, reduce_basis
 from .hilbert import _first_difference
 from .orders import MonomialOrder
 from .poly import Polynomial, Term, _format_terms
@@ -396,9 +399,11 @@ def regular_oracle_hilbert(seq, *, pair_budget=None, degree_budget=None):
 
 
 def _hilbert_criterion(seq, pair_budget, degree_budget):
-    """(regular, details) for :func:`regular_oracle_hilbert`; on a computed
-    mismatch the one detail line names the first degree where the quotient's
-    series leaves the complete-intersection series, with both values."""
+    """(regular, details) for :func:`regular_oracle_hilbert`.  The one
+    detail line of a not-regular verdict names the first index that is zero
+    or a unit, as the colon oracle does, or else the first degree where the
+    quotient's series leaves the complete-intersection series, with both
+    values."""
     seq = list(seq)
     if not seq:
         return True, []
@@ -407,11 +412,12 @@ def _hilbert_criterion(seq, pair_budget, degree_budget):
     for p in seq:
         if not p.is_homogeneous():
             raise HomogeneityError("the Hilbert oracle requires homogeneous elements")
-    if any(p.is_zero() for p in seq):
-        return False, []
+    for i, p in enumerate(seq, start=1):
+        if p.is_zero():
+            return False, [f"index {i}: zero element"]
+        if p.degree() == 0:
+            return False, [f"index {i}: the ideal becomes the whole ring"]
     degrees = [p.degree() for p in seq]
-    if any(d == 0 for d in degrees):
-        return False, []  # a unit makes the ideal improper
     order = _oracle_order(seq[0].table)
     mismatch = _first_difference([p.resort(order) for p in seq], order, degrees,
                                  pair_budget=pair_budget, degree_budget=degree_budget)
@@ -469,13 +475,13 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
         return ColonStep(False, stats=stats)
     if prefix_gb is None or len(prefix_gb.polys) == 0:
         # the ambient ring is a domain
-        return ColonStep(True, GroebnerBasis(f.order, [f.monic()], reduced=True), stats=stats)
+        return ColonStep(True, GroebnerBasis(f.order, [f.monic()]), stats=stats)
     if prefix_gb.contains_unit():
         return ColonStep(True, prefix_gb, stats=stats)  # J = R, the colon is again R
     order, field, table = prefix_gb.order, f.field, f.table
     f = f.resort(order)
-    div = _SignedDivisors(prefix_gb)
-    first = div.first
+    div = kernels.SignedDivisors(prefix_gb.flat_arrays())
+    first, sigs = div.first, div.u
     in_j = div.leads.copy()
     polys = list(prefix_gb.polys)
     ratios = []  # per pair: packed key of lm(u) minus that of lm(v)
@@ -492,10 +498,11 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
         v = (v[0], field.scale_array(inv, v[1]), v[2])
         u = (u[0], field.scale_array(inv, u[1]), u[2])
         polys.append(Polynomial(table, field, order, v[0], v[1]))
-        div.append_pair(u, v)
-        leads, keys, starts = div.leads, div.keys, div.starts
+        div.append(*v)
+        sigs.append(*u)
+        leads = div.leads
         k = len(div) - 1
-        ratio = div.sig_keys[-1] - keys[starts[k]]
+        ratio = sigs.lead_keys[-1] - div.lead_keys[k]
         ratios.append(ratio)
         # a partner at an equal shifted signature makes a singular pair, not needed
         partners = np.array([i for i in range(k) if i < first or ratios[i - first] != ratio],
@@ -511,7 +518,7 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
         if pair_budget is not None and stats.considered > pair_budget:
             raise BudgetExceededError(f"pair budget {pair_budget} exhausted",
                                       pairs_considered=stats.considered)
-        in_ideal = _in_monomial_ideal(lcms - leads[sides] + div.sigs[sides - first], in_j)
+        in_ideal = _in_monomial_ideal(lcms - leads[sides] + sigs.leads[sides - first], in_j)
         stats.syzygy += int(in_ideal.sum())
         keep = np.flatnonzero(~in_ideal)
         for side, other, lcm_key in zip(sides[keep].tolist(), others[keep].tolist(),
@@ -520,7 +527,7 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
                                   side, other))
 
     one = np.zeros((1, order.nvars), dtype=np.int64)
-    v = kernels.reduce_terms(field, f.exps, pack(f.exps), f.coeffs, *div.arrays())
+    v = kernels.reduce_terms(field, f.exps, pack(f.exps), f.coeffs, div)
     u = (one, field.array([field.one]), pack(one))
     if len(v[1]) == 0:  # f lies in J: u = 1 is the witness
         stats.zero += 1
@@ -531,7 +538,7 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
         sig_key, lcm_key, _, k, other = heapq.heappop(heap)
         leads = div.leads
         shift = np.maximum(leads[k], leads[other]) - leads[k]
-        sig_row = shift + div.sigs[k - first]
+        sig_row = shift + sigs.leads[k - first]
         degree = int(sig_row.sum())
         if degree_budget is not None and degree > degree_budget:
             raise BudgetExceededError(
@@ -539,20 +546,18 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
                 f"{degree}", pairs_considered=stats.considered, degree_reached=degree)
         pair_ratio = sig_key - lcm_key
         if any(ratios[i] > pair_ratio
-               for i in np.flatnonzero((div.sigs <= sig_row).all(axis=1)).tolist()):
+               for i in np.flatnonzero((sigs.leads <= sig_row).all(axis=1)).tolist()):
             stats.cover += 1
             continue
         stats.reduced += 1
-        v, u = kernels.reduce_jpair(field, k, shift, sig_key - div.sig_keys[k - first],
-                                    div.signed(), *div.arrays())
+        v, u = kernels.reduce_jpair(field, k, shift, sig_key - sigs.lead_keys[k - first], div)
         if len(v[1]) == 0:
             stats.zero += 1
             u = Polynomial(table, field, order, *u[:2])
             return ColonStep(False, witness=normal_form(u, prefix_gb).monic(), stats=stats)
         admit(u, v)
-    basis = GroebnerBasis(order, polys, stats=stats)
-    basis._keys = div.element_keys()
-    return ColonStep(True, reduce_basis(basis), stats=stats)
+    return ColonStep(True, reduce_basis(GroebnerBasis(order, polys, stats=stats, divisors=div)),
+                     stats=stats)
 
 
 def _in_monomial_ideal(rows, gens, chunk=1 << 22):

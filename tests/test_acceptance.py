@@ -126,19 +126,18 @@ def test_groebner_engine_health():
     ideals = 0
     for name, gens in _engine_test_ideals():
         baseline = None
-        for strategy in ("normal", "fifo"):
-            for perm in itertools.permutations(gens):
-                gb = buchberger(list(perm), strategy=strategy)
-                for f, g in itertools.combinations(gb.polys, 2):
-                    assert normal_form(s_poly(f, g), gb).is_zero(), name
-                red = reduce_basis(gb)
-                rendering = [format_poly(p) for p in red.polys]
-                if baseline is None:
-                    baseline = rendering
-                assert rendering == baseline, name
+        for perm in itertools.permutations(gens):
+            gb = buchberger(list(perm))
+            for f, g in itertools.combinations(gb.polys, 2):
+                assert normal_form(s_poly(f, g), gb).is_zero(), name
+            red = reduce_basis(gb)
+            rendering = [format_poly(p) for p in red.polys]
+            if baseline is None:
+                baseline = rendering
+            assert rendering == baseline, name
         ideals += 1
     print(f"ACCEPTANCE engine health: PASS ({ideals} ideals, all S-pairs "
-          "to zero, reduced bases identical across strategies/permutations)")
+          "to zero, reduced bases identical across permutations)")
 
 
 def test_hilbert_brute_force_agreement():

@@ -95,6 +95,23 @@ def test_hilbert_oracle_reports_the_first_differing_degree(capsys, tmp_path):
     assert json.loads(out)["details"] == [line]
 
 
+@pytest.mark.parametrize("element, detail", [("0", "index 2: zero element"),
+                                             ("5", "index 2: the ideal becomes the whole ring")])
+def test_both_oracles_name_a_degenerate_index(capsys, tmp_path, element, detail):
+    path = tmp_path / "degenerate.txt"
+    path.write_text(f"x[1,1]*y[1,1] + x[1,2]*y[2,1]\n{element}\n")
+    details = {}
+    for method in ("hilbert", "colon"):
+        code, out, _ = run(capsys, "oracle", "--n", "2", "--input", str(path),
+                           "--method", method, "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["verdict"] == "not-regular"
+        details[method] = payload["details"]
+    assert details == {"hilbert": [detail],
+                       "colon": ["index 1: non-zerodivisor, ideal still proper", detail]}
+
+
 def test_oracle_budget_inconclusive(capsys):
     code, _, err = run(capsys, "oracle", "--n", "2", "--budget-pairs", "1")
     assert code == 3

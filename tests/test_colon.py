@@ -234,6 +234,34 @@ def test_a_member_is_witnessed_by_one(gf):
     assert report.first_failure == 3 and format_poly(report.witness) == "1"
 
 
+def test_colon_steps_leave_their_prefix_basis_as_it_was(gf):
+    # greedy_extend runs one step per candidate on one prefix basis; on the
+    # first five 3x3 entries in row order the sixth is a zerodivisor, the
+    # rest are not
+    order = MonomialOrder.grevlex(18)
+    entries = [p.resort(order) for p in full_entries(gf, 3, False)]
+    base, candidates = entries[:5], entries[5:]
+
+    def prefix():
+        gb = None
+        for p in base:
+            gb = nonzerodivisor_colon(gb, p).basis
+        return gb
+
+    def answer(step):
+        return (step.regular, step.basis and basis_bytes(step.basis),
+                step.witness and format_poly(step.witness))
+
+    alone = [answer(nonzerodivisor_colon(prefix(), c)) for c in candidates]
+    assert [regular for regular, _, _ in alone] == [False, True, True, True]
+    gb = prefix()
+    div = gb.flat_arrays()
+    size, leads, keys = len(div), div.leads.copy(), list(div.keys)
+    assert [answer(nonzerodivisor_colon(gb, c)) for c in candidates] == alone
+    assert gb.flat_arrays() is div
+    assert len(div) == size and (div.leads == leads).all() and div.keys == keys
+
+
 # ---------------------------------------------------------------------------
 # counters and budgets
 # ---------------------------------------------------------------------------

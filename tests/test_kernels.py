@@ -5,10 +5,12 @@ import pytest
 
 from conftest import random_poly
 from xyreg.fields import PrimeField, QQ
-from xyreg.groebner import GroebnerBasis, normal_form, s_poly
-from xyreg.kernels import pack_keys, reduce_spair, reduce_terms
+from xyreg.groebner import GroebnerBasis, buchberger, normal_form, reduce_basis, s_poly
+from xyreg.kernels import SignedDivisors, pack_keys, reduce_spair, reduce_terms
 from xyreg.orders import MonomialOrder
+from xyreg.pattern import GenericProduct
 from xyreg.poly import Polynomial
+from xyreg.regseq import nonzerodivisor_colon
 from xyreg.ring import VariableTable
 
 
@@ -58,10 +60,8 @@ def test_kernel_takes_the_first_dividing_lead_in_list_order():
     for divisors, remainder in (([d_linear, d_quadric], (y * w).scale(-1)),
                                 ([d_quadric, d_linear], (z * z).scale(-1))):
         gb = GroebnerBasis(order, divisors)
-        d_exps, d_keys, d_coeffs, d_starts, d_leads = gb.flat_arrays()
         r_exps, r_coeffs, _ = reduce_terms(gf, f.exps, pack_keys(order.keys(f.exps)),
-                                           f.coeffs, d_exps, d_keys, d_coeffs,
-                                           d_starts, d_leads)
+                                           f.coeffs, gb.flat_arrays())
         assert Polynomial(table, gf, order, r_exps, r_coeffs) == remainder
         assert normal_form(f, gb) == remainder
 
@@ -188,7 +188,7 @@ def test_spair_entry_matches_normal_form_of_s_poly(field, name, table, order):
         gb = GroebnerBasis(order, divisors)
         lcm = np.maximum(divisors[0].exps[0], divisors[1].exps[0])
         r_exps, r_coeffs, r_keys = reduce_spair(
-            field, 0, 1, lcm, pack_keys(order.keys(lcm[None]))[0], *gb.flat_arrays())
+            field, 0, 1, lcm, pack_keys(order.keys(lcm[None]))[0], gb.flat_arrays())
         expected = normal_form(s_poly(divisors[0], divisors[1]), gb)
         assert Polynomial(table, field, order, r_exps, r_coeffs) == expected
         assert r_keys == pack_keys(order.keys(expected.exps))
@@ -205,3 +205,33 @@ def test_packed_keys_follow_the_order_and_add_linearly(name, table, order):
             assert (packed[a] > packed[b]) - (packed[a] < packed[b]) == \
                 order.compare(exps[a], exps[b])
             assert pack_keys(order.keys((exps[a] + exps[b])[None]))[0] == packed[a] + packed[b] - one
+
+
+def test_bases_hand_their_divisor_state_over(monkeypatch):
+    gf = PrimeField(32003)
+    product = GenericProduct(2, field=gf)
+    order = MonomialOrder.grevlex(8)
+    f11, f12, f21 = (product.entry(i, j).resort(order) for i, j in ((1, 1), (1, 2), (2, 1)))
+    gb = buchberger([f11, f12])
+    red = reduce_basis(gb)
+    step = nonzerodivisor_colon(red, f21)
+    assert step.regular
+    bases = (gb, red, step.basis)
+    calls = []
+    keys = MonomialOrder.keys
+    monkeypatch.setattr(MonomialOrder, "keys",
+                        lambda self, exps: calls.append(len(exps)) or keys(self, exps))
+    for basis in bases:
+        assert len(SignedDivisors(basis.flat_arrays())) == len(basis)
+    assert calls == []
+    # a basis made from bare polys packs each element once, into the state
+    # the code that built the basis handed over
+    for basis in bases:
+        calls.clear()
+        bare = GroebnerBasis(order, basis.polys)
+        div, fresh = basis.flat_arrays(), bare.flat_arrays()
+        assert bare.flat_arrays() is fresh
+        assert calls == [p.num_terms for p in basis.polys]
+        assert (div.keys, div.coeffs, div.starts, div.lead_keys) == \
+            (fresh.keys, fresh.coeffs, fresh.starts, fresh.lead_keys)
+        assert (div.leads == fresh.leads).all()
