@@ -49,7 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (16, 24, 32, 48, 64, 96, 128)
 RECHECK_SIZES = (32, 48, 64, 96, 128)
 HILBERT_SIZES = (4, 5, 6)
-COLON_SIZES = (3, 4, 5)
+COLON_SIZES = (3, 4, 5, 6, 7)
 SEARCH_SIZES = (3, 4)
 TIMEOUT_S = 900  # a run still going after this is killed and recorded as stopped
 REPEAT_BELOW_S = 5.0  # a case whose first run is faster runs REPEATS times

@@ -4,7 +4,13 @@ Pair selection is deterministic: the pending pair with the smallest lcm
 total degree comes first, ties broken by smallest (i, j).  Both standard
 elimination criteria (coprime leads, chain) are applied, and every basis
 element is stored monic, so the reduced basis coming out of
-:func:`reduce_basis` is canonical whatever the generator order.
+:func:`reduce_basis` is canonical whatever the generator order.  The
+reduced basis is built only where one is printed or compared
+(:func:`groebner_basis`, ``xyreg gb``, the counterexample); the colon
+oracle hands on minimal bases, which are not interreduced.  One private
+minimalization of a lead block, an ascending-degree pass that drops each
+lead an earlier kept lead divides, serves :func:`reduce_basis`,
+:func:`lead_ideal` and the colon step.
 
 Every basis holds its elements as one :class:`kernels.Divisors` state, the
 kernel's flat divisor layout with packed order keys
@@ -14,9 +20,11 @@ new element with the keys the kernel returned, :func:`reduce_basis` each
 tail-reduced one, and the colon oracle's signature step
 (:func:`regseq.nonzerodivisor_colon`) the v-parts of its pairs.  So an
 element's keys are packed once, and only a basis made from bare polys
-packs them, when its state is first asked for.  The elements of a reduced
-basis keep their exponents as views into its state, so they are held
-once.  An S-polynomial is never
+packs them, when its state is first asked for.  A reduced basis, and the
+minimal basis of a colon step, keep only some of the elements they were
+built from: their state is a copy of those elements sized to fit
+(``kernels.Divisors.take``), and their elements keep their exponents as
+views into it, so they are held once.  An S-polynomial is never
 built as a polynomial; the kernel is seeded with the two shifted tails
 (:func:`kernels.reduce_spair`).  When an element is appended, one numpy
 pass gives the lcm rows, lcm degrees and coprimality of all its pairs with
@@ -121,12 +129,9 @@ def _check_inputs(f, divisors):
     for d in divisors:
         if d.is_zero():
             raise UndefinedLeadError("zero divisor in division")
-        if d.table.nvars != f.table.nvars:
-            raise DimensionError("divisor over a different-size variable table")
+        _check_ring(d, f)
         if d.order != f.order:
             raise OrderMismatchError("divisor carries a different order tag")
-        if d.field != f.field:
-            raise ValueError("divisor over a different coefficient field")
 
 
 def multi_divide(f, divisors):
@@ -172,16 +177,23 @@ def s_poly(f, g):
     return fm.mul_term(one, lcm / lm_f) - gm.mul_term(one, lcm / lm_g)
 
 
+def _check_ring(f, other):
+    """Raise unless the polynomial f lies in the ring of ``other``, a
+    polynomial or a basis: a variable table of the same size, the same
+    field."""
+    if f.table.nvars != other.table.nvars:
+        raise DimensionError("polynomial over a different-size variable table")
+    if f.field != other.field:
+        raise ValueError("divisor over a different coefficient field")
+
+
 def normal_form(f, gb):
     """The remainder of f on full reduction by the basis."""
     if not gb.polys:
         return f
     if f.order != gb.order:
         raise OrderMismatchError("polynomial and basis carry different order tags")
-    if f.table.nvars != gb.table.nvars:
-        raise DimensionError("polynomial over a different-size variable table")
-    if f.field != gb.field:
-        raise ValueError("divisor over a different coefficient field")
+    _check_ring(f, gb)
     if f.is_zero():
         return f
     r_exps, r_coeffs, _ = kernels.reduce_terms(f.field, f.exps, _packed(gb.order, f.exps),
@@ -311,33 +323,35 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
     return GroebnerBasis(order, basis, stats=stats, divisors=divisors)
 
 
+def _minimal(leads):
+    """The rows of the lead block ``leads`` that generate its monomial ideal
+    minimally, as indices in ascending degree (ties in row order): each row
+    that an earlier kept row divides is dropped.  A row that any earlier row
+    divides is divisible by an earlier kept one."""
+    rank = np.argsort(leads.sum(axis=1), kind="stable")
+    rows = leads[rank]
+    return [int(rank[k]) for k in range(len(rows)) if not (rows[:k] <= rows[k]).all(axis=1).any()]
+
+
 def reduce_basis(gb):
     """The unique reduced basis of the same ideal; idempotent."""
-    order, div = gb.order, gb.flat_arrays()
-    items = [(p.monic(), div.element(k)[2]) for k, p in enumerate(gb.polys)]
-    if not items:
+    if not gb.polys:
         raise ValueError("empty basis")
-    # minimalize: drop any generator whose lead an earlier lead divides, in
-    # ascending degree (an earlier lead dividing it means a kept one does)
-    items.sort(key=lambda item: int(item[0].exps[0].sum()))
-    leads = np.array([p.exps[0] for p, _ in items], dtype=np.int64)
-    kept = [k for k in range(len(items)) if not (leads[:k] <= leads[k]).all(axis=1).any()]
+    order, field, table, div = gb.order, gb.field, gb.table, gb.flat_arrays()
+    kept = _minimal(div.leads)
     # tail-reduce in one ascending pass: a tail term lies below its lead, so
     # only a smaller lead can divide it, and the smaller elements are final
-    field, table = items[0][0].field, items[0][0].table
     ascending = kernels.Divisors(order.nvars)
     coeffs = []
-    for k in order.sort_desc(leads[kept])[::-1].tolist():
-        p, keys = items[kept[k]]
-        r_exps, r_coeffs, r_keys = kernels.reduce_terms(field, p.exps, keys, p.coeffs,
-                                                        ascending)
+    for k in order.sort_desc(div.leads[kept])[::-1].tolist():
+        p = gb.polys[kept[k]].monic()
+        r_exps, r_coeffs, r_keys = kernels.reduce_terms(field, p.exps, div.element(kept[k])[2],
+                                                        p.coeffs, ascending)
         ascending.append(r_exps, r_coeffs, r_keys)
         coeffs.append(r_coeffs)
     # the reduced basis and its divisor state run in descending lead order;
     # the state is sized to fit and the polys' exponents are views into it
-    divisors = kernels.Divisors(order.nvars, ascending.starts[-1])
-    for k in reversed(range(len(ascending))):
-        divisors.append(*ascending.element(k))
+    divisors = ascending.take(range(len(ascending) - 1, -1, -1))
     polys = [Polynomial(table, field, order, divisors.element(k)[0], c)
              for k, c in enumerate(coeffs[::-1])]
     return GroebnerBasis(order, polys, stats=gb.stats, divisors=divisors)
@@ -349,12 +363,8 @@ def groebner_basis(gens, order=None, **kwargs):
 
 
 def lead_ideal(gb):
-    """Minimal generating monomials of the leading-term ideal."""
-    if not gb.polys:
-        return []
-    leads = np.array([p.exps[0] for p in gb.polys], dtype=np.int64)
-    # ascending (degree, exponent tuple); a lead divisible by an earlier one
-    # is divisible by an earlier minimal one
+    """Minimal generating monomials of the leading-term ideal, ascending by
+    (degree, exponent tuple)."""
+    leads = gb.flat_arrays().leads
     leads = leads[np.lexsort([*leads.T[::-1], leads.sum(axis=1)])]
-    return [Monomial(m) for k, m in enumerate(leads)
-            if not (leads[:k] <= m).all(axis=1).any()]
+    return [Monomial(leads[k]) for k in _minimal(leads)]

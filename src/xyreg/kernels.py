@@ -28,7 +28,9 @@ the exponent rows of every element, element after element, their packed
 keys and coefficients, the element starts, the lead block and each
 element's lead key.  It only grows, through ``append``; the code that
 builds a basis owns its state and hands it to the basis, so no element is
-packed twice.
+packed twice.  ``take`` copies chosen elements into a new state sized to
+fit, which is how a basis keeps only some of the elements it was built
+from.
 
 The working polynomial is a dict from packed key to coefficient, a dict from
 packed key to exponent row, and a max-heap of the keys (stored negated).  A
@@ -114,20 +116,27 @@ class Divisors:
         lo, hi = self.starts[k], self.starts[k + 1]
         return self._exps[lo:hi], self.coeffs[lo:hi], self.keys[lo:hi]
 
+    def take(self, chosen):
+        """A new state of the elements ``chosen`` (a sequence of indices) of
+        this one, in that order, its exponent block sized to fit them."""
+        out = Divisors(self._exps.shape[1], sum(self.starts[k + 1] - self.starts[k]
+                                                for k in chosen))
+        for k in chosen:
+            out.append(*self.element(k))
+        return out
+
 
 class SignedDivisors(Divisors):
     """A copy of the divisor state ``basis`` of J, then the pairs (u, v) of
     one signature step: the v-part of pair k is element k, appended here,
     and its u-part element k - ``first`` of the state ``u``, whose leads are
-    the signatures.  Appending never writes into ``basis``."""
+    the signatures.  The copy is made by ``take``, so appending never
+    writes into ``basis``."""
 
     def __init__(self, basis):
-        nvars = basis._exps.shape[1]
-        self._exps, self._leads = basis._exps.copy(), basis._leads.copy()
-        self.keys, self.coeffs = list(basis.keys), list(basis.coeffs)
-        self.starts, self.lead_keys = list(basis.starts), list(basis.lead_keys)
+        self.__dict__ = basis.take(range(len(basis))).__dict__
         self.first = len(basis)
-        self.u = Divisors(nvars)
+        self.u = Divisors(basis._exps.shape[1])
 
 
 def _grown(buf, need):

@@ -36,13 +36,18 @@ the leads of a Buchberger run degree by degree, which stops at the first
 degree where the two series differ) and a stepwise colon-ideal test
 ((J : f) = J iff f is a non-zerodivisor modulo J).  The colon oracle walks the sequence once: each
 index is one G2V signature step (Gao, Guan & Volny, ISSAC 2010, with the
-cover criterion of Gao, Volny & Wang, Math. Comp. 85, 2016) on the reduced
-basis of the prefix, which returns the verdict and the reduced basis of
-the next prefix, so no prefix basis is computed from scratch.  The step
-reads the prefix basis only through its divisor state: it grows a copy of
-that state with its pairs (:class:`kernels.SignedDivisors`, which never
-writes into the prefix's), and the next prefix basis receives the state
-:func:`groebner.reduce_basis` builds, so no element is packed again.  On a
+cover criterion of Gao, Volny & Wang, Math. Comp. 85, 2016) on a minimal
+Groebner basis of the prefix, which returns the verdict and a minimal
+basis of the next prefix, so no prefix basis is computed from scratch and
+none is interreduced: the syzygy criterion reads only the leads of the
+prefix basis, and a normal form, hence a witness, is the same modulo any
+Groebner basis.  The step reads the prefix basis only through its divisor
+state: it grows a copy of that state with its pairs (:class:`kernels.SignedDivisors`, which
+never writes into the prefix's), and the next prefix basis keeps the
+elements whose leads generate the lead ideal minimally, copied into a
+state of their own (``kernels.Divisors.take``), so no element is packed
+again.  A caller who wants the reduced basis calls
+:func:`groebner.reduce_basis` on it.  On a
 regular sequence the step reduces no J-pair to zero; a zero reduction is a
 proof of a zerodivisor and comes with its witness u (u*f in J, u not in
 J), which is re-checked by normal forms before it is reported.  The two
@@ -65,7 +70,8 @@ from .fields import PrimeField
 # buchberger is not called here; perfbench/tracer.py rebinds it in every
 # module that holds it, and perfbench/selftest.py expects it in this one
 from . import kernels
-from .groebner import GroebnerBasis, SignatureStats, buchberger, normal_form, reduce_basis
+from .groebner import (GroebnerBasis, SignatureStats, _check_ring, _minimal, _packed, buchberger,
+                       normal_form)
 from .hilbert import _first_difference
 from .orders import MonomialOrder
 from .poly import Polynomial, Term, _format_terms
@@ -432,7 +438,9 @@ def _hilbert_criterion(seq, pair_budget, degree_budget):
 class ColonStep:
     """What :func:`nonzerodivisor_colon` found for f modulo J.
 
-    ``basis`` is the reduced basis of J + <f> when f is a non-zerodivisor;
+    ``basis`` is a minimal Groebner basis of J + <f> when f is a
+    non-zerodivisor (no lead divides another; :func:`groebner.reduce_basis`
+    gives the reduced one);
     ``witness``, when f is a nonzero zerodivisor, is a u with u*f in J and
     u not in J, reduced modulo J and monic; ``stats`` counts the J-pairs.
     """
@@ -444,8 +452,8 @@ class ColonStep:
 
 
 def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
-    """One G2V signature step: is (J : f) = J for the ideal J of the reduced
-    basis ``prefix_gb``, and what is the reduced basis of J + <f>?
+    """One G2V signature step: is (J : f) = J for the ideal J of the
+    Groebner basis ``prefix_gb``, and what is a minimal basis of J + <f>?
 
     The step keeps pairs (u, v) with u*f = v modulo J; lm(u) is the pair's
     *signature*.  It starts from (1, NF(f, J)) and takes J-pairs in
@@ -467,8 +475,11 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
     lm(u) = T, so u is not in J: f is a zerodivisor and u, reduced modulo
     J, the witness.  When every J-pair is done without one, in(J : f) =
     in(J), so (J : f) = J, and J's rows with the v-parts form a basis of
-    J + <f>.  Budgets are hard stops: ``pair_budget`` bounds the J-pairs
-    formed, ``degree_budget`` the degree of a signature taken.
+    J + <f>.  The step returns those rows whose leads no earlier kept lead
+    divides, taken in ascending degree: a minimal basis, which is all the
+    next step needs.  Budgets are hard stops: ``pair_budget``
+    bounds the J-pairs formed, ``degree_budget`` the degree of a signature
+    taken.
     """
     stats = SignatureStats()
     if f.is_zero():
@@ -483,23 +494,18 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
     div = kernels.SignedDivisors(prefix_gb.flat_arrays())
     first, sigs = div.first, div.u
     in_j = div.leads.copy()
-    polys = list(prefix_gb.polys)
+    coeffs = [p.coeffs for p in prefix_gb.polys]
     ratios = []  # per pair: packed key of lm(u) minus that of lm(v)
     heap = []
     tick = count()
-
-    def pack(exps):
-        return kernels.pack_keys(order.keys(exps))
 
     def admit(u, v):
         """Append the pair (u, v), made monic, and push its J-pairs with
         every earlier row that survive the syzygy criterion."""
         inv = field.inv(v[1][0])
-        v = (v[0], field.scale_array(inv, v[1]), v[2])
-        u = (u[0], field.scale_array(inv, u[1]), u[2])
-        polys.append(Polynomial(table, field, order, v[0], v[1]))
-        div.append(*v)
-        sigs.append(*u)
+        coeffs.append(field.scale_array(inv, v[1]))
+        div.append(v[0], coeffs[-1], v[2])
+        sigs.append(u[0], field.scale_array(inv, u[1]), u[2])
         leads = div.leads
         k = len(div) - 1
         ratio = sigs.lead_keys[-1] - div.lead_keys[k]
@@ -522,13 +528,13 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
         stats.syzygy += int(in_ideal.sum())
         keep = np.flatnonzero(~in_ideal)
         for side, other, lcm_key in zip(sides[keep].tolist(), others[keep].tolist(),
-                                        pack(lcms[keep])):
+                                        _packed(order, lcms[keep])):
             heapq.heappush(heap, (lcm_key + ratios[side - first], lcm_key, next(tick),
                                   side, other))
 
     one = np.zeros((1, order.nvars), dtype=np.int64)
-    v = kernels.reduce_terms(field, f.exps, pack(f.exps), f.coeffs, div)
-    u = (one, field.array([field.one]), pack(one))
+    v = kernels.reduce_terms(field, f.exps, _packed(order, f.exps), f.coeffs, div)
+    u = (one, field.array([field.one]), _packed(order, one))
     if len(v[1]) == 0:  # f lies in J: u = 1 is the witness
         stats.zero += 1
         return ColonStep(False, witness=Polynomial.constant(table, field, order, field.one),
@@ -556,8 +562,13 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
             u = Polynomial(table, field, order, *u[:2])
             return ColonStep(False, witness=normal_form(u, prefix_gb).monic(), stats=stats)
         admit(u, v)
-    return ColonStep(True, reduce_basis(GroebnerBasis(order, polys, stats=stats, divisors=div)),
-                     stats=stats)
+    # the next step reads only the leads, so a minimal basis will do; its
+    # state is a copy sized to fit and the polys' exponents are views into it
+    kept = _minimal(div.leads)
+    div = div.take(kept)
+    polys = [Polynomial(table, field, order, div.element(i)[0], coeffs[k])
+             for i, k in enumerate(kept)]
+    return ColonStep(True, GroebnerBasis(order, polys, stats=stats, divisors=div), stats=stats)
 
 
 def _in_monomial_ideal(rows, gens, chunk=1 << 22):
@@ -618,20 +629,28 @@ def sequence_oracle(seq, method="hilbert", *, pair_budget=None, degree_budget=No
     seq = list(seq)
     if method not in ("hilbert", "colon"):
         raise ValueError(f"unknown oracle method {method!r}")
+    _one_ring(seq)
     if not seq:
         return OracleReport(method=method, verdict="regular",
                             details=["empty sequence: vacuously regular"])
-    budgets = dict(pair_budget=pair_budget, degree_budget=degree_budget)
     if method == "hilbert":
         ok, details = _hilbert_criterion(seq, pair_budget, degree_budget)
         return OracleReport(method=method, verdict="regular" if ok else "not-regular",
                             details=details)
-    return _colon_walk(seq, budgets)[0]
+    return _colon_walk(seq, dict(pair_budget=pair_budget, degree_budget=degree_budget))[0]
+
+
+def _one_ring(seq):
+    """Raise, as :func:`groebner.normal_form` does, unless every element of
+    ``seq`` lies in the ring of the first: mixed fields or variable-table
+    sizes are an error, never a verdict."""
+    for p in seq[1:]:
+        _check_ring(p, seq[0])
 
 
 def _colon_walk(seq, budgets):
-    """The colon oracle's report on ``seq`` and, when it is regular, the
-    reduced basis of the whole sequence (else None)."""
+    """The colon oracle's report on ``seq`` and, when it is regular, a
+    minimal Groebner basis of the whole sequence (else None)."""
     details = []
     gb = None
     for i, p in enumerate(seq, start=1):
@@ -672,18 +691,18 @@ class ExtensionReport:
 def greedy_extend(base, candidates, method="hilbert", *,
                   pair_budget=None, degree_budget=None):
     """Scan candidates in order, appending each one that keeps the sequence
-    regular.  The colon method keeps the chain's reduced basis and runs one
-    step per candidate on it.  An inconclusive oracle run skips the
+    regular.  The colon method keeps a minimal basis of the chain and runs
+    one step per candidate on it.  An inconclusive oracle run skips the
     candidate and logs it; it is never accepted silently."""
     budgets = dict(pair_budget=pair_budget, degree_budget=degree_budget)
-    base = list(base)
+    chain, candidates = list(base), list(candidates)
+    _one_ring(chain + candidates)
     if method == "colon":
-        report, gb = _colon_walk(base, budgets)
+        report, gb = _colon_walk(chain, budgets)
     else:
-        report = sequence_oracle(base, method, **budgets)
+        report = sequence_oracle(chain, method, **budgets)
     if not report.regular:
         raise ValueError("the base sequence is not regular")
-    chain = list(base)
     accepted, rejected = [], []
     for pos, cand in enumerate(candidates):
         try:

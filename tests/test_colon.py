@@ -19,7 +19,7 @@ from conftest import entries_2x2
 from xyreg.cli import main
 from xyreg.errors import BudgetExceededError
 from xyreg.fields import PrimeField, QQ
-from xyreg.groebner import groebner_basis, multi_divide, normal_form
+from xyreg.groebner import groebner_basis, multi_divide, normal_form, reduce_basis
 from xyreg.orders import MonomialOrder
 from xyreg.pattern import GenericProduct, PatternSpec, selected_entries
 from xyreg.poly import Polynomial, canonicalize, format_poly, parse_poly
@@ -126,6 +126,18 @@ def basis_bytes(gb):
     return [(p.exps.tobytes(), p.coeffs.tolist()) for p in gb.polys]
 
 
+def assert_minimal_basis_of(gb, reference):
+    """``gb`` is a minimal Groebner basis of the ideal whose reduced basis
+    is ``reference``: no lead divides another, it has as many elements, each
+    lies in the ideal, and interreducing it gives ``reference`` exactly."""
+    leads = [p.leading_monomial() for p in gb.polys]
+    assert not any(a.divides(b) for i, a in enumerate(leads)
+                   for j, b in enumerate(leads) if i != j)
+    assert len(gb) == len(reference)
+    assert all(normal_form(p, reference).is_zero() for p in gb.polys)
+    assert basis_bytes(reduce_basis(gb)) == basis_bytes(reference)
+
+
 def test_colon_oracle_agrees_with_the_elimination_reference_on_random_sequences():
     rng = random.Random(20261018)
     seen = {}
@@ -135,14 +147,14 @@ def test_colon_oracle_agrees_with_the_elimination_reference_on_random_sequences(
         verdict, failure = reference_colon_oracle(seq)
         assert (report.verdict, report.first_failure) == (verdict, failure), trial
         seen[verdict] = seen.get(verdict, 0) + 1
-        # each step's basis is the reduced basis of its prefix, byte for byte
+        # each step's basis is a minimal basis of its prefix
         order = MonomialOrder.grevlex(seq[0].table.nvars)
         gb = None
         for i, p in enumerate(seq[:failure - 1 if failure else len(seq)], start=1):
             step = nonzerodivisor_colon(gb, p.resort(order))
             assert step.regular, trial
             gb = step.basis
-            assert basis_bytes(gb) == basis_bytes(groebner_basis(seq[:i], order)), trial
+            assert_minimal_basis_of(gb, groebner_basis(seq[:i], order))
         if report.witness is not None:
             assert colon_witness_holds(gb, seq[failure - 1], report.witness), trial
     assert seen["regular"] >= 60 and seen["not-regular"] >= 60, seen
@@ -157,7 +169,7 @@ def test_selected_entries_walk_matches_groebner_basis_and_reference(gf):
         gb = None
         for i, p in enumerate(seq, start=1):
             gb = nonzerodivisor_colon(gb, p.resort(order)).basis
-        assert basis_bytes(gb) == basis_bytes(groebner_basis(seq, order))
+            assert_minimal_basis_of(gb, groebner_basis(seq[:i], order))
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +279,18 @@ def test_colon_steps_leave_their_prefix_basis_as_it_was(gf):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+# (considered, syzygy, cover, reduced, zero) J-pair totals of the walk over
+# GF(32003), recorded when the walk still handed on reduced prefix bases;
+# minimal ones must give the same counts
+SIGNATURE_TOTALS = {2: (10, 8, 0, 2, 0), 3: (78, 64, 6, 8, 0), 4: (692, 589, 72, 31, 0),
+                    5: (2372, 2031, 280, 61, 0)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_no_reduction_to_zero_on_the_selected_entries(gf, n):
     order = MonomialOrder.grevlex(2 * n * n)
     gb = None
-    total = {"considered": 0, "reduced": 0, "zero": 0}
+    total = dict.fromkeys(("considered", "syzygy", "cover", "reduced", "zero"), 0)
     for p in selected_entries(n, field=gf):
         step = nonzerodivisor_colon(gb, p.resort(order))
         assert step.regular
@@ -283,6 +302,7 @@ def test_no_reduction_to_zero_on_the_selected_entries(gf, n):
             total[name] += getattr(s, name)
     assert total["zero"] == 0
     assert total["reduced"] > 0 and total["considered"] > total["reduced"]
+    assert tuple(total.values()) == SIGNATURE_TOTALS[n]
 
 
 def test_colon_budgets_are_hard_stops(gf, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import entries_2x2, grevlex_entries, random_monomial, random_poly
 from xyreg.errors import (BudgetExceededError, CertificateFormatError,
-                          CertificationError, UndefinedLeadError)
+                          CertificationError, DimensionError, UndefinedLeadError)
 from xyreg.fields import PrimeField, QQ
 from xyreg.groebner import groebner_basis
 from xyreg.orders import MonomialOrder
@@ -867,3 +867,19 @@ def test_greedy_extension_rejects_irregular_base(gf):
     full = entries_2x2(gf)
     with pytest.raises(ValueError):
         greedy_extend(full, [], "hilbert")
+
+
+@pytest.mark.parametrize("method", ["hilbert", "colon"])
+def test_mixed_rings_are_an_error_not_a_verdict(gf, method):
+    mod_p, rational = selected_entries(2, field=gf), selected_entries(2, field=QQ)
+    wider = selected_entries(3, field=gf)
+    cases = [([mod_p[0], rational[1]], ValueError, "divisor over a different coefficient field"),
+             ([mod_p[0], wider[1]], DimensionError,
+              "polynomial over a different-size variable table")]
+    for seq, error, message in cases:
+        with pytest.raises(error, match=message):
+            sequence_oracle(seq, method)
+        with pytest.raises(error, match=message):
+            greedy_extend(seq[:1], seq[1:], method)
+        with pytest.raises(error, match=message):
+            greedy_extend(mod_p, seq, method)
