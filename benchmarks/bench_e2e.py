@@ -8,7 +8,7 @@ included):
 * ``recheck`` of that certificate for N in ``RECHECK_SIZES``,
 * ``oracle --method hilbert --n N --format json`` for each N in ``--hilbert``
   and ``oracle --method colon`` for each N in ``--colon``, with the verdict
-  and the sha256 of the report,
+  and the sha256 of the report (and a Hilbert report's detail lines),
 * ``search --method hilbert|colon --n N --format json`` for each N in
   ``--search``, with the accepted entries and the sha256 of the report.
 
@@ -183,8 +183,9 @@ def main(argv=None):
             case = run_case(src, name, ["oracle", "--method", method, "--n", str(n),
                                         "--format", "json", "--out", str(report)])
             if case["wall_s"] is not None:
-                outputs.append((case, report, lambda data: {
+                outputs.append((case, report, lambda data, method=method: {
                     "verdict": json.loads(data)["verdict"],
+                    **({"details": json.loads(data)["details"]} if method == "hilbert" else {}),
                     "sha256": hashlib.sha256(data).hexdigest()}))
             record["cases"][name] = case
         for n in args.search:

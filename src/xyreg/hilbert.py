@@ -19,11 +19,17 @@ generator of degree 2**31 costs one entry, not 2**31.
 A lead ideal grows one monomial at a time through N(J + m) = N(J) -
 t^deg(m) * N(J : m) (:class:`_LeadSeries`, one memo for every colon it
 takes).  The Hilbert oracle (:func:`_first_difference`) grows it with the
-leads :func:`groebner.buchberger`'s pair loop appends.  That loop takes
-pairs by lcm degree, so for homogeneous input, once every pair of lcm
-degree <= d is done the leads so far generate in(I) through degree d, the
-series of R/I is exact through d, and the oracle stops at the first degree
-where it leaves the complete-intersection series.
+leads :func:`groebner.buchberger`'s pair loop appends and has two stops.
+That loop takes pairs by lcm degree, so for homogeneous input, once every
+pair of lcm degree <= d is done the leads so far generate in(I) through
+degree d, the series of R/I is exact through d, and the oracle stops at the
+first degree where it leaves the complete-intersection series: not regular.
+Every lead lies in in(I), so the ideal L of the leads so far gives
+dim R/I <= dim R/L, and Krull's height theorem gives dim R/I >= N - k for k
+elements; the oracle stops as soon as dim R/L = N - k: regular (R is
+Cohen-Macaulay; Bruns-Herzog, *Cohen-Macaulay Rings*, ch. 2).  dim R/L is N
+minus the multiplicity of t = 1 as a root of N(L), read off the sparse
+numerator with a few exact sums (:func:`_codimension`).
 
 Inside the recursion every monomial is one Python int: variable i owns the
 bit field of w = 8, 16, 32, 64, ... bits starting at bit i*w, whose top
@@ -48,6 +54,7 @@ import sys
 from bisect import insort
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .errors import HomogeneityError
 from .groebner import _buchberger_walk, buchberger, lead_ideal
@@ -257,17 +264,53 @@ def complete_intersection_numerator(degrees):
     return _dense(_complete_intersection(degrees))
 
 
+def _codimension(numerator, most):
+    """The multiplicity of t = 1 as a root of the sparse ``numerator``, i.e.
+    the codimension of its monomial ideal, or ``most + 1`` when it exceeds
+    ``most``: the least j with sum_d c_d * d(d-1)...(d-j+1) != 0, the j-th
+    derivative at t = 1 up to the factor j!."""
+    terms = list(numerator.items())
+    for j in range(most + 1):
+        if sum(c for _, c in terms):
+            return j
+        terms = [(d, c * (d - j)) for d, c in terms]
+    return most + 1
+
+
+class _Difference(NamedTuple):
+    """Not regular: the first degree where the series differ, and the
+    series value of R/I and of the complete intersection there."""
+
+    degree: int
+    computed: int
+    expected: int
+
+
+class _Dimension(NamedTuple):
+    """Regular: the lead ideal reached codimension k at the boundary
+    ``degree`` (or, when the run ended first, at the top degree of its
+    ``leads`` minimal generators)."""
+
+    degree: int
+    leads: int
+
+
 def _first_difference(polys, order, degrees, **budget):
-    """Where the Hilbert series of R/<polys> first leaves the complete-
-    intersection series for ``degrees``: (degree, its value, the complete-
-    intersection value), or None when the two are equal.
+    """The Hilbert verdict on R/<polys> against the complete-intersection
+    series for ``degrees``: a :class:`_Difference` where the series first
+    differ, or a :class:`_Dimension` once they cannot.
 
     ``polys`` are homogeneous and nonzero, under ``order``.  The leads of
-    :func:`groebner.buchberger`'s pair loop feed one :class:`_LeadSeries`;
-    at each degree boundary the numerators are compared through that
-    degree, and the first difference ends the run.
+    :func:`groebner.buchberger`'s pair loop feed one :class:`_LeadSeries`.
+    At each degree boundary d, two stops are tried in turn: the numerators
+    are compared through degree d, and a difference ends the run; then the
+    codimension of the lead ideal so far is read from its numerator, and
+    codimension k = len(degrees) ends it: the lead ideal lies in in(I),
+    whose codimension Krull's height theorem bounds by k.  A run that ends
+    first has no difference exactly when its whole lead ideal has
+    codimension k; that agreement is checked.
     """
-    nvars = order.nvars
+    nvars, k = order.nvars, len(degrees)
     expected = _complete_intersection(degrees)
     series = _LeadSeries(nvars)
     absorbed = 0
@@ -280,9 +323,15 @@ def _first_difference(polys, order, degrees, **budget):
                   if (done is None or d <= done) and computed.get(d, 0) != expected.get(d, 0)]
         if differ:
             d = min(differ)
-            return (d, _hilbert_function(computed, nvars, d),
-                    _hilbert_function(expected, nvars, d))
-    return None
+            return _Difference(d, _hilbert_function(computed, nvars, d),
+                               _hilbert_function(expected, nvars, d))
+        reached = _codimension(computed, k) == k
+        if done is None:
+            if not reached:
+                raise RuntimeError("equal series but a lead ideal below codimension k")
+            return _Dimension(max(map(series.pk.degree, series.gens)), len(series.gens))
+        if reached:
+            return _Dimension(done, len(series.gens))
 
 
 def hilbert_series_quotient(gens, order=None, **budget):

@@ -72,7 +72,7 @@ from .fields import PrimeField
 from . import kernels
 from .groebner import (GroebnerBasis, SignatureStats, _check_ring, _minimal, _packed, buchberger,
                        normal_form)
-from .hilbert import _first_difference
+from .hilbert import _Dimension, _first_difference
 from .orders import MonomialOrder
 from .poly import Polynomial, Term, _format_terms
 from .ring import VariableTable, _format_support, _monomial, _quotient, _support
@@ -405,11 +405,12 @@ def regular_oracle_hilbert(seq, *, pair_budget=None, degree_budget=None):
 
 
 def _hilbert_criterion(seq, pair_budget, degree_budget):
-    """(regular, details) for :func:`regular_oracle_hilbert`.  The one
-    detail line of a not-regular verdict names the first index that is zero
+    """(regular, details) for :func:`regular_oracle_hilbert`, with one
+    detail line.  A not-regular verdict names the first index that is zero
     or a unit, as the colon oracle does, or else the first degree where the
     quotient's series leaves the complete-intersection series, with both
-    values."""
+    values.  A regular verdict names the degree where the lead ideal
+    reached dimension N - k, and its number of minimal generators then."""
     seq = list(seq)
     if not seq:
         return True, []
@@ -425,13 +426,13 @@ def _hilbert_criterion(seq, pair_budget, degree_budget):
             return False, [f"index {i}: the ideal becomes the whole ring"]
     degrees = [p.degree() for p in seq]
     order = _oracle_order(seq[0].table)
-    mismatch = _first_difference([p.resort(order) for p in seq], order, degrees,
-                                 pair_budget=pair_budget, degree_budget=degree_budget)
-    if mismatch is None:
-        return True, []
-    d, computed, expected = mismatch
-    return False, [f"degree {d}: Hilbert function {computed}, "
-                   f"complete intersection {expected}"]
+    found = _first_difference([p.resort(order) for p in seq], order, degrees,
+                              pair_budget=pair_budget, degree_budget=degree_budget)
+    if isinstance(found, _Dimension):
+        return True, [f"dimension: R/in(I) reaches N-k = {order.nvars - len(seq)} "
+                      f"at degree {found.degree} with {found.leads} leads"]
+    return False, [f"degree {found.degree}: Hilbert function {found.computed}, "
+                   f"complete intersection {found.expected}"]
 
 
 @dataclass
@@ -493,7 +494,7 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
     f = f.resort(order)
     div = kernels.SignedDivisors(prefix_gb.flat_arrays())
     first, sigs = div.first, div.u
-    in_j = div.leads.copy()
+    in_j = _MonomialIdeal(div.leads.copy())  # the leads of J, packed once per step
     coeffs = [p.coeffs for p in prefix_gb.polys]
     ratios = []  # per pair: packed key of lm(u) minus that of lm(v)
     heap = []
@@ -524,7 +525,7 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
         if pair_budget is not None and stats.considered > pair_budget:
             raise BudgetExceededError(f"pair budget {pair_budget} exhausted",
                                       pairs_considered=stats.considered)
-        in_ideal = _in_monomial_ideal(lcms - leads[sides] + sigs.leads[sides - first], in_j)
+        in_ideal = in_j.contains(lcms - leads[sides] + sigs.leads[sides - first])
         stats.syzygy += int(in_ideal.sum())
         keep = np.flatnonzero(~in_ideal)
         for side, other, lcm_key in zip(sides[keep].tolist(), others[keep].tolist(),
@@ -571,34 +572,50 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
     return ColonStep(True, GroebnerBasis(order, polys, stats=stats, divisors=div), stats=stats)
 
 
-def _in_monomial_ideal(rows, gens, chunk=1 << 22):
-    """For each exponent row, whether some generator row divides it.
+class _MonomialIdeal:
+    """Membership in the monomial ideal of a fixed block of generator rows.
 
-    Both sides are packed into uint64 words of guarded bit fields, as in
+    Rows are packed into uint64 words of guarded bit fields, as in
     :mod:`hilbert`: g divides m iff ((m | G) - g) & G == G word by word,
-    where G holds every field's top (guard) bit.
+    where G holds every field's top (guard) bit.  The generators are packed
+    once, and again, wider, only when a row outgrows the fields.
     """
-    width = int(max(rows.max(initial=0), gens.max(initial=0))).bit_length() + 1
-    per = 64 // width
-    words = -(-rows.shape[1] // per)
-    shifts = np.arange(per, dtype=np.uint64) * np.uint64(width)
-    guard = np.uint64(sum(1 << (k * width + width - 1) for k in range(per)))
 
-    def pack(a):
-        a = np.pad(a, ((0, 0), (0, words * per - a.shape[1]))).astype(np.uint64)
-        return np.bitwise_or.reduce(a.reshape(len(a), words, per) << shifts, axis=2)
+    def __init__(self, gens):
+        self.gens = gens
+        self._widen(int(gens.max(initial=0)))
 
-    packed, gens = pack(rows) | guard, pack(gens)
-    out = np.empty(len(rows), dtype=bool)
-    step = max(1, chunk // max(1, len(gens)))
-    for at in range(0, len(rows), step):
-        block = packed[at:at + step]
-        # per (row, generator): the guard bits that the subtraction cleared
-        miss = np.zeros((len(block), len(gens)), dtype=np.uint64)
-        for w in range(words):
-            miss |= ((block[:, w, None] - gens[None, :, w]) & guard) ^ guard
-        out[at:at + step] = (miss == 0).any(axis=1)
-    return out
+    def _widen(self, top):
+        width = top.bit_length() + 1
+        per = 64 // width
+        self.words = -(-self.gens.shape[1] // per)
+        self.shifts = np.arange(per, dtype=np.uint64) * np.uint64(width)
+        self.guard = np.uint64(sum(1 << (k * width + width - 1) for k in range(per)))
+        self.top = (1 << (width - 1)) - 1  # the largest exponent a field holds
+        self.packed = self._pack(self.gens)
+
+    def _pack(self, a):
+        per = len(self.shifts)
+        a = np.pad(a, ((0, 0), (0, self.words * per - a.shape[1]))).astype(np.uint64)
+        return np.bitwise_or.reduce(a.reshape(len(a), self.words, per) << self.shifts, axis=2)
+
+    def contains(self, rows, chunk=1 << 22):
+        """For each exponent row, whether some generator row divides it."""
+        top = int(rows.max(initial=0))
+        if top > self.top:
+            self._widen(top)
+        guard, gens = self.guard, self.packed
+        packed = self._pack(rows) | guard
+        out = np.empty(len(rows), dtype=bool)
+        step = max(1, chunk // max(1, len(gens)))
+        for at in range(0, len(rows), step):
+            block = packed[at:at + step]
+            # per (row, generator): the guard bits that the subtraction cleared
+            miss = np.zeros((len(block), len(gens)), dtype=np.uint64)
+            for w in range(self.words):
+                miss |= ((block[:, w, None] - gens[None, :, w]) & guard) ^ guard
+            out[at:at + step] = (miss == 0).any(axis=1)
+        return out
 
 
 def colon_witness_holds(prefix_gb, f, u):

@@ -8,8 +8,8 @@ import pytest
 from conftest import grevlex_entries
 from xyreg.errors import HomogeneityError
 from xyreg.fields import PrimeField
-from xyreg.hilbert import (HilbertData, _complete_intersection, _dense, _LeadSeries,
-                           complete_intersection_numerator, hilbert_numerator,
+from xyreg.hilbert import (HilbertData, _codimension, _complete_intersection, _dense,
+                           _LeadSeries, complete_intersection_numerator, hilbert_numerator,
                            hilbert_series_quotient)
 from xyreg.groebner import buchberger, lead_ideal
 from xyreg.orders import MonomialOrder
@@ -250,3 +250,22 @@ def test_huge_exponents_stay_sparse():
         series.add(row)
     assert series.numerator == {0: 1, top: -2, 2 * top: 1}
     assert _complete_intersection([top, top]) == series.numerator
+
+
+def test_codimension_is_the_least_cover_of_the_supports():
+    """The codimension of a monomial ideal is the fewest variables that
+    meet every generator's support (its minimal primes are generated by
+    such sets); the multiplicity of t = 1 in the numerator must equal it."""
+    rng = random.Random(2023)
+    for _ in range(80):
+        nvars = rng.randint(1, 6)
+        gens = random_ideal(rng, nvars, rng.randint(1, 7), 4)
+        cover = min(len(vs) for r in range(nvars + 1)
+                    for vs in itertools.combinations(range(nvars), r)
+                    if all(any(g[v] for v in vs) for g in gens))
+        numerator = dict(enumerate(hilbert_numerator([M(*g) for g in gens], nvars).numerator))
+        assert _codimension(numerator, nvars) == cover, gens
+        assert _codimension(numerator, cover - 1) == cover  # read no further than asked
+    assert _codimension(_complete_intersection([2, 3, 1]), 3) == 3
+    assert _codimension({0: 1}, 3) == 0  # the zero ideal
+    assert _codimension({}, 3) == 4  # the unit ideal: every sum vanishes

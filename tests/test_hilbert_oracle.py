@@ -1,14 +1,17 @@
-"""The Hilbert oracle's degree-by-degree early stop against a complete run.
+"""The Hilbert oracle's two early stops against a complete run.
 
-``reference_hilbert_criterion`` is the oracle as it was before the early
+``reference_hilbert_criterion`` is the oracle as it was before either
 stop: a complete Buchberger run, the numerator of its whole lead ideal, and
 the first degree where that numerator leaves the complete-intersection
 numerator.  The oracle now stops at the first degree boundary where the
-series differ, so on a not-regular input it sees only part of the basis;
-its verdict and detail line must still be the reference's.
+series differ, or where the lead ideal so far reaches dimension N - k, so
+it may see only part of the basis; its verdict must still be the
+reference's, and a not-regular detail line too.
 """
 
+import json
 import random
+import re
 from itertools import zip_longest
 
 import numpy as np
@@ -20,7 +23,7 @@ from xyreg.fields import PrimeField
 from xyreg.groebner import buchberger, lead_ideal
 from xyreg.hilbert import HilbertData, complete_intersection_numerator, hilbert_numerator
 from xyreg.orders import MonomialOrder
-from xyreg.pattern import GenericProduct
+from xyreg.pattern import GenericProduct, selected_entries
 from xyreg.poly import Polynomial, format_poly
 from xyreg.regseq import sequence_oracle
 from xyreg.ring import Monomial, VariableTable
@@ -29,18 +32,30 @@ FULL_3X3_LINE = "degree 5: Hilbert function 16758, complete intersection 16722"
 
 
 def reference_hilbert_criterion(seq):
-    """(verdict, details) from a complete basis and the whole numerator."""
+    """(verdict, details, basis) from a complete basis and the whole
+    numerator; a regular verdict has no detail line."""
     order = MonomialOrder.grevlex(seq[0].table.nvars)
     degrees = [p.degree() for p in seq]
     gb = buchberger([p.resort(order) for p in seq], order)
     computed = hilbert_numerator(lead_ideal(gb), order.nvars)
     expected = HilbertData(complete_intersection_numerator(degrees), order.nvars)
     if computed == expected:
-        return "regular", []
+        return "regular", [], gb
     pairs = zip_longest(computed.numerator, expected.numerator, fillvalue=0)
     d = next(k for k, (a, b) in enumerate(pairs) if a != b)
     return "not-regular", [f"degree {d}: Hilbert function {computed.series_coefficients(d)[d]}, "
-                           f"complete intersection {expected.series_coefficients(d)[d]}"]
+                           f"complete intersection {expected.series_coefficients(d)[d]}"], gb
+
+
+def check_dimension_line(details, seq, gb):
+    """The one detail line of a regular verdict names N - k, and no more
+    leads than the complete basis has minimal ones."""
+    (line,) = details
+    found = re.fullmatch(r"dimension: R/in\(I\) reaches N-k = (\d+) at degree (\d+) "
+                         r"with (\d+) leads", line)
+    assert found, line
+    assert int(found[1]) == seq[0].table.nvars - len(seq)
+    assert int(found[3]) <= len(lead_ideal(gb))
 
 
 def random_homogeneous_sequence(rng, field):
@@ -73,8 +88,12 @@ def test_early_stop_matches_the_complete_run_on_random_sequences():
         for _ in range(120):
             seq = random_homogeneous_sequence(rng, field)
             report = sequence_oracle(seq, "hilbert")
-            assert (report.verdict, report.details) == reference_hilbert_criterion(seq), \
-                [format_poly(p) for p in seq]
+            verdict, details, gb = reference_hilbert_criterion(seq)
+            assert report.verdict == verdict, [format_poly(p) for p in seq]
+            if verdict == "not-regular":
+                assert report.details == details, [format_poly(p) for p in seq]
+            else:
+                check_dimension_line(report.details, seq, gb)
             verdicts[report.verdict] += 1
     assert min(verdicts.values()) >= 60, verdicts
 
@@ -112,3 +131,56 @@ def test_degree_budget_5_gives_the_verdict_on_all_nine_3x3_entries(gf, tmp_path,
 def test_a_budget_a_regular_input_reaches_is_inconclusive(budget, capsys):
     assert main(["oracle", "--method", "hilbert", "--n", "3", *budget]) == 3
     assert capsys.readouterr().err.startswith("inconclusive: ")
+
+
+def test_dimension_stop_agrees_with_the_complete_run_on_800_random_sequences():
+    """Every verdict is the complete run's; many regular ones end at the
+    dimension stop, before the complete run's last pair: a budget one short
+    of the complete run still gives them their verdict."""
+    early = regular = 0
+    for field, seed in ((PrimeField(7), 4001), (PrimeField(32003), 4002)):
+        rng = random.Random(seed)
+        for _ in range(400):
+            seq = random_homogeneous_sequence(rng, field)
+            verdict, details, gb = reference_hilbert_criterion(seq)
+            report = sequence_oracle(seq, "hilbert")
+            assert report.verdict == verdict, [format_poly(p) for p in seq]
+            if verdict == "not-regular":
+                assert report.details == details, [format_poly(p) for p in seq]
+                continue
+            check_dimension_line(report.details, seq, gb)
+            regular += 1
+            total = gb.stats.considered
+            if total and sequence_oracle(seq, "hilbert", pair_budget=total - 1).regular:
+                early += 1
+    assert early > 0, (early, regular)
+
+
+@pytest.mark.parametrize("n, pairs", [(3, 24), (4, 254), (5, 1024)])
+def test_the_selected_entries_stop_at_dimension_n_minus_k(gf, n, pairs):
+    """The complete run considers 78, 595 and 2,211 pairs for n = 3, 4, 5;
+    the lead ideal reaches dimension N - k after 24, 254 and 1,024, at the
+    boundary of degree 4, 5 and 6."""
+    seq = selected_entries(n, field=gf)
+    report = sequence_oracle(seq, "hilbert", pair_budget=pairs)
+    assert report.verdict == "regular"
+    (line,) = report.details
+    assert line.startswith(f"dimension: R/in(I) reaches N-k = {2 * n * n - len(seq)} "
+                           f"at degree {n + 1} with ")
+    with pytest.raises(BudgetExceededError) as info:
+        sequence_oracle(seq, "hilbert", pair_budget=pairs - 1)
+    assert info.value.pairs_considered == pairs
+
+
+def test_a_budget_the_dimension_stop_fits_in_gives_the_verdict(capsys):
+    """The n=3 entries stop after 24 pairs, at the degree-4 boundary; a
+    complete run needs 78 pairs and pairs of degree 7, so these budgets
+    used to exit 3."""
+    line = "dimension: R/in(I) reaches N-k = 13 at degree 4 with 13 leads"
+    argv = ["oracle", "--method", "hilbert", "--n", "3"]
+    assert main(argv + ["--budget-pairs", "24"]) == 0
+    assert f"verdict: regular\n  {line}\n" in capsys.readouterr().out
+    assert main(argv + ["--budget-degree", "4", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["details"] == [line]
+    assert main(argv + ["--budget-pairs", "23"]) == 3
+    assert capsys.readouterr().err.startswith("inconclusive: pair budget 23 exhausted")

@@ -547,7 +547,9 @@ def test_hilbert_verdict_names_the_first_differing_degree(gf):
     # the 2x2 set leaves the complete-intersection series in degree 4
     report = sequence_oracle(entries_2x2(gf), "hilbert")
     assert report.details == ["degree 4: Hilbert function 195, complete intersection 192"]
-    assert sequence_oracle(selected_entries(3, field=gf), "hilbert").details == []
+    # a regular verdict names where the lead ideal reached dimension N - k
+    assert sequence_oracle(selected_entries(3, field=gf), "hilbert").details == [
+        "dimension: R/in(I) reaches N-k = 13 at degree 4 with 13 leads"]
 
 
 def test_oracle_budget_is_an_error_not_a_verdict(gf):
@@ -855,10 +857,12 @@ def test_greedy_extension_examples(gf):
 
 
 def test_greedy_extension_logs_inconclusive(gf):
-    product = GenericProduct(2, field=gf)
-    f11 = product.entry(1, 1)
-    report = greedy_extend([f11], [product.entry(1, 2)], "hilbert", pair_budget=1)
-    assert report.chain == [f11]
+    """The first two selected entries at n=3 take 3 pairs in a complete run;
+    with the third, the dimension stop needs 8 pairs (the complete run 21),
+    so a budget of 5 passes the base and stops the candidate's run."""
+    base, candidate = selected_entries(3, field=gf)[:2], selected_entries(3, field=gf)[2]
+    report = greedy_extend(base, [candidate], "hilbert", pair_budget=5)
+    assert report.chain == base
     assert len(report.rejected) == 1
     assert report.rejected[0][1].startswith("inconclusive")
 
