@@ -4,6 +4,8 @@ Each case runs ``python -m xyreg.cli`` in a new interpreter, the way a user
 runs ``xyreg``, and times it from spawn to exit (import and JSON emission
 included):
 
+* ``python -c "import xyreg.cli"`` alone, the cold-start cost every run
+  pays, always recorded (``import`` row),
 * ``certify --n N --format json`` for each N in ``--sizes``,
 * ``recheck`` of that certificate for N in ``RECHECK_SIZES``,
 * ``oracle --method hilbert --n N --format json`` for each N in ``--hilbert``
@@ -54,6 +56,7 @@ SEARCH_SIZES = (3, 4)
 TIMEOUT_S = 900  # a run still going after this is killed and recorded as stopped
 REPEAT_BELOW_S = 5.0  # a case whose first run is faster runs REPEATS times
 REPEATS = 3
+IMPORT_ARGS = ["-c", "import xyreg.cli"]  # the cold-start row
 
 STAMP_CODE = """
 import json, sys, numpy, xyreg
@@ -88,12 +91,12 @@ def stamp(src):
     return info
 
 
-def timed_cli(src, argv, timeout):
-    """(wall seconds, exit code, peak RSS in MB) of one fresh
-    ``python -m xyreg.cli`` run; the run is killed after ``timeout`` s."""
+def timed_run(src, args, timeout):
+    """(wall seconds, exit code, peak RSS in MB) of one fresh ``python args``
+    run; the run is killed after ``timeout`` s."""
     with tempfile.TemporaryFile() as err:
         start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "xyreg.cli", *argv],
+        proc = subprocess.Popen([sys.executable, *args],
                                 env=child_env(src), stdout=subprocess.DEVNULL, stderr=err)
         timer = threading.Timer(timeout, proc.kill)
         timer.start()
@@ -109,16 +112,14 @@ def timed_cli(src, argv, timeout):
     return seconds, code, usage.ru_maxrss / 1024
 
 
-def run_case(src, name, argv):
-    """The timed runs of ``argv``: one, or ``REPEATS`` when the first takes
-    under ``REPEAT_BELOW_S`` s.  The record holds the median wall time, the
-    largest peak RSS and every run's time, and names the command with its
-    file arguments as FILE."""
-    command = " ".join(["xyreg"] + ["FILE" if prev in ("--out", "--input") else a
-                                    for prev, a in zip([""] + argv, argv)])
+def run_case(src, name, args, command):
+    """The timed runs of ``python args``: one, or ``REPEATS`` when the first
+    takes under ``REPEAT_BELOW_S`` s.  The record names the run ``command``
+    and holds the median wall time, the largest peak RSS and every run's
+    time."""
     runs = []
     while not runs or (len(runs) < REPEATS and runs[0][0] < REPEAT_BELOW_S):
-        seconds, code, peak = timed_cli(src, argv, TIMEOUT_S)
+        seconds, code, peak = timed_run(src, args, TIMEOUT_S)
         if code == -signal.SIGKILL:
             print(f"{name}: stopped after {TIMEOUT_S} s", flush=True)
             return {"command": command, "timeout_s": TIMEOUT_S, "wall_s": None}
@@ -131,6 +132,13 @@ def run_case(src, name, argv):
           flush=True)
     return {"command": command, "wall_s": round(seconds, 3), "peak_rss_mb": round(peak, 1),
             "runs_s": [round(s, 3) for s, _ in runs]}
+
+
+def cli_case(src, name, argv):
+    """:func:`run_case` for ``xyreg argv``, its file arguments named FILE."""
+    command = " ".join(["xyreg"] + ["FILE" if prev in ("--out", "--input") else a
+                                    for prev, a in zip([""] + argv, argv)])
+    return run_case(src, name, ["-m", "xyreg.cli", *argv], command)
 
 
 def main(argv=None):
@@ -160,11 +168,13 @@ def main(argv=None):
     # run is done: a child's peak RSS counts this process's peak at the
     # spawn, so a parsed certificate here would inflate every later row
     outputs = []
+    record["cases"]["import"] = run_case(src, "import", IMPORT_ARGS,
+                                         'python -c "import xyreg.cli"')
     with tempfile.TemporaryDirectory() as tmp:
         for n in args.sizes:
             cert = Path(tmp) / f"cert-{n}.json"
             name = f"certify n={n}"
-            case = run_case(src, name, ["certify", "--n", str(n), "--format", "json",
+            case = cli_case(src, name, ["certify", "--n", str(n), "--format", "json",
                                         "--out", str(cert)])
             if case["wall_s"] is not None:
                 outputs.append((case, cert, lambda data: {
@@ -173,14 +183,14 @@ def main(argv=None):
             record["cases"][name] = case
             if n in RECHECK_SIZES and case["wall_s"] is not None:
                 name = f"recheck n={n}"
-                record["cases"][name] = run_case(
+                record["cases"][name] = cli_case(
                     src, name, ["recheck", "--input", str(cert), "--format", "json"])
         oracles = [("hilbert", n) for n in args.hilbert] + [("colon", n) for n in args.colon]
         # cheapest first, so the largest hilbert run (which may hit the timeout) ends the list
         for method, n in sorted(oracles, key=lambda c: (c[1], c[0] == "hilbert")):
             report = Path(tmp) / f"{method}-{n}.json"
             name = f"oracle {method} n={n}"
-            case = run_case(src, name, ["oracle", "--method", method, "--n", str(n),
+            case = cli_case(src, name, ["oracle", "--method", method, "--n", str(n),
                                         "--format", "json", "--out", str(report)])
             if case["wall_s"] is not None:
                 outputs.append((case, report, lambda data, method=method: {
@@ -192,7 +202,7 @@ def main(argv=None):
             for method in ("colon", "hilbert"):
                 report = Path(tmp) / f"search-{method}-{n}.json"
                 name = f"search {method} n={n}"
-                case = run_case(src, name, ["search", "--method", method, "--n", str(n),
+                case = cli_case(src, name, ["search", "--method", method, "--n", str(n),
                                             "--format", "json", "--out", str(report)])
                 if case["wall_s"] is not None:
                     outputs.append((case, report, lambda data: {

@@ -15,19 +15,18 @@ from .errors import (BudgetExceededError, CertificateFormatError,
 from .fields import DEFAULT_PRIME, QQ, PrimeField, RationalField
 from .groebner import (GroebnerBasis, SignatureStats, buchberger, groebner_basis,
                        lead_ideal, multi_divide, normal_form, reduce_basis, s_poly)
-from .hilbert import (HilbertData, complete_intersection_numerator,
-                      hilbert_numerator, hilbert_series_quotient)
+from .hilbert import HilbertData, hilbert_numerator, hilbert_series_quotient
 from .kernels import active_backend
 from .orders import MonomialOrder
-from .pattern import (GenericProduct, PatternSpec, augmented_sequence,
-                      build_ring, certification_order, certify_pattern,
-                      column_limit, counterexample_2x2, expected_effective_lead,
-                      recheck_certificate, selected_entries, selected_rows)
+from .pattern import (GenericProduct, PatternSpec, build_ring, certification_order,
+                      certify_pattern, column_limit, counterexample_2x2,
+                      expected_effective_lead, recheck_certificate, selected_entries,
+                      selected_rows)
 from .poly import Polynomial, Term, format_poly, parse_poly
 from .regseq import (CertificateStep, ColonStep, ExtensionReport, OracleReport,
                      RegularityCertificate, check_technical_step,
                      colon_witness_holds, greedy_extend, nonzerodivisor_colon,
-                     regular_oracle_hilbert, sequence_oracle)
+                     sequence_oracle)
 from .ring import Monomial, VariableTable, format_monomial
 
 __version__ = "0.1.0"

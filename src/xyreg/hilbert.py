@@ -60,32 +60,13 @@ from .errors import HomogeneityError
 from .groebner import _buchberger_walk, buchberger, lead_ideal
 
 
-def _trim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
 @dataclass(frozen=True)
 class HilbertData:
-    """Series numerator over (1-t)^nvars, as a coefficient tuple by degree."""
+    """Series numerator over (1-t)^nvars, as a coefficient tuple by degree
+    with no trailing zero (the zero quotient's is empty)."""
 
     numerator: tuple
     nvars: int
-
-    def series_coefficients(self, upto):
-        """Dimensions of the graded pieces in degrees 0..upto."""
-        numerator = dict(enumerate(self.numerator))
-        return [_hilbert_function(numerator, self.nvars, d) for d in range(upto + 1)]
-
-    def __eq__(self, other):
-        return (isinstance(other, HilbertData)
-                and self.nvars == other.nvars
-                and _trim(self.numerator) == _trim(other.numerator))
-
-    def __hash__(self):
-        return hash((tuple(_trim(self.numerator)), self.nvars))
 
 
 def _hilbert_function(numerator, nvars, d):
@@ -257,11 +238,6 @@ def _complete_intersection(degrees):
     for d in degrees:
         out = _axpy(out, out, d, -1)
     return out
-
-
-def complete_intersection_numerator(degrees):
-    """prod (1 - t^d) as a coefficient tuple."""
-    return _dense(_complete_intersection(degrees))
 
 
 def _codimension(numerator, most):

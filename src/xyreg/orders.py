@@ -24,7 +24,7 @@ Shipped kinds:
 import numpy as np
 
 from .errors import DimensionError
-from .ring import Monomial, _xy_slot
+from .ring import _xy_slot
 
 # the orders :meth:`MonomialOrder.from_name` builds over the x/y slots
 ORDER_NAMES = ("paper", "grevlex", "lex")
@@ -127,15 +127,6 @@ class MonomialOrder:
         cols.sort()
         width = len(ranks) + 2
         return tuple((width - j, e) if e > 0 else (j - width, e) for j, e in cols) + ((0, 0),)
-
-    def compare(self, a, b):
-        """-1, 0 or 1 as a <, =, > b."""
-        ka = self.keys(a.exps if isinstance(a, Monomial) else a)
-        kb = self.keys(b.exps if isinstance(b, Monomial) else b)
-        for x, y in zip(ka.tolist(), kb.tolist()):
-            if x != y:
-                return 1 if x > y else -1
-        return 0
 
     def sort_desc(self, exps):
         """Indices rearranging the rows of ``exps`` strictly descending."""

@@ -140,19 +140,6 @@ def selected_entries(n, field=None, order=None):
     return [product.entry(s, t) for s, t in PatternSpec.build(n).positions]
 
 
-def augmented_sequence(n, field=None, order=None):
-    """The certification walk: selected entries with their bare y variables
-    interleaved immediately before each entry."""
-    product = GenericProduct(n, field, order)
-    out = []
-    for item in PatternSpec.build(n).augmented:
-        if item[0] == "y":
-            out.append(product.y(item[1], item[2]))
-        else:
-            out.append(product.entry(item[1], item[2]))
-    return out
-
-
 def expected_effective_lead(n, s, t):
     """Predicted effective lead of the entry at selected position (s, t), as
     a support."""

@@ -394,45 +394,35 @@ def _oracle_order(table):
     return MonomialOrder.grevlex(table.nvars)
 
 
-def regular_oracle_hilbert(seq, *, pair_budget=None, degree_budget=None):
-    """Regularity via the complete-intersection Hilbert criterion.
-
-    Homogeneous elements over GF(p) only.  True iff the Hilbert series of the
-    quotient equals prod(1 - t^deg_i) / (1 - t)^nvars exactly.  A budget stop
-    raises BudgetExceededError rather than returning a verdict.
-    """
-    return _hilbert_criterion(seq, pair_budget, degree_budget)[0]
-
-
 def _hilbert_criterion(seq, pair_budget, degree_budget):
-    """(regular, details) for :func:`regular_oracle_hilbert`, with one
-    detail line.  A not-regular verdict names the first index that is zero
-    or a unit, as the colon oracle does, or else the first degree where the
+    """The Hilbert oracle's report on the nonempty ``seq``, with one detail
+    line.  A not-regular verdict names the first index that is zero or a
+    unit, as the colon oracle does, or else the first degree where the
     quotient's series leaves the complete-intersection series, with both
     values.  A regular verdict names the degree where the lead ideal
-    reached dimension N - k, and its number of minimal generators then."""
-    seq = list(seq)
-    if not seq:
-        return True, []
+    reached dimension N - k, and its number of minimal generators then.
+    Homogeneous elements over GF(p) only."""
     if not isinstance(seq[0].field, PrimeField):
         raise ValueError("the Hilbert oracle runs over a prime field")
     for p in seq:
         if not p.is_homogeneous():
             raise HomogeneityError("the Hilbert oracle requires homogeneous elements")
     for i, p in enumerate(seq, start=1):
-        if p.is_zero():
-            return False, [f"index {i}: zero element"]
-        if p.degree() == 0:
-            return False, [f"index {i}: the ideal becomes the whole ring"]
+        if p.is_zero() or p.degree() == 0:
+            what = "zero element" if p.is_zero() else "the ideal becomes the whole ring"
+            return OracleReport(method="hilbert", verdict="not-regular",
+                                details=[f"index {i}: {what}"])
     degrees = [p.degree() for p in seq]
     order = _oracle_order(seq[0].table)
     found = _first_difference([p.resort(order) for p in seq], order, degrees,
                               pair_budget=pair_budget, degree_budget=degree_budget)
     if isinstance(found, _Dimension):
-        return True, [f"dimension: R/in(I) reaches N-k = {order.nvars - len(seq)} "
-                      f"at degree {found.degree} with {found.leads} leads"]
-    return False, [f"degree {found.degree}: Hilbert function {found.computed}, "
-                   f"complete intersection {found.expected}"]
+        return OracleReport(method="hilbert", verdict="regular", details=[
+            f"dimension: R/in(I) reaches N-k = {order.nvars - len(seq)} "
+            f"at degree {found.degree} with {found.leads} leads"])
+    return OracleReport(method="hilbert", verdict="not-regular", details=[
+        f"degree {found.degree}: Hilbert function {found.computed}, "
+        f"complete intersection {found.expected}"])
 
 
 @dataclass
@@ -572,6 +562,10 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
     return ColonStep(True, GroebnerBasis(order, polys, stats=stats, divisors=div), stats=stats)
 
 
+# (row, generator) word pairs that one block of _MonomialIdeal.contains tests
+_CONTAINS_BLOCK = 1 << 22
+
+
 class _MonomialIdeal:
     """Membership in the monomial ideal of a fixed block of generator rows.
 
@@ -599,7 +593,7 @@ class _MonomialIdeal:
         a = np.pad(a, ((0, 0), (0, self.words * per - a.shape[1]))).astype(np.uint64)
         return np.bitwise_or.reduce(a.reshape(len(a), self.words, per) << self.shifts, axis=2)
 
-    def contains(self, rows, chunk=1 << 22):
+    def contains(self, rows):
         """For each exponent row, whether some generator row divides it."""
         top = int(rows.max(initial=0))
         if top > self.top:
@@ -607,7 +601,7 @@ class _MonomialIdeal:
         guard, gens = self.guard, self.packed
         packed = self._pack(rows) | guard
         out = np.empty(len(rows), dtype=bool)
-        step = max(1, chunk // max(1, len(gens)))
+        step = max(1, _CONTAINS_BLOCK // max(1, len(gens)))
         for at in range(0, len(rows), step):
             block = packed[at:at + step]
             # per (row, generator): the guard bits that the subtraction cleared
@@ -651,9 +645,7 @@ def sequence_oracle(seq, method="hilbert", *, pair_budget=None, degree_budget=No
         return OracleReport(method=method, verdict="regular",
                             details=["empty sequence: vacuously regular"])
     if method == "hilbert":
-        ok, details = _hilbert_criterion(seq, pair_budget, degree_budget)
-        return OracleReport(method=method, verdict="regular" if ok else "not-regular",
-                            details=details)
+        return _hilbert_criterion(seq, pair_budget, degree_budget)
     return _colon_walk(seq, dict(pair_budget=pair_budget, degree_budget=degree_budget))[0]
 
 

@@ -54,10 +54,6 @@ class VariableTable:
         names += [f"y[{i},{j}]" for i in range(1, n + 1) for j in range(1, n + 1)]
         return cls(names, n=n)
 
-    @classmethod
-    def generic(cls, names):
-        return cls(names)
-
     @property
     def nvars(self):
         return len(self.names)

@@ -32,6 +32,13 @@ def random_monomial(rng, nvars, max_degree):
     return Monomial(np.array(exps, dtype=np.int64))
 
 
+def order_compare(order, a, b):
+    """-1, 0 or 1 as a <, =, > b under ``order``: the monomials' (or
+    exponent vectors') key vectors compared lexicographically."""
+    ka, kb = (order.keys(m.exps if isinstance(m, Monomial) else m).tolist() for m in (a, b))
+    return (ka > kb) - (ka < kb)
+
+
 def random_poly(rng, table, field, order, max_terms=5, max_degree=4):
     terms = []
     for _ in range(rng.randint(0, max_terms)):

@@ -103,7 +103,7 @@ def random_sequence(rng):
     """A short sequence over 2-4 variables, homogeneous or not; about half
     are built to fail (a member of the prefix, or a shared factor)."""
     nvars = rng.randint(2, 4)
-    table = VariableTable.generic([f"v{k}" for k in range(nvars)])
+    table = VariableTable([f"v{k}" for k in range(nvars)])
     field = rng.choice(FIELDS)
     order = rng.choice([MonomialOrder.grevlex(nvars), MonomialOrder.lex(nvars)])
     homogeneous = rng.random() < 0.5

@@ -26,7 +26,7 @@ def ctx(xy2, paper2, gf):
 
 
 def small_ring(field):
-    table = VariableTable.generic(["u", "v", "w"])
+    table = VariableTable(["u", "v", "w"])
     order = MonomialOrder.lex(3)
     u, v, w = (Polynomial.variable(table, field, order, k) for k in range(3))
     return table, order, u, v, w

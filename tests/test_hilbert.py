@@ -9,8 +9,7 @@ from conftest import grevlex_entries
 from xyreg.errors import HomogeneityError
 from xyreg.fields import PrimeField
 from xyreg.hilbert import (HilbertData, _codimension, _complete_intersection, _dense,
-                           _LeadSeries, complete_intersection_numerator, hilbert_numerator,
-                           hilbert_series_quotient)
+                           _LeadSeries, hilbert_numerator, hilbert_series_quotient)
 from xyreg.groebner import buchberger, lead_ideal
 from xyreg.orders import MonomialOrder
 from xyreg.pattern import GenericProduct, selected_entries
@@ -52,12 +51,25 @@ def series_at(numerator, nvars, degree):
                for j, c in enumerate(numerator) if c and j <= degree)
 
 
+def series_coefficients(hd, upto):
+    """The Hilbert function of ``hd`` in degrees 0..upto, as binomial sums."""
+    return [series_at(hd.numerator, hd.nvars, d) for d in range(upto + 1)]
+
+
+def complete_intersection(degrees):
+    """prod (1 - t^d) as a coefficient tuple, one dense product per factor."""
+    out = [1]
+    for d in degrees:
+        out = [a - b for a, b in itertools.zip_longest(out, [0] * d + out, fillvalue=0)]
+    return tuple(out)
+
+
 def test_numerator_examples():
     assert hilbert_numerator([], 3) == HilbertData((1,), 3)
     assert hilbert_numerator([M(2)], 1) == HilbertData((1, 0, -1), 1)
     assert hilbert_numerator([M(1, 0), M(0, 1)], 2) == HilbertData((1, -2, 1), 2)
     # quotient by <x, y> is the ground field: series 1, 0, 0, ...
-    assert hilbert_numerator([M(1, 0), M(0, 1)], 2).series_coefficients(3) == [1, 0, 0, 0]
+    assert series_coefficients(hilbert_numerator([M(1, 0), M(0, 1)], 2), 3) == [1, 0, 0, 0]
 
 
 def test_numerator_tolerates_redundant_generators():
@@ -66,10 +78,10 @@ def test_numerator_tolerates_redundant_generators():
     assert a == b
 
 
-def test_brute_force_agreement():
+def brute_force_ideals():
+    """(generators, nvars) for 20 random monomial ideals in 2-5 variables."""
     rng = random.Random(2024)
-    trials = 0
-    while trials < 20:
+    for _ in range(20):
         nvars = rng.randint(2, 5)
         gens = []
         for _ in range(rng.randint(1, 6)):
@@ -78,11 +90,25 @@ def test_brute_force_agreement():
             for _ in range(degree):
                 e[rng.randrange(nvars)] += 1
             gens.append(tuple(e))
-        gens = list(set(gens))
+        yield list(set(gens)), nvars
+
+
+def test_brute_force_agreement():
+    for gens, nvars in brute_force_ideals():
         hd = hilbert_numerator([M(*g) for g in gens], nvars)
         expected = [count_standard_monomials(gens, nvars, d) for d in range(7)]
-        assert hd.series_coefficients(6) == expected
-        trials += 1
+        assert series_coefficients(hd, 6) == expected
+
+
+def test_numerators_never_end_in_zero():
+    """HilbertData compares as a plain tuple, so an equal series must have
+    one numerator: no trailing zero, and the zero quotient's is empty."""
+    for gens, nvars in brute_force_ideals():
+        numerator = hilbert_numerator([M(*g) for g in gens], nvars).numerator
+        assert numerator and numerator[-1] != 0, gens
+    assert hilbert_numerator([], 3).numerator == (1,)
+    assert hilbert_numerator([M(0, 0, 0)], 3).numerator == ()
+    assert hilbert_numerator([M(0, 0), M(1, 0)], 2).numerator == ()
 
 
 def test_pivot_independence():
@@ -97,8 +123,8 @@ def test_quotient_series_for_selected_entries():
     entries = [p.resort(MonomialOrder.grevlex(8))
                for p in selected_entries(2, field=gf)]
     hd = hilbert_series_quotient(entries)
-    assert tuple(hd.numerator) == complete_intersection_numerator([2, 2, 2])
-    assert hd.series_coefficients(2) == [1, 8, 33]
+    assert hd.numerator == complete_intersection([2, 2, 2])
+    assert series_coefficients(hd, 2) == [1, 8, 33]
     # generator order never matters
     assert hilbert_series_quotient(list(reversed(entries))) == hd
 
@@ -124,8 +150,11 @@ def test_quotient_requires_homogeneous():
 
 
 def test_complete_intersection_numerator():
-    assert complete_intersection_numerator([]) == (1,)
-    assert complete_intersection_numerator([2, 2]) == (1, 0, -2, 0, 1)
+    """The oracle's expected series, against dense products."""
+    assert _dense(_complete_intersection([])) == (1,)
+    assert _dense(_complete_intersection([2, 2])) == (1, 0, -2, 0, 1)
+    for degrees in ([1], [3, 1], [2, 2, 2], [1, 2, 3, 4], [2] * 9):
+        assert _dense(_complete_intersection(degrees)) == complete_intersection(degrees)
 
 
 def random_wide_ideal(rng, nvars, low, high, big_slot=None):
@@ -209,8 +238,8 @@ def test_variable_pivot_agrees_with_independent_counts():
         gens = random_ideal(rng, nvars, rng.randint(2, 9), 4)
         hd = hilbert_numerator([M(*g) for g in gens], nvars)
         assert {d: c for d, c in enumerate(hd.numerator) if c} == taylor_numerator(gens), gens
-        assert hd.series_coefficients(6) == [count_standard_monomials(gens, nvars, d)
-                                             for d in range(7)], gens
+        assert series_coefficients(hd, 6) == [count_standard_monomials(gens, nvars, d)
+                                              for d in range(7)], gens
 
 
 def lead_series(rows, nvars):

@@ -9,11 +9,10 @@ import pytest
 from xyreg.cli import main
 from xyreg.fields import PrimeField, QQ
 from xyreg.orders import MonomialOrder
-from xyreg.pattern import (GenericProduct, PatternSpec, _sparse_entry,
-                           augmented_sequence, build_ring, certification_order,
-                           certify_pattern, column_limit, counterexample_2x2,
-                           expected_effective_lead, recheck_certificate,
-                           selected_entries, selected_rows)
+from xyreg.pattern import (GenericProduct, PatternSpec, _sparse_entry, build_ring,
+                           certification_order, certify_pattern, column_limit,
+                           counterexample_2x2, expected_effective_lead,
+                           recheck_certificate, selected_entries, selected_rows)
 from xyreg.poly import format_poly
 from xyreg.ring import _support, format_monomial
 
@@ -72,7 +71,9 @@ def test_selected_and_augmented_orderings(gf):
         (1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (3, 2), (1, 3), (1, 4))
     assert PatternSpec.build(2).augmented == (
         ("f", 1, 1), ("f", 2, 1), ("y", 1, 2), ("f", 1, 2))
-    assert len(augmented_sequence(4, field=gf)) == 15
+    # the walk certifies one element per augmented item
+    assert len(PatternSpec.build(4).augmented) == 15
+    assert len(certify_pattern(4, field=gf).steps) == 15
 
 
 def test_pattern_matrix_against_display():

@@ -217,8 +217,8 @@ def random_wide_poly(rng, table, field, order):
 def test_sparse_rendering_matches_all_slot_rendering(gf):
     rng = random.Random(4242)
     tables = [VariableTable.xy(2), VariableTable.xy(3),
-              VariableTable.generic(["u", "v", "w"]),
-              VariableTable.generic([f"t{k}" for k in range(11)])]
+              VariableTable(["u", "v", "w"]),
+              VariableTable([f"t{k}" for k in range(11)])]
     seen_one = seen_power = seen_minus = False
     for table in tables:
         order = MonomialOrder.grevlex(table.nvars)

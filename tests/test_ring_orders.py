@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_monomial
+from conftest import order_compare, random_monomial
 from xyreg.errors import DimensionError
 from xyreg.fields import PrimeField
 from xyreg.orders import ORDER_NAMES, MonomialOrder, certification_precedence
@@ -57,7 +57,7 @@ def test_dimension_mismatch():
     with pytest.raises(DimensionError):
         a.gcd(b)
     with pytest.raises(DimensionError):
-        MonomialOrder.lex(4).compare(a, b)
+        MonomialOrder.lex(4).keys(b.exps)
 
 
 def shipped_orders():
@@ -77,15 +77,15 @@ def test_order_axioms(order):
     monos = [random_monomial(rng, nv, 8) for _ in range(60)]
     for _ in range(400):
         a, b, c = rng.choice(monos), rng.choice(monos), rng.choice(monos)
-        cab, cba = order.compare(a, b), order.compare(b, a)
+        cab, cba = order_compare(order, a, b), order_compare(order, b, a)
         assert cab == -cba  # totality + antisymmetry
         assert (cab == 0) == (a == b)
-        if cab >= 0 and order.compare(b, c) >= 0:
-            assert order.compare(a, c) >= 0  # transitivity
+        if cab >= 0 and order_compare(order, b, c) >= 0:
+            assert order_compare(order, a, c) >= 0  # transitivity
         if cab > 0:
-            assert order.compare(a.__mul__(c), b.__mul__(c)) > 0  # multiplicative
-        assert order.compare(a, one) >= 0  # 1 is the unique minimum
-        assert order.compare(a, one) > 0 or a == one
+            assert order_compare(order, a.__mul__(c), b.__mul__(c)) > 0  # multiplicative
+        assert order_compare(order, a, one) >= 0  # 1 is the unique minimum
+        assert order_compare(order, a, one) > 0 or a == one
 
 
 def test_paper_precedence_n2():
@@ -100,9 +100,9 @@ def test_paper_order_comparisons():
     paper2 = MonomialOrder.paper(2)
     a = mono(t2, {("x", 1, 1): 1, ("y", 1, 1): 1})
     b = mono(t2, {("x", 2, 2): 1, ("y", 2, 1): 1})
-    assert paper2.compare(a, b) > 0  # x11 outranks everything
-    assert paper2.compare(a, a) == 0
-    assert paper2.compare(b, Monomial.one(8)) > 0
+    assert order_compare(paper2, a, b) > 0  # x11 outranks everything
+    assert order_compare(paper2, a, a) == 0
+    assert order_compare(paper2, b, Monomial.one(8)) > 0
 
     t3 = VariableTable.xy(3)
     paper3 = MonomialOrder.paper(3)
@@ -110,8 +110,8 @@ def test_paper_order_comparisons():
     x23 = mono(t3, {("x", 2, 3): 1})
     x21 = mono(t3, {("x", 2, 1): 1})
     y11 = mono(t3, {("y", 1, 1): 1})
-    assert paper3.compare(x12, x23) > 0
-    assert paper3.compare(x21, y11) > 0
+    assert order_compare(paper3, x12, x23) > 0
+    assert order_compare(paper3, x21, y11) > 0
 
 
 def test_elimination_block_order():
@@ -119,7 +119,7 @@ def test_elimination_block_order():
     elim = inner.eliminate_last()
     aux = Monomial.variable(4, 3)
     big = Monomial(np.array([5, 5, 5, 0], dtype=np.int64))
-    assert elim.compare(aux, big) > 0  # the adjoined slot outranks any inner monomial
+    assert order_compare(elim, aux, big) > 0  # the adjoined slot outranks any inner monomial
 
 
 def test_elimination_orders_with_different_inner_orders_differ():
@@ -127,15 +127,15 @@ def test_elimination_orders_with_different_inner_orders_differ():
     grevlex_elim = MonomialOrder.grevlex(3).eliminate_last()
     x0 = [1, 0, 0, 0]
     x1_squared = [0, 2, 0, 0]
-    assert lex_elim.compare(x0, x1_squared) == 1
-    assert grevlex_elim.compare(x0, x1_squared) == -1
+    assert order_compare(lex_elim, x0, x1_squared) == 1
+    assert order_compare(grevlex_elim, x0, x1_squared) == -1
     assert lex_elim != grevlex_elim
     assert hash(lex_elim) != hash(grevlex_elim)
     assert lex_elim == MonomialOrder.lex(3).eliminate_last()
     assert hash(lex_elim) == hash(MonomialOrder.lex(3).eliminate_last())
     # resort must re-sort: the rows come out descending under the new order
     gf = PrimeField(32003)
-    table = VariableTable.generic(["a", "b", "c", "t"])
+    table = VariableTable(["a", "b", "c", "t"])
     p = Polynomial.from_terms(table, gf, lex_elim,
                               [(gf.one, Monomial(x0)), (gf.one, Monomial(x1_squared))])
     assert p.exps.tolist() == [x0, x1_squared]
@@ -230,6 +230,6 @@ def test_support_keys_compare_as_dense_keys(order):
     monos = [random_monomial(rng, order.nvars, 3) for _ in range(80)]
     for a in monos:
         for b in monos:
-            dense = order.compare(a, b)
+            dense = order_compare(order, a, b)
             ka, kb = order._support_key(_support(a.exps)), order._support_key(_support(b.exps))
             assert (ka > kb) - (ka < kb) == dense, (order, a, b)
