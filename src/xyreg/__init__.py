@@ -18,10 +18,9 @@ from .groebner import (GroebnerBasis, SignatureStats, buchberger, groebner_basis
 from .hilbert import HilbertData, hilbert_numerator, hilbert_series_quotient
 from .kernels import active_backend
 from .orders import MonomialOrder
-from .pattern import (GenericProduct, PatternSpec, build_ring, certification_order,
-                      certify_pattern, column_limit, counterexample_2x2,
-                      expected_effective_lead, recheck_certificate, selected_entries,
-                      selected_rows)
+from .pattern import (GenericProduct, PatternSpec, build_ring, certify_pattern,
+                      column_limit, counterexample_2x2, expected_effective_lead,
+                      recheck_certificate, selected_entries, selected_rows)
 from .poly import Polynomial, Term, format_poly, parse_poly
 from .regseq import (CertificateStep, ColonStep, ExtensionReport, OracleReport,
                      RegularityCertificate, check_technical_step,

@@ -15,9 +15,8 @@ from .errors import BudgetExceededError, ParseError, XyregError
 from .fields import QQ, DEFAULT_PRIME, PrimeField
 from .groebner import groebner_basis
 from .orders import ORDER_NAMES, MonomialOrder
-from .pattern import (GenericProduct, PatternSpec, build_ring,
-                      certification_order, certify_pattern, counterexample_2x2,
-                      recheck_certificate, selected_entries)
+from .pattern import (GenericProduct, PatternSpec, build_ring, certify_pattern,
+                      counterexample_2x2, recheck_certificate, selected_entries)
 from .poly import format_poly, parse_poly
 from .regseq import greedy_extend, sequence_oracle
 from .ring import format_monomial
@@ -229,7 +228,7 @@ def cmd_oracle(args):
     if args.method == "hilbert" and not isinstance(field, PrimeField):
         raise UsageError("the hilbert oracle requires --field gfp")
     table = build_ring(n)
-    order = certification_order(n)
+    order = MonomialOrder.from_name("paper", n)
     polys = _read_input_polys(args, table, field, order)
     if polys is None:
         polys = selected_entries(n, field=field)
@@ -287,11 +286,13 @@ def cmd_search(args):
     rejected = [{"entry": _entry_label(*cand_positions[k]), "reason": reason}
                 for k, reason in report.rejected]
     if args.format == "json":
-        payload = {"base": base_labels, "final_length": len(report.chain),
+        payload = {"method": args.method, "base": base_labels,
+                   "final_length": len(report.chain),
                    "accepted": accepted, "rejected": rejected}
         _emit(args, json.dumps(payload, indent=2))
     else:
-        lines = [f"base sequence ({len(base)}): " + ", ".join(base_labels),
+        lines = [f"oracle method: {args.method}",
+                 f"base sequence ({len(base)}): " + ", ".join(base_labels),
                  f"final length: {len(report.chain)}"]
         lines.append("accepted: " + (", ".join(accepted) if accepted else "none"))
         for item in rejected:

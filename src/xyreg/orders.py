@@ -1,24 +1,21 @@
 """Monomial orders as column gathers compared lexicographically.
 
-Every shipped order is realized as a key map made of column gathers: the
-exponents read in a fixed column order, possibly negated, plus the total
-degree as one extra column for grevlex.  Monomials compare by lexicographic
-comparison of their key vectors.  Each key map is linear, so every such
-order is multiplicative (and the keys of a product are the sums of the
-factors' keys, which the reduction kernel relies on), and each has a
-strictly positive first nonzero key on any monomial != 1, so 1 is the
-unique minimum.
+An order is a slot precedence plus one ``graded`` flag, and its key map is
+a column gather: the exponents read in precedence order (lex), or, when
+graded, the total degree followed by the negated exponents in reversed
+precedence (grevlex).  Monomials compare by lexicographic comparison of
+their key vectors.  Each key map is linear, so every such order is
+multiplicative (and the keys of a product are the sums of the factors'
+keys, which the reduction kernel relies on), and each has a strictly
+positive first nonzero key on any monomial != 1, so 1 is the unique
+minimum.
 
-Shipped kinds:
+Lex with one slot first in its precedence eliminates that slot: every
+monomial containing it outranks every monomial without it.
 
-* ``lex``        - plain lexicographic under a slot precedence permutation:
-                   the exponents in precedence order.
-* ``grevlex``    - graded reverse lexicographic under a precedence: the total
-                   degree, then the negated exponents in reversed precedence.
-* ``paper``      - lexicographic under the diagonal-first precedence used for
-                   certification (see :func:`certification_precedence`).
-* ``elim``       - one block-eliminated slot ranked above an inner order: the
-                   appended slot's exponent, then the inner order's keys.
+:meth:`MonomialOrder.from_name` builds the orders of ``ORDER_NAMES`` over
+the x/y slots; ``paper`` is lex under the diagonal-first precedence used
+for certification (see :func:`certification_precedence`).
 """
 
 import numpy as np
@@ -31,26 +28,20 @@ ORDER_NAMES = ("paper", "grevlex", "lex")
 
 
 class MonomialOrder:
-    """Total multiplicative well-order on monomials over a fixed slot count."""
+    """Total multiplicative well-order on monomials over a fixed slot count:
+    lex under ``precedence`` (highest slot first), or grevlex under it when
+    ``graded``."""
 
-    __slots__ = ("kind", "precedence", "_columns", "_graded_from", "_ranks")
+    __slots__ = ("precedence", "graded", "_columns", "_ranks")
 
-    def __init__(self, kind, precedence, inner=None):
-        self.kind = kind
+    def __init__(self, precedence, graded=False):
         self.precedence = tuple(precedence)
-        # keys(e) gathers e[..., _columns]; from key _graded_from on (when not
-        # None) the gathered columns are negated behind one degree column
-        if kind == "elim":
-            self._columns = np.concatenate([[inner.nvars], inner._columns])
-            graded = inner._graded_from
-            self._graded_from = None if graded is None else graded + 1
-        elif kind == "grevlex":
-            self._columns = np.array(self.precedence[::-1], dtype=np.intp)
-            self._graded_from = 0
-        else:
-            self._columns = np.array(self.precedence, dtype=np.intp)
-            self._graded_from = None
-        self._ranks = None  # slot -> its key column, built on first use
+        self.graded = graded
+        # keys(e) gathers e[..., _columns]; a graded order negates the
+        # gathered columns behind one degree column
+        self._columns = np.array(self.precedence[::-1] if graded else self.precedence,
+                                 dtype=np.intp)
+        self._ranks = None  # slot -> its gathered column, built on first use
 
     @property
     def nvars(self):
@@ -59,31 +50,21 @@ class MonomialOrder:
     # -- construction ----------------------------------------------------
     @classmethod
     def lex(cls, nvars, precedence=None):
-        precedence = tuple(precedence) if precedence is not None else tuple(range(nvars))
-        return cls("lex", precedence)
+        return cls(range(nvars) if precedence is None else precedence)
 
     @classmethod
     def grevlex(cls, nvars, precedence=None):
-        precedence = tuple(precedence) if precedence is not None else tuple(range(nvars))
-        return cls("grevlex", precedence)
-
-    @classmethod
-    def paper(cls, n):
-        return cls("paper", certification_precedence(n))
+        return cls(range(nvars) if precedence is None else precedence, graded=True)
 
     @classmethod
     def from_name(cls, name, n):
         """The order called ``name`` (one of ``ORDER_NAMES``) over the 2n^2
         x/y slots of matrix size n."""
         if name == "paper":
-            return cls.paper(n)
+            return cls(certification_precedence(n))
         if name in ("grevlex", "lex"):
             return getattr(cls, name)(2 * n * n)
         raise ValueError(f"unknown monomial order {name!r}")
-
-    def eliminate_last(self):
-        """Block order over nvars+1 slots: the appended slot outranks all others."""
-        return MonomialOrder("elim", self.precedence + (self.nvars,), inner=self)
 
     # -- comparison --------------------------------------------------------
     def keys(self, exps):
@@ -94,12 +75,9 @@ class MonomialOrder:
                 f"order over {self.nvars} slots applied to {exps.shape[-1]}-slot monomial"
             )
         keys = np.take(exps, self._columns, axis=-1)
-        g = self._graded_from
-        if g is None:
+        if not self.graded:
             return keys
-        tail = keys[..., g:]  # a permutation of the graded slots
-        return np.concatenate([keys[..., :g], tail.sum(axis=-1, keepdims=True), -tail],
-                              axis=-1)
+        return np.concatenate([keys.sum(axis=-1, keepdims=True), -keys], axis=-1)
 
     def _support_key(self, support):
         """A tuple that compares as the key vector of the monomial with this
@@ -112,18 +90,18 @@ class MonomialOrder:
         """
         if self._ranks is None:
             self._ranks = np.argsort(self._columns).tolist()
-        ranks, graded = self._ranks, self._graded_from
+        ranks, graded = self._ranks, self.graded
         cols = []
         degree = 0
         for v, e in support:
             j = ranks[v]
-            if graded is not None and j >= graded:
+            if graded:
                 degree += e
                 cols.append((j + 1, -e))
             else:
                 cols.append((j, e))
         if degree:
-            cols.append((graded, degree))
+            cols.append((0, degree))
         cols.sort()
         width = len(ranks) + 2
         return tuple((width - j, e) if e > 0 else (j - width, e) for j, e in cols) + ((0, 0),)
@@ -139,22 +117,19 @@ class MonomialOrder:
         return np.lexsort(keys[:, ::-1].T)[::-1]
 
     def __eq__(self, other):
-        # the key map decides the order: two elim orders over one precedence
-        # differ when their inner orders do
+        # the key map is a function of (precedence, graded)
         return other is self or (
             isinstance(other, MonomialOrder)
-            and other.kind == self.kind
             and other.precedence == self.precedence
-            and other._graded_from == self._graded_from
-            and np.array_equal(other._columns, self._columns)
+            and other.graded == self.graded
         )
 
     def __hash__(self):
-        return hash((self.kind, self.precedence, self._graded_from,
-                     tuple(self._columns.tolist())))
+        return hash((self.precedence, self.graded))
 
     def __repr__(self):
-        return f"MonomialOrder({self.kind!r}, nvars={self.nvars})"
+        name = "grevlex" if self.graded else "lex"
+        return f"MonomialOrder.{name}({self.nvars}, {self.precedence})"
 
 
 def certification_precedence(n):

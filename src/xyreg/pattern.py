@@ -45,11 +45,6 @@ def build_ring(n):
     return VariableTable.xy(n)
 
 
-def certification_order(n):
-    """The lexicographic diagonal-first order the certification runs under."""
-    return MonomialOrder.paper(n)
-
-
 class GenericProduct:
     """Entries of X*Y over a fixed table, field and order, with caching."""
 
@@ -57,7 +52,7 @@ class GenericProduct:
         self.n = n
         self.table = build_ring(n)
         self.field = field if field is not None else PrimeField(DEFAULT_PRIME)
-        self.order = order if order is not None else certification_order(n)
+        self.order = order if order is not None else MonomialOrder.from_name("paper", n)
         self._cache = {}
 
     def x(self, i, j):
@@ -186,7 +181,7 @@ def _certified_steps(n, field):
     prediction.  Raises CertificationError at the first step that fails;
     the steps yielded before it are certified.
     """
-    order = certification_order(n)
+    order = MonomialOrder.from_name("paper", n)
     table = build_ring(n)
     var = [(v, 1) for v in range(table.nvars)]
     steps = _PriorLeads()

@@ -390,10 +390,6 @@ def _format_term(t, table):
 # ---------------------------------------------------------------------------
 
 
-def _oracle_order(table):
-    return MonomialOrder.grevlex(table.nvars)
-
-
 def _hilbert_criterion(seq, pair_budget, degree_budget):
     """The Hilbert oracle's report on the nonempty ``seq``, with one detail
     line.  A not-regular verdict names the first index that is zero or a
@@ -413,7 +409,7 @@ def _hilbert_criterion(seq, pair_budget, degree_budget):
             return OracleReport(method="hilbert", verdict="not-regular",
                                 details=[f"index {i}: {what}"])
     degrees = [p.degree() for p in seq]
-    order = _oracle_order(seq[0].table)
+    order = MonomialOrder.grevlex(seq[0].table.nvars)
     found = _first_difference([p.resort(order) for p in seq], order, degrees,
                               pair_budget=pair_budget, degree_budget=degree_budget)
     if isinstance(found, _Dimension):
@@ -677,7 +673,7 @@ def _colon_index(gb, p, budgets):
     """One index of the colon walk on the prefix basis ``gb``: (the failure
     named in its detail line or None, the :class:`ColonStep` or None).  A
     zerodivisor's witness is checked before it is reported."""
-    p = p.resort(_oracle_order(p.table))
+    p = p.resort(MonomialOrder.grevlex(p.table.nvars))
     if p.is_zero():
         return "zero element", None
     step = nonzerodivisor_colon(gb, p, **budgets)

@@ -1,9 +1,7 @@
-import random
-
 import numpy as np
 import pytest
 
-from xyreg.fields import PrimeField, QQ
+from xyreg.fields import PrimeField
 from xyreg.orders import MonomialOrder
 from xyreg.poly import Polynomial
 from xyreg.ring import Monomial, VariableTable
@@ -21,7 +19,7 @@ def xy2():
 
 @pytest.fixture
 def paper2():
-    return MonomialOrder.paper(2)
+    return MonomialOrder.from_name("paper", 2)
 
 
 def random_monomial(rng, nvars, max_degree):

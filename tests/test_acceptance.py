@@ -13,8 +13,7 @@ import numpy as np
 
 from conftest import entries_2x2
 from xyreg.fields import PrimeField, QQ
-from xyreg.groebner import (buchberger, groebner_basis, normal_form,
-                            reduce_basis, s_poly)
+from xyreg.groebner import buchberger, normal_form, reduce_basis, s_poly
 from xyreg.hilbert import hilbert_numerator, hilbert_series_quotient
 from xyreg.orders import MonomialOrder
 from xyreg.pattern import (GenericProduct, PatternSpec, certify_pattern,

@@ -151,6 +151,24 @@ def test_search(capsys):
     assert payload["rejected"] == [{"entry": "f[2,2]", "reason": "not-regular"}]
 
 
+def test_search_reports_differ_only_in_their_method(capsys):
+    for fmt in ("text", "json"):
+        reports = {}
+        for method in ("hilbert", "colon"):
+            code, out, _ = run(capsys, "search", "--n", "3", "--method", method,
+                               "--format", fmt)
+            assert code == 0
+            reports[method] = out
+        if fmt == "json":
+            hilbert, colon = (json.loads(reports[m]) for m in ("hilbert", "colon"))
+            assert (hilbert.pop("method"), colon.pop("method")) == ("hilbert", "colon")
+            assert hilbert == colon
+        else:
+            hilbert, colon = (reports[m].splitlines() for m in ("hilbert", "colon"))
+            assert (hilbert[0], colon[0]) == ("oracle method: hilbert", "oracle method: colon")
+            assert hilbert[1:] == colon[1:]
+
+
 def test_gb_lex_example(capsys, tmp_path):
     path = tmp_path / "gens.txt"
     path.write_text("x[1,1] - y[1,1]\ny[1,1]^2\n")

@@ -51,8 +51,8 @@ def reference_nonzerodivisor(prefix_gb, f):
         return True
     order, table, field = prefix_gb.order, prefix_gb.table, f.field
     ext_table = VariableTable(table.names + ("_elim",))
-    ext_order = order.eliminate_last()
-    aux = ext_table.nvars - 1
+    aux = table.nvars
+    ext_order = MonomialOrder.lex(aux + 1, (aux, *range(aux)))  # eliminates t
     t = Polynomial.variable(ext_table, field, ext_order, aux)
     one = Polynomial.constant(ext_table, field, ext_order, field.one)
     gens = [t * lift(g, ext_table, ext_order) for g in prefix_gb.polys]

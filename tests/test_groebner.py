@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 from conftest import entries_2x2, grevlex_entries, random_poly
@@ -12,7 +11,7 @@ from xyreg.groebner import (GroebnerBasis, buchberger, groebner_basis,
                             lead_ideal, multi_divide, normal_form,
                             reduce_basis, s_poly)
 from xyreg.orders import MonomialOrder
-from xyreg.pattern import GenericProduct, selected_entries
+from xyreg.pattern import GenericProduct
 from xyreg.poly import Polynomial, format_poly, parse_poly
 from xyreg.ring import VariableTable, format_monomial
 

@@ -12,7 +12,7 @@ from xyreg.hilbert import (HilbertData, _codimension, _complete_intersection, _d
                            _LeadSeries, hilbert_numerator, hilbert_series_quotient)
 from xyreg.groebner import buchberger, lead_ideal
 from xyreg.orders import MonomialOrder
-from xyreg.pattern import GenericProduct, selected_entries
+from xyreg.pattern import selected_entries
 from xyreg.poly import Polynomial
 from xyreg.ring import Monomial, VariableTable
 

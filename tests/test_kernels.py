@@ -128,8 +128,8 @@ def order_cases():
     generic6 = VariableTable([f"v{k}" for k in range(6)])
     return [("lex", generic5, MonomialOrder.lex(5, (3, 0, 4, 1, 2))),
             ("grevlex", generic5, MonomialOrder.grevlex(5)),
-            ("paper", VariableTable.xy(2), MonomialOrder.paper(2)),
-            ("elim", generic6, MonomialOrder.grevlex(5).eliminate_last())]
+            ("paper", VariableTable.xy(2), MonomialOrder.from_name("paper", 2)),
+            ("elim", generic6, MonomialOrder.lex(6, (5, *range(5))))]
 
 
 ORDER_IDS = [case[0] for case in order_cases()]

@@ -7,12 +7,12 @@ import sys
 import pytest
 
 from xyreg.cli import main
-from xyreg.fields import PrimeField, QQ
+from xyreg.fields import PrimeField
 from xyreg.orders import MonomialOrder
 from xyreg.pattern import (GenericProduct, PatternSpec, _sparse_entry, build_ring,
-                           certification_order, certify_pattern, column_limit,
-                           counterexample_2x2, expected_effective_lead,
-                           recheck_certificate, selected_entries, selected_rows)
+                           certify_pattern, column_limit, counterexample_2x2,
+                           expected_effective_lead, recheck_certificate, selected_entries,
+                           selected_rows)
 from xyreg.poly import format_poly
 from xyreg.ring import _support, format_monomial
 
@@ -108,7 +108,7 @@ def test_expected_effective_lead():
 
 def test_certification_order_examples():
     t2 = build_ring(2)
-    names = [t2.names[s] for s in certification_order(2).precedence]
+    names = [t2.names[s] for s in MonomialOrder.from_name("paper", 2).precedence]
     assert names == ["x[1,1]", "x[2,2]", "x[1,2]", "x[2,1]",
                      "y[1,1]", "y[1,2]", "y[2,1]", "y[2,2]"]
 

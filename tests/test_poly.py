@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_poly
 from xyreg.errors import OrderMismatchError, ParseError, UndefinedLeadError
-from xyreg.fields import PrimeField, QQ
+from xyreg.fields import QQ
 from xyreg.orders import MonomialOrder
 from xyreg.pattern import GenericProduct
 from xyreg.poly import Polynomial, format_poly, parse_poly

@@ -12,8 +12,8 @@ from xyreg.errors import (BudgetExceededError, CertificateFormatError,
 from xyreg.fields import PrimeField, QQ
 from xyreg.groebner import groebner_basis
 from xyreg.orders import MonomialOrder
-from xyreg.pattern import (GenericProduct, certification_order, certify_pattern,
-                           recheck_certificate, selected_entries)
+from xyreg.pattern import (GenericProduct, certify_pattern, recheck_certificate,
+                           selected_entries)
 from xyreg.poly import Polynomial, Term, _format_terms, format_poly
 from xyreg.regseq import (ROLE_BARE, ROLE_BASE, ROLE_TECHNICAL,
                           CertificateStep, _PriorLeads, check_technical_step,
@@ -126,7 +126,7 @@ def dense_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label="")
 
 def test_check_coprime_leads_examples(gf):
     product = GenericProduct(3, field=gf)
-    order = certification_order(3)
+    order = MonomialOrder.from_name("paper", 3)
     col1 = [product.entry(i, 1) for i in (1, 2, 3)] + [product.y(1, 2)]
     ok, witness = check_coprime_leads(col1, order)
     assert ok and witness is None
@@ -163,7 +163,7 @@ def test_technical_step_first_column_extension(gf):
     # the first selected entry of column 2 sheds exactly one term
     for n in (2, 3, 5):
         product = GenericProduct(n, field=gf)
-        order = certification_order(n)
+        order = MonomialOrder.from_name("paper", n)
         items = [("f", i, 1) for i in range(1, n + 1)] + [("y", 1, 2)]
         prior = certified_prefix_through(product, order, items)
         step = check_technical_step(prior, product.entry(1, 2), order)
@@ -178,7 +178,7 @@ def test_technical_step_first_column_extension(gf):
 
 def test_technical_step_row3_column2_non_strict(gf):
     product = GenericProduct(4, field=gf)
-    order = certification_order(4)
+    order = MonomialOrder.from_name("paper", 4)
     items = ([("f", i, 1) for i in (1, 2, 3, 4)]
              + [("y", 1, 2), ("f", 1, 2), ("y", 3, 2)])
     prior = certified_prefix_through(product, order, items)
@@ -194,7 +194,7 @@ def test_technical_step_row3_column2_non_strict(gf):
 
 def test_technical_step_lead_clash_fails(gf):
     product = GenericProduct(2, field=gf)
-    order = certification_order(2)
+    order = MonomialOrder.from_name("paper", 2)
     prior = [coprime_extend_element([], product.entry(1, 1), order, role=ROLE_BASE)]
     with pytest.raises(CertificationError) as exc:
         check_technical_step(prior, product.entry(1, 2), order)
@@ -203,7 +203,7 @@ def test_technical_step_lead_clash_fails(gf):
 
 def test_technical_step_degenerate_residue(gf):
     product = GenericProduct(2, field=gf)
-    order = certification_order(2)
+    order = MonomialOrder.from_name("paper", 2)
     prior = [coprime_extend_element([], product.y(1, 2), order, role=ROLE_BARE)]
     with pytest.raises(CertificationError) as exc:
         check_technical_step(prior, product.x(1, 1) * product.y(1, 2), order)
@@ -212,7 +212,7 @@ def test_technical_step_degenerate_residue(gf):
 
 def test_coprime_extend_rejects_clash(gf):
     product = GenericProduct(2, field=gf)
-    order = certification_order(2)
+    order = MonomialOrder.from_name("paper", 2)
     prior = [coprime_extend_element([], product.entry(1, 1), order, role=ROLE_BASE)]
     with pytest.raises(CertificationError):
         coprime_extend_element(prior, product.x(1, 1), order, role=ROLE_BARE)
@@ -226,7 +226,7 @@ def prior_step(poly, role):
 
 def test_technical_step_negative_controls(gf):
     product = GenericProduct(2, field=gf)
-    order = certification_order(2)
+    order = MonomialOrder.from_name("paper", 2)
     x, y = product.x, product.y
     # the raw constructor keeps this row order: the larger term comes second
     rows = np.vstack([(x(1, 2) * y(2, 2)).exps, (x(1, 1) * y(1, 2)).exps])
@@ -251,7 +251,7 @@ def test_technical_step_negative_controls(gf):
 
 def test_technical_step_subtracts_the_first_dividing_bare_monomial(gf):
     product = GenericProduct(2, field=gf)
-    order = certification_order(2)
+    order = MonomialOrder.from_name("paper", 2)
     x, y = product.x, product.y
     f11 = product.entry(1, 1)  # x[1,1]*y[1,1] + x[1,2]*y[2,1]
     # x[1,1] and y[1,1] both divide the lead term; prior order decides
@@ -348,7 +348,7 @@ def test_accumulated_priors_agree_with_plain_lists_200_lists(gf):
 
 def test_accumulated_priors_fail_the_same_named_check(gf):
     product = GenericProduct(3, field=gf)
-    order = certification_order(3)
+    order = MonomialOrder.from_name("paper", 3)
     x, y = product.x, product.y
     cases = [
         ([prior_step(x(1, 1) * y(1, 1), ROLE_BASE), prior_step(y(2, 2), ROLE_BARE),
@@ -375,7 +375,7 @@ def test_accumulated_priors_fail_the_same_named_check(gf):
 
 def test_failure_conditions_and_messages(gf):
     product = GenericProduct(2, field=gf)
-    order = certification_order(2)
+    order = MonomialOrder.from_name("paper", 2)
     x, y = product.x, product.y
     rows = np.vstack([(x(1, 2) * y(2, 2)).exps, (x(1, 1) * y(1, 2)).exps])
     unsorted = Polynomial(product.table, gf, order, rows, gf.array([1, 1]))
@@ -454,7 +454,7 @@ def random_technical_prefixes(gf):
     nvars = 7
     table = VariableTable([f"v{k}" for k in range(nvars)])
     orders = [MonomialOrder.lex(nvars), MonomialOrder.grevlex(nvars),
-              MonomialOrder.grevlex(nvars - 1).eliminate_last()]
+              MonomialOrder.lex(nvars, (nvars - 1, *range(nvars - 1)))]
 
     def monomial(slots, degree):
         exps = np.zeros(nvars, dtype=np.int64)

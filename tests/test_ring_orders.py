@@ -60,18 +60,19 @@ def test_dimension_mismatch():
         MonomialOrder.lex(4).keys(b.exps)
 
 
-def shipped_orders():
-    return [
-        MonomialOrder.lex(8),
-        MonomialOrder.grevlex(8),
-        MonomialOrder.paper(2),
-        MonomialOrder.grevlex(7).eliminate_last(),
-    ]
+# the orders every axiom test runs on, by pytest id; lex with the last slot
+# first is an elimination order for that slot
+SHIPPED_ORDERS = {
+    "lex": MonomialOrder.lex(8),
+    "grevlex": MonomialOrder.grevlex(8),
+    "paper": MonomialOrder.from_name("paper", 2),
+    "elim": MonomialOrder.lex(8, (7, *range(7))),
+}
 
 
-@pytest.mark.parametrize("order", shipped_orders(), ids=lambda o: o.kind)
+@pytest.mark.parametrize("order", SHIPPED_ORDERS.values(), ids=SHIPPED_ORDERS.keys())
 def test_order_axioms(order):
-    rng = random.Random(hash(order.kind) & 0xFFFF)
+    rng = random.Random(repr(order))
     nv = order.nvars
     one = Monomial.one(nv)
     monos = [random_monomial(rng, nv, 8) for _ in range(60)]
@@ -97,7 +98,7 @@ def test_paper_precedence_n2():
 
 def test_paper_order_comparisons():
     t2 = VariableTable.xy(2)
-    paper2 = MonomialOrder.paper(2)
+    paper2 = MonomialOrder.from_name("paper", 2)
     a = mono(t2, {("x", 1, 1): 1, ("y", 1, 1): 1})
     b = mono(t2, {("x", 2, 2): 1, ("y", 2, 1): 1})
     assert order_compare(paper2, a, b) > 0  # x11 outranks everything
@@ -105,7 +106,7 @@ def test_paper_order_comparisons():
     assert order_compare(paper2, b, Monomial.one(8)) > 0
 
     t3 = VariableTable.xy(3)
-    paper3 = MonomialOrder.paper(3)
+    paper3 = MonomialOrder.from_name("paper", 3)
     x12 = mono(t3, {("x", 1, 2): 1})
     x23 = mono(t3, {("x", 2, 3): 1})
     x21 = mono(t3, {("x", 2, 1): 1})
@@ -114,40 +115,39 @@ def test_paper_order_comparisons():
     assert order_compare(paper3, x21, y11) > 0
 
 
-def test_elimination_block_order():
-    inner = MonomialOrder.grevlex(3)
-    elim = inner.eliminate_last()
-    aux = Monomial.variable(4, 3)
-    big = Monomial(np.array([5, 5, 5, 0], dtype=np.int64))
-    assert order_compare(elim, aux, big) > 0  # the adjoined slot outranks any inner monomial
-
-
-def test_elimination_orders_with_different_inner_orders_differ():
-    lex_elim = MonomialOrder.lex(3).eliminate_last()
-    grevlex_elim = MonomialOrder.grevlex(3).eliminate_last()
+def test_lex_and_grevlex_over_one_precedence_differ():
+    precedence = (3, 0, 1, 2)
+    lex = MonomialOrder.lex(4, precedence)
+    grevlex = MonomialOrder.grevlex(4, precedence)
     x0 = [1, 0, 0, 0]
     x1_squared = [0, 2, 0, 0]
-    assert order_compare(lex_elim, x0, x1_squared) == 1
-    assert order_compare(grevlex_elim, x0, x1_squared) == -1
-    assert lex_elim != grevlex_elim
-    assert hash(lex_elim) != hash(grevlex_elim)
-    assert lex_elim == MonomialOrder.lex(3).eliminate_last()
-    assert hash(lex_elim) == hash(MonomialOrder.lex(3).eliminate_last())
+    assert order_compare(lex, x0, x1_squared) == 1
+    assert order_compare(grevlex, x0, x1_squared) == -1
+    # lex with slot 3 first eliminates it: slot 3 outranks every monomial without it
+    assert order_compare(lex, [0, 0, 0, 1], [5, 5, 5, 0]) == 1
+    assert lex != grevlex
+    assert hash(lex) != hash(grevlex)
+    assert lex == MonomialOrder.lex(4, precedence)
+    assert hash(lex) == hash(MonomialOrder.lex(4, precedence))
     # resort must re-sort: the rows come out descending under the new order
     gf = PrimeField(32003)
     table = VariableTable(["a", "b", "c", "t"])
-    p = Polynomial.from_terms(table, gf, lex_elim,
+    p = Polynomial.from_terms(table, gf, lex,
                               [(gf.one, Monomial(x0)), (gf.one, Monomial(x1_squared))])
     assert p.exps.tolist() == [x0, x1_squared]
-    q = p.resort(grevlex_elim)
-    assert q.order == grevlex_elim
+    q = p.resort(grevlex)
+    assert q.order == grevlex
     assert q.exps.tolist() == [x1_squared, x0]
+    # the paper order is lex under the certification precedence
+    for n in (2, 3):
+        paper = MonomialOrder.from_name("paper", n)
+        assert paper == MonomialOrder.lex(2 * n * n, certification_precedence(n))
+        assert hash(paper) == hash(MonomialOrder.lex(2 * n * n, certification_precedence(n)))
 
 
 def test_order_from_name():
     assert ORDER_NAMES == ("paper", "grevlex", "lex")
     for n in (2, 3):
-        assert MonomialOrder.from_name("paper", n) == MonomialOrder.paper(n)
         assert MonomialOrder.from_name("grevlex", n) == MonomialOrder.grevlex(2 * n * n)
         assert MonomialOrder.from_name("lex", n) == MonomialOrder.lex(2 * n * n)
     for bad in ("elim", "Lex", ""):
@@ -155,15 +155,9 @@ def test_order_from_name():
             MonomialOrder.from_name(bad, 2)
 
 
-def dense_weights(kind, precedence, inner=None):
+def dense_weights(kind, precedence):
     """The order's keys as the rows of an integer weight matrix: keys = W @ e."""
     nv = len(precedence)
-    if kind == "elim":
-        w_inner = dense_weights(*inner)
-        w = np.zeros((w_inner.shape[0] + 1, nv), dtype=np.int64)
-        w[0, nv - 1] = 1
-        w[1:, :nv - 1] = w_inner
-        return w
     if kind == "grevlex":
         w = np.zeros((nv + 1, nv), dtype=np.int64)
         w[0, :] = 1
@@ -177,7 +171,8 @@ def dense_weights(kind, precedence, inner=None):
 
 
 def orders_with_weights():
-    """(order, dense weight matrix) for every kind, over varied precedences."""
+    """(order, dense weight matrix) for lex, grevlex, lex eliminating an
+    appended slot and the paper order, over varied precedences."""
     rng = random.Random(11)
     out = []
     for nv in (1, 5, 9):
@@ -188,10 +183,10 @@ def orders_with_weights():
             for kind in ("lex", "grevlex"):
                 order = getattr(MonomialOrder, kind)(nv, precedence)
                 out.append((order, dense_weights(kind, prec)))
-                out.append((order.eliminate_last(),
-                            dense_weights("elim", prec + (nv,), (kind, prec))))
+                out.append((MonomialOrder.lex(nv + 1, (nv, *prec)),
+                            dense_weights("lex", (nv, *prec))))
     for n in (2, 3, 4, 5):
-        out.append((MonomialOrder.paper(n),
+        out.append((MonomialOrder.from_name("paper", n),
                     dense_weights("lex", certification_precedence(n))))
     return out
 
@@ -223,7 +218,7 @@ def test_format_monomial(xy2):
     assert format_monomial((), xy2) == "1"
 
 
-@pytest.mark.parametrize("order", shipped_orders(), ids=lambda o: o.kind)
+@pytest.mark.parametrize("order", SHIPPED_ORDERS.values(), ids=SHIPPED_ORDERS.keys())
 def test_support_keys_compare_as_dense_keys(order):
     rng = random.Random(11)
     # small degrees, so that equal keys and shared prefixes occur
