@@ -9,9 +9,9 @@ certificate re-checker (pattern), and a command-line surface (cli).
 """
 
 from .errors import (BudgetExceededError, CertificateFormatError,
-                     CertificationError, DimensionError, HomogeneityError,
-                     OrderMismatchError, ParseError, UndefinedLeadError,
-                     XyregError)
+                     CertificationError, CrossCheckError, DimensionError,
+                     HomogeneityError, OrderMismatchError, ParseError,
+                     UndefinedLeadError, XyregError)
 from .fields import DEFAULT_PRIME, QQ, PrimeField, RationalField
 from .groebner import (GroebnerBasis, SignatureStats, buchberger, groebner_basis,
                        lead_ideal, multi_divide, normal_form, reduce_basis, s_poly)

@@ -3,7 +3,8 @@
 Subcommands: gen, certify, oracle, counterexample, search, gb, recheck.
 Each subcommand accepts only the flags it reads.
 Exit codes: 0 the checked property holds, 1 it fails, 2 usage error,
-3 inconclusive (a resource budget ran out before an answer was reached).
+3 inconclusive (a resource budget, or memory, ran out before an answer
+was reached), 4 an internal cross-check failed, so there is no verdict.
 All emissions are UTF-8 and newline-terminated.
 """
 
@@ -11,8 +12,8 @@ import argparse
 import json
 import sys
 
-from .errors import BudgetExceededError, ParseError, XyregError
-from .fields import QQ, DEFAULT_PRIME, PrimeField
+from .errors import BudgetExceededError, CrossCheckError, ParseError, XyregError
+from .fields import DEFAULT_PRIME, PrimeField, field_from_spec
 from .groebner import groebner_basis
 from .orders import ORDER_NAMES, MonomialOrder
 from .pattern import (GenericProduct, PatternSpec, build_ring, certify_pattern,
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_CROSS_CHECK = 4
 
 
 class UsageError(Exception):
@@ -107,13 +109,12 @@ def _require_n(args):
 
 
 def _make_field(args, default_kind="gfp", check_prime_gt=None):
-    kind = args.field or default_kind
-    if kind == "gfp":
-        field = PrimeField(args.prime)  # ValueError unless a prime below 2**31
-        if check_prime_gt is not None and args.prime <= check_prime_gt:
-            raise UsageError(f"prime must exceed n={check_prime_gt}")
-        return field
-    return QQ
+    # ValueError unless --field rat or a prime below 2**31
+    field = field_from_spec(args.field or default_kind, args.prime)
+    if isinstance(field, PrimeField) and check_prime_gt is not None \
+            and args.prime <= check_prime_gt:
+        raise UsageError(f"prime must exceed n={check_prime_gt}")
+    return field
 
 
 def _budgets(args):
@@ -357,16 +358,16 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return DISPATCH[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceededError as exc:
+    except BudgetExceededError as exc:  # a XyregError, so ahead of the usage errors
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, XyregError) as exc:
+    except MemoryError:
+        print("inconclusive: out of memory", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except CrossCheckError as exc:
+        print(f"cross-check failed: {exc}", file=sys.stderr)
+        return EXIT_CROSS_CHECK
+    except (UsageError, OSError, ValueError, XyregError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -51,3 +51,8 @@ class CertificationError(XyregError):
     def __init__(self, condition, message):
         super().__init__(f"[{condition}] {message}")
         self.condition = condition
+
+
+class CrossCheckError(XyregError):
+    """An internal cross-check failed: the computation contradicts itself,
+    so no verdict can be given."""

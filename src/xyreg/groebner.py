@@ -12,19 +12,20 @@ minimalization of a lead block, an ascending-degree pass that drops each
 lead an earlier kept lead divides, serves :func:`reduce_basis`,
 :func:`lead_ideal` and the colon step.
 
-Every basis holds its elements as one :class:`kernels.Divisors` state, the
-kernel's flat divisor layout with packed order keys
-(:meth:`GroebnerBasis.flat_arrays`).  The code that builds a basis grows
-that state as it goes and hands it over: :func:`buchberger` appends each
-new element with the keys the kernel returned, :func:`reduce_basis` each
-tail-reduced one, and the colon oracle's signature step
-(:func:`regseq.nonzerodivisor_colon`) the v-parts of its pairs.  So an
-element's keys are packed once, and only a basis made from bare polys
-packs them, when its state is first asked for.  A reduced basis, and the
-minimal basis of a colon step, keep only some of the elements they were
-built from: their state is a copy of those elements sized to fit
-(``kernels.Divisors.take``), and their elements keep their exponents as
-views into it, so they are held once.  An S-polynomial is never
+A basis is its divisor state: one :class:`kernels.Divisors`, the kernel's
+flat divisor layout with packed order keys (:meth:`GroebnerBasis.flat_arrays`),
+holds every element once, and the basis keeps no second copy of it.  Its
+``polys`` are read from the state when first asked for, with their
+exponents as views into the state's block.  The code that builds a basis
+grows that state as it goes and hands it over: :func:`buchberger` appends
+each new element, the kernel's remainder scaled to a leading 1, with the
+keys the kernel returned; :func:`reduce_basis` each tail-reduced element;
+the colon oracle's signature step (:func:`regseq.nonzerodivisor_colon`) the
+v-parts of its pairs.  So an element's keys are packed once, and only
+``GroebnerBasis(order, polys)`` packs, at construction.  A reduced basis,
+and the minimal basis of a colon step, keep only some of the elements they
+were built from: their state is a copy of those elements sized to fit
+(``kernels.Divisors.take``).  An S-polynomial is never
 built as a polynomial; the kernel is seeded with the two shifted tails
 (:func:`kernels.reduce_spair`).  When an element is appended, one numpy
 pass gives the lcm rows, lcm degrees and coprimality of all its pairs with
@@ -75,50 +76,67 @@ class SignatureStats:
 
 
 class GroebnerBasis:
-    """An order and a monic generator tuple.
+    """An order and a monic generator tuple, held as one
+    :class:`kernels.Divisors` state (:meth:`flat_arrays`), element k for
+    ``polys[k]``.
 
-    ``stats`` is the :class:`PairStats` of the :func:`buchberger` run, or
-    the :class:`SignatureStats` of the signature step, that produced the
-    basis (carried through :func:`reduce_basis`), else None.
-    ``divisors`` is the basis as the kernel's divisor state, element k for
-    ``polys[k]``, handed over by the code that built it; see
-    :meth:`flat_arrays`.
+    ``GroebnerBasis(order, polys)`` packs the polys, each scaled to a
+    leading 1, into a new state and keeps no reference to them; the code
+    that builds a basis hands its own state over instead (``_of``).
+    ``polys`` is read from the state when first asked for, its exponents
+    views into the state's block.  ``stats`` is the :class:`PairStats` of
+    the :func:`buchberger` run, or the :class:`SignatureStats` of the
+    signature step, that produced the basis (carried through
+    :func:`reduce_basis`), else None.
     """
 
-    __slots__ = ("order", "polys", "stats", "_divisors")
+    __slots__ = ("order", "table", "field", "stats", "_divisors", "_polys")
 
-    def __init__(self, order, polys, stats=None, divisors=None):
-        self.order = order
-        self.polys = tuple(polys)
-        self.stats = stats
-        self._divisors = divisors
+    def __init__(self, order, polys):
+        divisors, table, field = kernels.Divisors(order.nvars), None, None
+        for p in polys:
+            table, field = p.table, p.field
+            divisors.append(p.exps, _monic(field, p.coeffs), _packed(order, p.exps))
+        self._hold(order, table, field, divisors)
+
+    @classmethod
+    def _of(cls, order, table, field, divisors, stats):
+        """The basis of the monic elements of ``divisors``, a state that
+        the code that built it hands over."""
+        gb = cls.__new__(cls)
+        gb._hold(order, table, field, divisors, stats)
+        return gb
+
+    def _hold(self, order, table, field, divisors, stats=None):
+        self.order, self.table, self.field, self.stats = order, table, field, stats
+        self._divisors, self._polys = divisors, None
 
     def __len__(self):
-        return len(self.polys)
+        return len(self._divisors)
 
     def __iter__(self):
         return iter(self.polys)
 
     @property
-    def table(self):
-        return self.polys[0].table
-
-    @property
-    def field(self):
-        return self.polys[0].field
+    def polys(self):
+        if self._polys is None:
+            div = self._divisors
+            self._polys = tuple(Polynomial(self.table, self.field, self.order, *div.element(k)[:2])
+                                for k in range(len(div)))
+        return self._polys
 
     def contains_unit(self):
-        return any(p.leading_monomial().is_one() for p in self.polys)
+        return not self._divisors.leads.any(axis=1).all()
 
     def flat_arrays(self):
-        """The basis as a :class:`kernels.Divisors` state, for kernel calls;
-        built, and its keys packed, once when the basis was made without
-        one."""
-        if self._divisors is None:
-            self._divisors = kernels.Divisors(self.order.nvars)
-            for p in self.polys:
-                self._divisors.append(p.exps, p.coeffs, _packed(self.order, p.exps))
+        """The basis as its :class:`kernels.Divisors` state, for kernel
+        calls."""
         return self._divisors
+
+
+def _monic(field, coeffs):
+    """The coefficient array ``coeffs`` scaled to a leading 1."""
+    return field.scale_array(field.inv(coeffs[0]), coeffs)
 
 
 def _packed(order, exps):
@@ -189,7 +207,7 @@ def _check_ring(f, other):
 
 def normal_form(f, gb):
     """The remainder of f on full reduction by the basis."""
-    if not gb.polys:
+    if not len(gb):
         return f
     if f.order != gb.order:
         raise OrderMismatchError("polynomial and basis carry different order tags")
@@ -246,14 +264,12 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
         if not gens:
             raise ValueError("no generators and no order given")
         order = gens[0].order
-    basis = _prepare_generators(gens, order)
-    if not basis:
+    gens = _prepare_generators(gens, order)
+    if not gens:
         raise ValueError("all generators are zero")
 
-    field, table = basis[0].field, basis[0].table
+    field, table = gens[0].field, gens[0].table
     divisors = kernels.Divisors(order.nvars)
-    for p in basis:
-        divisors.append(p.exps, p.coeffs, _packed(order, p.exps))
     heap = []
     pending = set()
     # per element j, its pairs (i, j) with i < j: lcm rows, lcm degrees and
@@ -271,7 +287,8 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
             heapq.heappush(heap, (lcm_deg, i, j))
             pending.add((i, j))
 
-    for j in range(len(basis)):
+    for j, p in enumerate(gens):
+        divisors.append(p.exps, p.coeffs, _packed(order, p.exps))
         push_pairs(j)
 
     stats = PairStats()
@@ -314,13 +331,11 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
         if len(r_coeffs) == 0:
             stats.zero += 1
             continue
-        r = Polynomial(table, field, order, r_exps, r_coeffs).monic()
-        basis.append(r)
-        divisors.append(r.exps, r.coeffs, r_keys)
-        push_pairs(len(basis) - 1)
+        divisors.append(r_exps, _monic(field, r_coeffs), r_keys)
+        push_pairs(len(divisors) - 1)
 
     yield None, divisors.leads
-    return GroebnerBasis(order, basis, stats=stats, divisors=divisors)
+    return GroebnerBasis._of(order, table, field, divisors, stats)
 
 
 def _minimal(leads):
@@ -335,26 +350,20 @@ def _minimal(leads):
 
 def reduce_basis(gb):
     """The unique reduced basis of the same ideal; idempotent."""
-    if not gb.polys:
+    if not len(gb):
         raise ValueError("empty basis")
-    order, field, table, div = gb.order, gb.field, gb.table, gb.flat_arrays()
+    order, div = gb.order, gb.flat_arrays()
     kept = _minimal(div.leads)
-    # tail-reduce in one ascending pass: a tail term lies below its lead, so
-    # only a smaller lead can divide it, and the smaller elements are final
+    # tail-reduce the monic elements in one ascending pass: a tail term lies
+    # below its lead, so only a smaller lead can divide it, and the smaller
+    # elements are final
     ascending = kernels.Divisors(order.nvars)
-    coeffs = []
     for k in order.sort_desc(div.leads[kept])[::-1].tolist():
-        p = gb.polys[kept[k]].monic()
-        r_exps, r_coeffs, r_keys = kernels.reduce_terms(field, p.exps, div.element(kept[k])[2],
-                                                        p.coeffs, ascending)
-        ascending.append(r_exps, r_coeffs, r_keys)
-        coeffs.append(r_coeffs)
-    # the reduced basis and its divisor state run in descending lead order;
-    # the state is sized to fit and the polys' exponents are views into it
-    divisors = ascending.take(range(len(ascending) - 1, -1, -1))
-    polys = [Polynomial(table, field, order, divisors.element(k)[0], c)
-             for k, c in enumerate(coeffs[::-1])]
-    return GroebnerBasis(order, polys, stats=gb.stats, divisors=divisors)
+        exps, coeffs, keys = div.element(kept[k])
+        ascending.append(*kernels.reduce_terms(gb.field, exps, keys, coeffs, ascending))
+    # the reduced basis runs in descending lead order, its state sized to fit
+    return GroebnerBasis._of(order, gb.table, gb.field,
+                             ascending.take(range(len(ascending) - 1, -1, -1)), gb.stats)
 
 
 def groebner_basis(gens, order=None, **kwargs):

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
-from .errors import HomogeneityError
+from .errors import CrossCheckError, HomogeneityError
 from .groebner import _buchberger_walk, buchberger, lead_ideal
 
 
@@ -304,7 +304,7 @@ def _first_difference(polys, order, degrees, **budget):
         reached = _codimension(computed, k) == k
         if done is None:
             if not reached:
-                raise RuntimeError("equal series but a lead ideal below codimension k")
+                raise CrossCheckError("equal series but a lead ideal below codimension k")
             return _Dimension(max(map(series.pk.degree, series.gens)), len(series.gens))
         if reached:
             return _Dimension(done, len(series.gens))

@@ -30,12 +30,16 @@ ORDER_NAMES = ("paper", "grevlex", "lex")
 class MonomialOrder:
     """Total multiplicative well-order on monomials over a fixed slot count:
     lex under ``precedence`` (highest slot first), or grevlex under it when
-    ``graded``."""
+    ``graded``.  ``precedence`` must order every slot 0..nvars-1 once; a
+    repeated or missing slot is a ValueError, for it would give two
+    monomials one key."""
 
     __slots__ = ("precedence", "graded", "_columns", "_ranks")
 
     def __init__(self, precedence, graded=False):
         self.precedence = tuple(precedence)
+        if sorted(self.precedence) != list(range(self.nvars)):
+            raise ValueError(f"precedence {self.precedence} does not permute range({self.nvars})")
         self.graded = graded
         # keys(e) gathers e[..., _columns]; a graded order negates the
         # gathered columns behind one degree column

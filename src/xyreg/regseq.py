@@ -64,8 +64,8 @@ from itertools import count
 
 import numpy as np
 
-from .errors import (BudgetExceededError, CertificationError, HomogeneityError,
-                     OrderMismatchError, UndefinedLeadError)
+from .errors import (BudgetExceededError, CertificationError, CrossCheckError,
+                     HomogeneityError, OrderMismatchError, UndefinedLeadError)
 from .fields import PrimeField
 # buchberger is not called here; perfbench/tracer.py rebinds it in every
 # module that holds it, and perfbench/selftest.py expects it in this one
@@ -471,9 +471,9 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
     stats = SignatureStats()
     if f.is_zero():
         return ColonStep(False, stats=stats)
-    if prefix_gb is None or len(prefix_gb.polys) == 0:
+    if prefix_gb is None or len(prefix_gb) == 0:
         # the ambient ring is a domain
-        return ColonStep(True, GroebnerBasis(f.order, [f.monic()]), stats=stats)
+        return ColonStep(True, GroebnerBasis(f.order, [f]), stats=stats)
     if prefix_gb.contains_unit():
         return ColonStep(True, prefix_gb, stats=stats)  # J = R, the colon is again R
     order, field, table = prefix_gb.order, f.field, f.table
@@ -481,7 +481,6 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
     div = kernels.SignedDivisors(prefix_gb.flat_arrays())
     first, sigs = div.first, div.u
     in_j = _MonomialIdeal(div.leads.copy())  # the leads of J, packed once per step
-    coeffs = [p.coeffs for p in prefix_gb.polys]
     ratios = []  # per pair: packed key of lm(u) minus that of lm(v)
     heap = []
     tick = count()
@@ -490,8 +489,7 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
         """Append the pair (u, v), made monic, and push its J-pairs with
         every earlier row that survive the syzygy criterion."""
         inv = field.inv(v[1][0])
-        coeffs.append(field.scale_array(inv, v[1]))
-        div.append(v[0], coeffs[-1], v[2])
+        div.append(v[0], field.scale_array(inv, v[1]), v[2])
         sigs.append(u[0], field.scale_array(inv, u[1]), u[2])
         leads = div.leads
         k = len(div) - 1
@@ -550,12 +548,9 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
             return ColonStep(False, witness=normal_form(u, prefix_gb).monic(), stats=stats)
         admit(u, v)
     # the next step reads only the leads, so a minimal basis will do; its
-    # state is a copy sized to fit and the polys' exponents are views into it
-    kept = _minimal(div.leads)
-    div = div.take(kept)
-    polys = [Polynomial(table, field, order, div.element(i)[0], coeffs[k])
-             for i, k in enumerate(kept)]
-    return ColonStep(True, GroebnerBasis(order, polys, stats=stats, divisors=div), stats=stats)
+    # state is a copy sized to fit
+    basis = GroebnerBasis._of(order, table, field, div.take(_minimal(div.leads)), stats)
+    return ColonStep(True, basis, stats=stats)
 
 
 # (row, generator) word pairs that one block of _MonomialIdeal.contains tests
@@ -679,7 +674,7 @@ def _colon_index(gb, p, budgets):
     step = nonzerodivisor_colon(gb, p, **budgets)
     if not step.regular:
         if not colon_witness_holds(gb, p, step.witness):
-            raise RuntimeError("the colon step's witness fails its re-check")
+            raise CrossCheckError("the colon step's witness fails its re-check")
         return "zerodivisor modulo the prefix", step
     if step.basis.contains_unit():
         return "the ideal becomes the whole ring", step

@@ -106,12 +106,6 @@ class Monomial:
     def one(cls, nvars):
         return cls(np.zeros(nvars, dtype=np.int64))
 
-    @classmethod
-    def variable(cls, nvars, slot, power=1):
-        e = np.zeros(nvars, dtype=np.int64)
-        e[slot] = power
-        return cls(e)
-
     @property
     def nvars(self):
         return len(self.exps)

@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
@@ -116,6 +120,49 @@ def test_oracle_budget_inconclusive(capsys):
     code, _, err = run(capsys, "oracle", "--n", "2", "--budget-pairs", "1")
     assert code == 3
     assert "inconclusive" in err
+
+
+def test_an_out_of_memory_run_is_inconclusive(capsys, monkeypatch):
+    import xyreg.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "sequence_oracle", exhausted)
+    assert run(capsys, "oracle", "--n", "2") == (3, "", "inconclusive: out of memory\n")
+
+
+def test_running_out_of_memory_exits_3_without_a_traceback():
+    # colon n=7 needs between 500 and 700 MB of address space; under 300 MB
+    # numpy raises its MemoryError subclass partway through the walk
+    limit = 300 << 20
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "xyreg.cli", "oracle", "--n", "7", "--method", "colon"],
+        env=env, capture_output=True, timeout=600,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (3, b"", b"inconclusive: out of memory\n")
+
+
+@pytest.mark.parametrize("method", ["hilbert", "colon"])
+def test_a_failed_cross_check_is_neither_a_verdict_nor_a_usage_error(capsys, tmp_path,
+                                                                     monkeypatch, method):
+    import xyreg.hilbert as hilbert
+    import xyreg.regseq as regseq
+
+    # the colon oracle finds a zerodivisor in the full 2x2 set, and its
+    # witness now fails the re-check; the Hilbert run never sees its leads
+    # reach codimension k, though its series agree with the complete
+    # intersection's to the end
+    monkeypatch.setattr(regseq, "colon_witness_holds", lambda *args: False)
+    monkeypatch.setattr(hilbert, "_codimension", lambda numerator, most: 0)
+    path = tmp_path / "seq.txt"
+    path.write_text(FULL_SET if method == "colon" else "x[1,1]*y[1,1] + x[1,2]*y[2,1]\n")
+    code, out, err = run(capsys, "oracle", "--n", "2", "--input", str(path),
+                         "--method", method)
+    assert (code, out) == (4, "")
+    assert err.startswith("cross-check failed: ") and err.count("\n") == 1
 
 
 def test_oracle_bad_input_line(capsys, tmp_path):

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import entries_2x2
 from xyreg.cli import main
-from xyreg.errors import BudgetExceededError
+from xyreg.errors import BudgetExceededError, CrossCheckError
 from xyreg.fields import PrimeField, QQ
 from xyreg.groebner import groebner_basis, multi_divide, normal_form, reduce_basis
 from xyreg.orders import MonomialOrder
@@ -235,7 +235,7 @@ def test_a_witness_that_fails_its_check_is_an_error(gf, monkeypatch):
         return step
 
     monkeypatch.setattr(regseq, "nonzerodivisor_colon", forged)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(CrossCheckError):
         sequence_oracle(seq, "colon")
 
 

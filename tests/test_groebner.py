@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import entries_2x2, grevlex_entries, random_poly
@@ -10,9 +11,11 @@ from xyreg.fields import PrimeField, QQ
 from xyreg.groebner import (GroebnerBasis, buchberger, groebner_basis,
                             lead_ideal, multi_divide, normal_form,
                             reduce_basis, s_poly)
+from xyreg.kernels import pack_keys
 from xyreg.orders import MonomialOrder
 from xyreg.pattern import GenericProduct
 from xyreg.poly import Polynomial, format_poly, parse_poly
+from xyreg.regseq import nonzerodivisor_colon
 from xyreg.ring import VariableTable, format_monomial
 
 
@@ -291,3 +294,49 @@ def test_buchberger_records_its_pair_counts(gf, key):
     assert stats.reduced - stats.zero == len(gb) - len(gens)
     assert reduce_basis(gb).stats == stats
     assert groebner_basis(gens, order).stats == stats
+
+
+def bases_of_every_kind(field):
+    """A basis from each way of making one, over ``field``, by name."""
+    order = MonomialOrder.grevlex(8)
+    f11, f12, f21, _ = (p.resort(order) for p in entries_2x2(field))
+    gb = buchberger([f11, f12])
+    step = nonzerodivisor_colon(gb, f21)
+    assert step.regular
+    return {"buchberger": gb, "reduce_basis": reduce_basis(gb),
+            "groebner_basis": groebner_basis([f11, f12, f21]), "colon": step.basis,
+            # the constructor scales each element to a leading 1
+            "constructor": GroebnerBasis(order, [f11.scale(3), f21])}
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=repr)
+def test_a_basis_holds_each_element_once_in_its_divisor_state(field):
+    for name, gb in bases_of_every_kind(field).items():
+        div = gb.flat_arrays()
+        assert len(gb) == len(div) > 0, name
+        assert gb.polys is gb.polys  # built once
+        for k, p in enumerate(gb.polys):
+            exps, coeffs, keys = div.element(k)
+            assert np.array_equal(p.exps, exps) and p.coeffs.tolist() == coeffs, name
+            assert pack_keys(gb.order.keys(p.exps)) == keys, name
+            assert p.coeffs[0] == field.one, name
+            assert np.shares_memory(p.exps, exps), name
+            assert (p.table, p.field, p.order) == (gb.table, gb.field, gb.order), name
+        assert list(gb) == list(gb.polys)
+
+
+def test_buchberger_builds_no_polynomial_per_appended_element(gf, monkeypatch):
+    import xyreg.poly as poly
+
+    # the full 3x3 set: 51 elements are appended, 9 of them not monic as the
+    # kernel returns them
+    gens, order = grevlex_entries(gf, 3, True)
+    calls = []
+    canonicalize, init = poly.canonicalize, Polynomial.__init__
+    monkeypatch.setattr(poly, "canonicalize",
+                        lambda *args: calls.append("canonicalize") or canonicalize(*args))
+    monkeypatch.setattr(Polynomial, "__init__",
+                        lambda self, *args: calls.append("Polynomial") or init(self, *args))
+    gb = buchberger(gens, order)
+    assert len(gb) - len(gens) == 51
+    assert calls == []

@@ -8,7 +8,6 @@ import pytest
 
 from xyreg.cli import main
 from xyreg.fields import PrimeField
-from xyreg.orders import MonomialOrder
 from xyreg.pattern import (GenericProduct, PatternSpec, _sparse_entry, build_ring,
                            certify_pattern, column_limit, counterexample_2x2,
                            expected_effective_lead, recheck_certificate, selected_entries,
@@ -104,13 +103,6 @@ def test_expected_effective_lead():
             f"x[1,{n}]*y[{n},{n}]"
     with pytest.raises(ValueError):
         expected_effective_lead(4, 2, 2)  # row 2 is not selected in column 2
-
-
-def test_certification_order_examples():
-    t2 = build_ring(2)
-    names = [t2.names[s] for s in MonomialOrder.from_name("paper", 2).precedence]
-    assert names == ["x[1,1]", "x[2,2]", "x[1,2]", "x[2,1]",
-                     "y[1,1]", "y[1,2]", "y[2,1]", "y[2,2]"]
 
 
 def test_certify_step_counts(gf):

@@ -155,6 +155,20 @@ def test_order_from_name():
             MonomialOrder.from_name(bad, 2)
 
 
+@pytest.mark.parametrize("precedence", [(0, 0, 1), (0, 2), (0, 1, 3), (-1, 0, 1)],
+                         ids=["repeated", "missing", "out-of-range", "negative"])
+def test_a_precedence_must_permute_the_slots(precedence):
+    # (0, 0, 1) would give x2 and 1 the same keys: the order would not be total
+    for build in (MonomialOrder.lex, MonomialOrder.grevlex):
+        with pytest.raises(ValueError):
+            build(3, precedence)
+    with pytest.raises(ValueError):
+        MonomialOrder(precedence)
+    for name in ORDER_NAMES:
+        for n in (2, 3, 4):
+            assert MonomialOrder.from_name(name, n).nvars == 2 * n * n
+
+
 def dense_weights(kind, precedence):
     """The order's keys as the rows of an integer weight matrix: keys = W @ e."""
     nv = len(precedence)
