@@ -1,7 +1,12 @@
 """Command-line surface.
 
 Subcommands: gen, certify, oracle, counterexample, search, gb, recheck.
-Each subcommand accepts only the flags it reads.
+``SUBCOMMANDS`` states each one once: its help, the flags it accepts (each
+subcommand accepts only the flags it reads) and its ``cmd_*`` function.
+A ``cmd_*`` function reads its ring arguments through one check, builds its
+report as a JSON payload and as text lines, and leaves through ``_emit``,
+which writes the form ``--format`` asks for; certify alone builds only
+that form, for its certificate is large.
 Exit codes: 0 the checked property holds, 1 it fails, 2 usage error,
 3 inconclusive (a resource budget, or memory, ran out before an answer
 was reached), 4 an internal cross-check failed, so there is no verdict.
@@ -29,10 +34,6 @@ EXIT_INCONCLUSIVE = 3
 EXIT_CROSS_CHECK = 4
 
 
-class UsageError(Exception):
-    pass
-
-
 FLAGS = {
     "n": dict(type=int, default=None, help="matrix size (>= 2)"),
     "field": dict(choices=["gfp", "rat"], default=None,
@@ -58,24 +59,6 @@ FLAGS = {
 
 BUDGETS = ("budget-pairs", "budget-degree")
 
-# subcommand -> (help, the flags its cmd_* function reads)
-SUBCOMMANDS = {
-    "gen": ("emit the product entries, the selection pattern and the "
-            "augmented ordering", ("n", "field", "prime", "format", "out")),
-    "certify": ("certify the selected entries step by step",
-                ("n", "field", "prime", "format", "out")),
-    "oracle": ("decide regularity of a sequence outright",
-               ("n", "field", "prime", "method", "input", *BUDGETS, "format", "out")),
-    "counterexample": ("verify that all four 2x2 product entries fail to be "
-                       "a regular sequence", ("field", "prime", "format", "out")),
-    "search": ("greedily extend the certified sequence by further product entries",
-               ("n", "field", "prime", "method", *BUDGETS, "format", "out")),
-    "gb": ("reduced Groebner basis of the polynomials in --input",
-           ("n", "field", "prime", "order", "input", *BUDGETS, "format", "out")),
-    "recheck": ("re-certify a certificate JSON file and compare it with the result",
-                ("input", "format", "out")),
-}
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -83,14 +66,17 @@ def build_parser():
         description="Regular sequences among the entries of a generic matrix product.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in SUBCOMMANDS.items():
+    for name, (help_text, flags, _) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag in flags:
             p.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
 
 
-def _emit(args, text):
+def _emit(args, code, payload, lines):
+    """Write the report, ``payload`` as JSON or ``lines`` as text, as
+    ``--format`` asks, to ``--out`` or stdout; return the exit code."""
+    text = json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines)
     if not text.endswith("\n"):
         text += "\n"
     if args.out:
@@ -98,36 +84,36 @@ def _emit(args, text):
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return code
 
 
-def _require_n(args):
-    if args.n is None:
-        raise UsageError("--n is required for this command")
-    if args.n < 2:
-        raise UsageError(f"matrix size must be at least 2, got {args.n}")
-    return args.n
-
-
-def _make_field(args, default_kind="gfp", check_prime_gt=None):
+def _n_and_field(args):
+    """(n, field) of a subcommand that takes ``--n``: the field is GF(p)
+    unless ``--field rat``, with p > n, and the hilbert oracle needs GF(p)."""
+    n = args.n
+    if n is None:
+        raise ValueError("--n is required for this command")
+    if n < 2:
+        raise ValueError(f"matrix size must be at least 2, got {n}")
     # ValueError unless --field rat or a prime below 2**31
-    field = field_from_spec(args.field or default_kind, args.prime)
-    if isinstance(field, PrimeField) and check_prime_gt is not None \
-            and args.prime <= check_prime_gt:
-        raise UsageError(f"prime must exceed n={check_prime_gt}")
-    return field
+    field = field_from_spec(args.field or "gfp", args.prime)
+    is_prime_field = isinstance(field, PrimeField)
+    if is_prime_field and args.prime <= n:
+        raise ValueError(f"prime must exceed n={n}")
+    if getattr(args, "method", None) == "hilbert" and not is_prime_field:
+        raise ValueError("the hilbert oracle requires --field gfp")
+    return n, field
 
 
 def _budgets(args):
     for name in ("budget_pairs", "budget_degree"):
         value = getattr(args, name)
         if value is not None and value <= 0:
-            raise UsageError(f"--{name.replace('_', '-')} must be positive")
+            raise ValueError(f"--{name.replace('_', '-')} must be positive")
     return dict(pair_budget=args.budget_pairs, degree_budget=args.budget_degree)
 
 
 def _read_input_polys(args, table, field, order):
-    if args.input is None:
-        return None
     polys = []
     with open(args.input, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -137,7 +123,7 @@ def _read_input_polys(args, table, field, order):
             try:
                 polys.append(parse_poly(line, table, field, order))
             except ParseError as exc:
-                raise UsageError(f"{args.input}:{lineno}: {exc}")
+                raise ValueError(f"{args.input}:{lineno}: {exc}")
     return polys
 
 
@@ -166,114 +152,81 @@ def _render_matrix(spec):
 
 
 def cmd_gen(args):
-    n = _require_n(args)
-    field = _make_field(args, check_prime_gt=n)
+    n, field = _n_and_field(args)
     spec = PatternSpec.build(n)
     product = GenericProduct(n, field=field)
-    if args.format == "json":
-        payload = spec.to_json_dict()
-        payload["selected"] = [
-            {"label": _entry_label(s, t), "polynomial": format_poly(product.entry(s, t))}
-            for s, t in spec.positions
-        ]
-        payload["augmented"] = [
-            {"label": (f"y[{a},{b}]" if kind == "y" else _entry_label(a, b)),
-             "kind": ("variable" if kind == "y" else "entry")}
-            for kind, a, b in spec.augmented
-        ]
-        _emit(args, json.dumps(payload, indent=2))
-        return EXIT_OK
-    lines = [f"selection pattern for n={n}:", _render_matrix(spec), ""]
-    lines.append("selected entries, certification order:")
-    for s, t in spec.positions:
-        lines.append(f"  {_entry_label(s, t)} = {format_poly(product.entry(s, t))}")
-    lines.append("")
-    lines.append("augmented ordering (bare variables interleaved):")
-    labels = [(f"y[{a},{b}]" if kind == "y" else _entry_label(a, b))
-              for kind, a, b in spec.augmented]
-    lines.append("  " + ", ".join(labels))
-    _emit(args, "\n".join(lines))
-    return EXIT_OK
+    payload = spec.to_json_dict()
+    payload["selected"] = [
+        {"label": _entry_label(s, t), "polynomial": format_poly(product.entry(s, t))}
+        for s, t in spec.positions
+    ]
+    payload["augmented"] = [
+        {"label": (f"y[{a},{b}]" if kind == "y" else _entry_label(a, b)),
+         "kind": ("variable" if kind == "y" else "entry")}
+        for kind, a, b in spec.augmented
+    ]
+    lines = [f"selection pattern for n={n}:", _render_matrix(spec), "",
+             "selected entries, certification order:"]
+    lines += [f"  {e['label']} = {e['polynomial']}" for e in payload["selected"]]
+    lines += ["", "augmented ordering (bare variables interleaved):",
+              "  " + ", ".join(e["label"] for e in payload["augmented"])]
+    return _emit(args, EXIT_OK, payload, lines)
 
 
 def cmd_certify(args):
-    n = _require_n(args)
-    field = _make_field(args, check_prime_gt=n)
+    n, field = _n_and_field(args)
     cert = certify_pattern(n, field=field)
-    if args.format == "json":
-        _emit(args, json.dumps(cert.to_json_dict(), indent=2))
+    code = EXIT_OK if cert.verdict == "certified" else EXIT_FAIL
+    if args.format == "json":  # a certificate is large: build only the form asked for
+        return _emit(args, code, cert.to_json_dict(), None)
+    lines = [f"certifying the selected entries for n={n} ({len(cert.steps)} steps):"]
+    for k, step in enumerate(cert.steps, start=1):
+        extra = ""
+        if step.kind == "TECHNICAL" and step.subtractions:
+            subs = ", ".join(format_monomial(m, cert.table) for m, _ in step.subtractions)
+            extra = f" after subtracting multiples of {subs}"
+        lines.append(f"  step {k}: {step.kind} {step.label}, effective lead "
+                     f"{format_monomial(step.effective_lead, cert.table)}{extra}")
+    if cert.verdict == "certified":
+        lines += ["verdict: certified", cert.note]
     else:
-        lines = [f"certifying the selected entries for n={n} "
-                 f"({len(cert.steps)} steps):"]
-        for k, step in enumerate(cert.steps, start=1):
-            extra = ""
-            if step.kind == "TECHNICAL" and step.subtractions:
-                subs = ", ".join(format_monomial(m, cert.table)
-                                 for m, _ in step.subtractions)
-                extra = f" after subtracting multiples of {subs}"
-            lines.append(f"  step {k}: {step.kind} {step.label}, effective lead "
-                         f"{format_monomial(step.effective_lead, cert.table)}{extra}")
-        if cert.verdict == "certified":
-            lines.append("verdict: certified")
-            lines.append(cert.note)
-        else:
-            lines.append(f"verdict: failed at step {cert.failure['step']} "
-                         f"({cert.failure['condition']})")
-        _emit(args, "\n".join(lines))
-    return EXIT_OK if cert.verdict == "certified" else EXIT_FAIL
+        lines.append(f"verdict: failed at step {cert.failure['step']} "
+                     f"({cert.failure['condition']})")
+    return _emit(args, code, None, lines)
 
 
 def cmd_oracle(args):
-    n = _require_n(args)
-    field = _make_field(args, check_prime_gt=n)
-    if args.method == "hilbert" and not isinstance(field, PrimeField):
-        raise UsageError("the hilbert oracle requires --field gfp")
-    table = build_ring(n)
-    order = MonomialOrder.from_name("paper", n)
-    polys = _read_input_polys(args, table, field, order)
-    if polys is None:
+    n, field = _n_and_field(args)
+    if args.input is None:
         polys = selected_entries(n, field=field)
-    report = sequence_oracle(polys, args.method, **_budgets(args))
-    if args.format == "json":
-        payload = {"method": report.method, "verdict": report.verdict,
-                   "first_failure": report.first_failure,
-                   "details": list(report.details)}
-        if report.witness is not None:
-            payload["witness"] = {"index": report.first_failure,
-                                  "u": format_poly(report.witness)}
-        _emit(args, json.dumps(payload, indent=2))
     else:
-        lines = [f"oracle method: {report.method}", f"verdict: {report.verdict}"]
-        if report.first_failure is not None:
-            lines.append(f"first failure at index {report.first_failure}")
-        lines += [f"  {d}" for d in report.details]
-        if report.witness is not None:
-            lines.append(f"witness at index {report.first_failure}: "
-                         f"u = {format_poly(report.witness)}")
-        _emit(args, "\n".join(lines))
-    return EXIT_OK if report.regular else EXIT_FAIL
+        polys = _read_input_polys(args, build_ring(n), field,
+                                  MonomialOrder.from_name("paper", n))
+    report = sequence_oracle(polys, args.method, **_budgets(args))
+    payload = {"method": report.method, "verdict": report.verdict,
+               "first_failure": report.first_failure, "details": list(report.details)}
+    lines = [f"oracle method: {report.method}", f"verdict: {report.verdict}"]
+    if report.first_failure is not None:
+        lines.append(f"first failure at index {report.first_failure}")
+    lines += [f"  {d}" for d in report.details]
+    if report.witness is not None:
+        payload["witness"] = {"index": report.first_failure, "u": format_poly(report.witness)}
+        lines.append(f"witness at index {report.first_failure}: u = {payload['witness']['u']}")
+    return _emit(args, EXIT_OK if report.regular else EXIT_FAIL, payload, lines)
 
 
 def cmd_counterexample(args):
-    field = _make_field(args, default_kind="rat")
-    report = counterexample_2x2(field=field)
-    if args.format == "json":
-        _emit(args, json.dumps(report.to_json_dict(), indent=2))
-    else:
-        lines = [f"relation: {report.relation}",
-                 f"residue after expansion: {report.residue}"]
-        for claim, ok in report.checks:
-            lines.append(f"  [{'ok' if ok else 'FAIL'}] {claim}")
-        lines.append("all checks passed" if report.passed else "CHECKS FAILED")
-        _emit(args, "\n".join(lines))
-    return EXIT_OK if report.passed else EXIT_FAIL
+    report = counterexample_2x2(field=field_from_spec(args.field or "rat", args.prime))
+    payload = report.to_json_dict()
+    lines = [f"relation: {payload['relation']}",
+             f"residue after expansion: {payload['residue']}"]
+    lines += [f"  [{'ok' if c['holds'] else 'FAIL'}] {c['claim']}" for c in payload["checks"]]
+    lines.append("all checks passed" if payload["passed"] else "CHECKS FAILED")
+    return _emit(args, EXIT_OK if payload["passed"] else EXIT_FAIL, payload, lines)
 
 
 def cmd_search(args):
-    n = _require_n(args)
-    field = _make_field(args, check_prime_gt=n)
-    if args.method == "hilbert" and not isinstance(field, PrimeField):
-        raise UsageError("the hilbert oracle requires --field gfp")
+    n, field = _n_and_field(args)
     spec = PatternSpec.build(n)
     product = GenericProduct(n, field=field)
     base = [product.entry(s, t) for s, t in spec.positions]
@@ -286,67 +239,61 @@ def cmd_search(args):
     accepted = [_entry_label(*cand_positions[k]) for k in report.accepted]
     rejected = [{"entry": _entry_label(*cand_positions[k]), "reason": reason}
                 for k, reason in report.rejected]
-    if args.format == "json":
-        payload = {"method": args.method, "base": base_labels,
-                   "final_length": len(report.chain),
-                   "accepted": accepted, "rejected": rejected}
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        lines = [f"oracle method: {args.method}",
-                 f"base sequence ({len(base)}): " + ", ".join(base_labels),
-                 f"final length: {len(report.chain)}"]
-        lines.append("accepted: " + (", ".join(accepted) if accepted else "none"))
-        for item in rejected:
-            lines.append(f"rejected {item['entry']}: {item['reason']}")
-        _emit(args, "\n".join(lines))
-    return EXIT_OK
+    payload = {"method": args.method, "base": base_labels, "final_length": len(report.chain),
+               "accepted": accepted, "rejected": rejected}
+    lines = [f"oracle method: {args.method}",
+             f"base sequence ({len(base)}): " + ", ".join(base_labels),
+             f"final length: {len(report.chain)}",
+             "accepted: " + (", ".join(accepted) if accepted else "none")]
+    lines += [f"rejected {item['entry']}: {item['reason']}" for item in rejected]
+    return _emit(args, EXIT_OK, payload, lines)
 
 
 def cmd_recheck(args):
     if args.input is None:
-        raise UsageError("recheck requires --input")
+        raise ValueError("recheck requires --input")
     with open(args.input, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except RecursionError:
-            raise UsageError(f"{args.input}: JSON nested too deeply") from None
+            raise ValueError(f"{args.input}: JSON nested too deeply") from None
     verdict = recheck_certificate(data)
-    if args.format == "json":
-        _emit(args, json.dumps({"verdict": verdict}, indent=2))
-    else:
-        _emit(args, f"verdict: {verdict}")
-    return EXIT_OK if verdict == "certified" else EXIT_FAIL
+    return _emit(args, EXIT_OK if verdict == "certified" else EXIT_FAIL,
+                 {"verdict": verdict}, [f"verdict: {verdict}"])
 
 
 def cmd_gb(args):
-    n = _require_n(args)
-    field = _make_field(args, check_prime_gt=n)
+    n, field = _n_and_field(args)
     if args.input is None:
-        raise UsageError("gb requires --input")
-    table = build_ring(n)
+        raise ValueError("gb requires --input")
     order = MonomialOrder.from_name(args.order, n)
-    polys = _read_input_polys(args, table, field, order)
-    polys = [p for p in polys if not p.is_zero()]
+    polys = [p for p in _read_input_polys(args, build_ring(n), field, order) if not p.is_zero()]
     if not polys:
-        raise UsageError("the input contains no nonzero polynomials")
-    gb = groebner_basis(polys, order, **_budgets(args))
-    if args.format == "json":
-        payload = {"order": args.order,
-                   "basis": [format_poly(p) for p in gb.polys]}
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        _emit(args, "\n".join(format_poly(p) for p in gb.polys))
-    return EXIT_OK
+        raise ValueError("the input contains no nonzero polynomials")
+    basis = [format_poly(p) for p in groebner_basis(polys, order, **_budgets(args)).polys]
+    return _emit(args, EXIT_OK, {"order": args.order, "basis": basis}, basis)
 
 
-DISPATCH = {
-    "gen": cmd_gen,
-    "certify": cmd_certify,
-    "oracle": cmd_oracle,
-    "counterexample": cmd_counterexample,
-    "search": cmd_search,
-    "gb": cmd_gb,
-    "recheck": cmd_recheck,
+# subcommand -> (help, the flags its cmd_* function reads, that function);
+# main calls the function held here, not the module attribute, which
+# perfbench's tracer rebinds: a traced run records no cmd_* span
+SUBCOMMANDS = {
+    "gen": ("emit the product entries, the selection pattern and the "
+            "augmented ordering", ("n", "field", "prime", "format", "out"), cmd_gen),
+    "certify": ("certify the selected entries step by step",
+                ("n", "field", "prime", "format", "out"), cmd_certify),
+    "oracle": ("decide regularity of a sequence outright",
+               ("n", "field", "prime", "method", "input", *BUDGETS, "format", "out"),
+               cmd_oracle),
+    "counterexample": ("verify that all four 2x2 product entries fail to be "
+                       "a regular sequence", ("field", "prime", "format", "out"),
+                       cmd_counterexample),
+    "search": ("greedily extend the certified sequence by further product entries",
+               ("n", "field", "prime", "method", *BUDGETS, "format", "out"), cmd_search),
+    "gb": ("reduced Groebner basis of the polynomials in --input",
+           ("n", "field", "prime", "order", "input", *BUDGETS, "format", "out"), cmd_gb),
+    "recheck": ("re-certify a certificate JSON file and compare it with the result",
+                ("input", "format", "out"), cmd_recheck),
 }
 
 
@@ -357,7 +304,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        return DISPATCH[args.command](args)
+        return SUBCOMMANDS[args.command][2](args)
     except BudgetExceededError as exc:  # a XyregError, so ahead of the usage errors
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
@@ -367,7 +314,7 @@ def main(argv=None):
     except CrossCheckError as exc:
         print(f"cross-check failed: {exc}", file=sys.stderr)
         return EXIT_CROSS_CHECK
-    except (UsageError, OSError, ValueError, XyregError) as exc:
+    except (OSError, ValueError, XyregError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

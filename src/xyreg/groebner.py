@@ -82,7 +82,10 @@ class GroebnerBasis:
 
     ``GroebnerBasis(order, polys)`` packs the polys, each scaled to a
     leading 1, into a new state and keeps no reference to them; the code
-    that builds a basis hands its own state over instead (``_of``).
+    that builds a basis hands its own state over instead (``_of``).  The
+    polys must be nonzero (else UndefinedLeadError), lie in one ring (else
+    the errors of :func:`normal_form`) and carry ``order`` (else
+    OrderMismatchError).
     ``polys`` is read from the state when first asked for, its exponents
     views into the state's block.  ``stats`` is the :class:`PairStats` of
     the :func:`buchberger` run, or the :class:`SignatureStats` of the
@@ -93,9 +96,15 @@ class GroebnerBasis:
     __slots__ = ("order", "table", "field", "stats", "_divisors", "_polys")
 
     def __init__(self, order, polys):
-        divisors, table, field = kernels.Divisors(order.nvars), None, None
+        polys = list(polys)
+        table, field = (polys[0].table, polys[0].field) if polys else (None, None)
+        divisors = kernels.Divisors(order.nvars)
         for p in polys:
-            table, field = p.table, p.field
+            if p.is_zero():
+                raise UndefinedLeadError("zero element in a basis")
+            _check_ring(p, polys[0])
+            if p.order != order:
+                raise OrderMismatchError("basis element carries a different order tag")
             divisors.append(p.exps, _monic(field, p.coeffs), _packed(order, p.exps))
         self._hold(order, table, field, divisors)
 
@@ -223,6 +232,7 @@ def _prepare_generators(gens, order):
     polys = []
     seen = set()
     for g in gens:
+        _check_ring(g, gens[0])
         if order is not None and g.order != order:
             g = g.resort(order)
         if g.is_zero():
@@ -238,8 +248,11 @@ def _prepare_generators(gens, order):
 def buchberger(gens, order=None, *, pair_budget=None, degree_budget=None):
     """Complete the generator list to a Groebner basis.
 
-    Budgets are hard stops: exceeding either raises BudgetExceededError and
-    the partial state is discarded, never returned as an answer.
+    The generators must lie in the ring of the first, as in
+    :func:`normal_form`; zero generators are dropped and the rest resorted
+    to ``order``.  Budgets are hard stops: exceeding either raises
+    BudgetExceededError and the partial state is discarded, never returned
+    as an answer.
     """
     walk = _buchberger_walk(gens, order, pair_budget, degree_budget)
     while True:

@@ -54,11 +54,11 @@ class MonomialOrder:
     # -- construction ----------------------------------------------------
     @classmethod
     def lex(cls, nvars, precedence=None):
-        return cls(range(nvars) if precedence is None else precedence)
+        return cls(_precedence(nvars, precedence))
 
     @classmethod
     def grevlex(cls, nvars, precedence=None):
-        return cls(range(nvars) if precedence is None else precedence, graded=True)
+        return cls(_precedence(nvars, precedence), graded=True)
 
     @classmethod
     def from_name(cls, name, n):
@@ -134,6 +134,15 @@ class MonomialOrder:
     def __repr__(self):
         name = "grevlex" if self.graded else "lex"
         return f"MonomialOrder.{name}({self.nvars}, {self.precedence})"
+
+
+def _precedence(nvars, precedence):
+    """``precedence`` (range(nvars) when None) as a tuple; a ValueError
+    unless it orders exactly ``nvars`` slots."""
+    precedence = tuple(range(nvars) if precedence is None else precedence)
+    if len(precedence) != nvars:
+        raise ValueError(f"precedence of {len(precedence)} slots for nvars={nvars}")
+    return precedence
 
 
 def certification_precedence(n):

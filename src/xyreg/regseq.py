@@ -75,7 +75,7 @@ from .groebner import (GroebnerBasis, SignatureStats, _check_ring, _minimal, _pa
 from .hilbert import _Dimension, _first_difference
 from .orders import MonomialOrder
 from .poly import Polynomial, Term, _format_terms
-from .ring import VariableTable, _format_support, _monomial, _quotient, _support
+from .ring import VariableTable, _format_support, _quotient, _support
 
 ROLE_BASE = "base"
 ROLE_BARE = "bare-monomial"
@@ -268,11 +268,11 @@ def check_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label="")
 
     def record(name, ok, message):
         """Record a check; on failure the message is formatted with the
-        residue lead, so passing checks format nothing."""
+        residue lead in the text grammar, so passing checks format nothing."""
         checks[name] = bool(ok)
         if not ok:
-            lead = _monomial(residue_lead, h.table.nvars)
-            raise CertificationError(name, message.format(lead=lead))
+            raise CertificationError(
+                name, message.format(lead=_format_support(residue_lead, h.table)))
 
     try:
         h.field.inv(lead_coeff)
@@ -293,7 +293,7 @@ def check_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label="")
            "the residue lead shares a variable with a prior bare monomial")
     record("residue_lead_coprime_to_prior_leads",
            not any(leads.uses(v) for v, _ in residue_lead),
-           "the residue lead {lead!r} shares a variable with a prior effective lead")
+           "the residue lead {lead} shares a variable with a prior effective lead")
 
     key = h.order._support_key
     top = key(residue_lead)
@@ -320,7 +320,7 @@ def coprime_extend_element(prior, p, order=None, *, role=ROLE_BASE, label=""):
     if any(prior.leads.uses(v) or prior.bare.uses(v) for v, _ in lead):
         raise CertificationError(
             "lead_coprime_to_prior",
-            f"lead {_monomial(lead, p.table.nvars)!r} shares a variable with a "
+            f"lead {_format_support(lead, p.table)} shares a variable with a "
             f"prior effective lead")
     return CertificateStep(kind="COPRIME_EXTEND", label=label, element=p,
                            effective_lead=lead, role=role,
@@ -466,7 +466,8 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
     divides, taken in ascending degree: a minimal basis, which is all the
     next step needs.  Budgets are hard stops: ``pair_budget``
     bounds the J-pairs formed, ``degree_budget`` the degree of a signature
-    taken.
+    taken.  An f outside the ring of a nonempty basis raises, as
+    :func:`groebner.normal_form` does.
     """
     stats = SignatureStats()
     if f.is_zero():
@@ -474,6 +475,7 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
     if prefix_gb is None or len(prefix_gb) == 0:
         # the ambient ring is a domain
         return ColonStep(True, GroebnerBasis(f.order, [f]), stats=stats)
+    _check_ring(f, prefix_gb)
     if prefix_gb.contains_unit():
         return ColonStep(True, prefix_gb, stats=stats)  # J = R, the colon is again R
     order, field, table = prefix_gb.order, f.field, f.table

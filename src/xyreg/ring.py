@@ -179,11 +179,3 @@ def _quotient(support, divisor):
     """The support of support/divisor, for a divisor that divides it."""
     drop = dict(divisor)
     return tuple((v, e - drop.get(v, 0)) for v, e in support if e != drop.get(v, 0))
-
-
-def _monomial(support, nvars):
-    """The dense :class:`Monomial` over ``nvars`` slots with this support."""
-    exps = np.zeros(nvars, dtype=np.int64)
-    for v, e in support:
-        exps[v] = e
-    return Monomial(exps)

@@ -15,9 +15,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import entries_2x2
+from conftest import entries_2x2, grevlex_entries
 from xyreg.cli import main
-from xyreg.errors import BudgetExceededError, CrossCheckError
+from xyreg.errors import BudgetExceededError, CrossCheckError, DimensionError
 from xyreg.fields import PrimeField, QQ
 from xyreg.groebner import groebner_basis, multi_divide, normal_form, reduce_basis
 from xyreg.orders import MonomialOrder
@@ -220,6 +220,18 @@ def test_an_edited_witness_fails_the_check(gf):
     two = entries_2x2(gf)
     assert not colon_witness_holds(*prefix_basis(two, 3),
                                    sequence_oracle(two, "colon").witness)
+
+
+def test_a_step_rejects_an_element_outside_the_ring_of_its_prefix(gf):
+    gens, order = grevlex_entries(gf, 2, True)
+    prefix = groebner_basis(gens[:3], order)
+    assert not nonzerodivisor_colon(prefix, gens[3]).regular
+    # unchecked, f[2,2] over Q would be called regular modulo this GF(32003) basis
+    for field in (QQ, PrimeField(7)):
+        with pytest.raises(ValueError, match="different coefficient field"):
+            nonzerodivisor_colon(prefix, grevlex_entries(field, 2, True)[0][3])
+    with pytest.raises(DimensionError):
+        nonzerodivisor_colon(prefix, grevlex_entries(gf, 3, True)[0][4])
 
 
 def test_a_witness_that_fails_its_check_is_an_error(gf, monkeypatch):

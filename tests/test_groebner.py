@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import entries_2x2, grevlex_entries, random_poly
-from xyreg.errors import BudgetExceededError, UndefinedLeadError
+from xyreg.errors import (BudgetExceededError, DimensionError, OrderMismatchError,
+                          UndefinedLeadError)
 from xyreg.fields import PrimeField, QQ
 from xyreg.groebner import (GroebnerBasis, buchberger, groebner_basis,
                             lead_ideal, multi_divide, normal_form,
@@ -340,3 +341,39 @@ def test_buchberger_builds_no_polynomial_per_appended_element(gf, monkeypatch):
     gb = buchberger(gens, order)
     assert len(gb) - len(gens) == 51
     assert calls == []
+
+
+def test_a_basis_rejects_a_zero_element(ctx):
+    table, order, field, parse = ctx
+    with pytest.raises(UndefinedLeadError):
+        GroebnerBasis(order, [parse("x[1,1]"), Polynomial.zero(table, field, order)])
+
+
+def test_a_basis_rejects_an_element_under_another_order(ctx):
+    _, _, _, parse = ctx
+    lex, grevlex = MonomialOrder.lex(8), MonomialOrder.grevlex(8)
+    # packed under grevlex, whose lead is x[1,2]^2, a basis of x[1,1] - x[1,2]^2
+    # would reduce x[1,1]^2 to x[1,2]^4, which x[1,2]^2 still divides
+    with pytest.raises(OrderMismatchError):
+        GroebnerBasis(grevlex, [parse("x[1,1] - x[1,2]^2", order=lex)])
+
+
+def test_a_basis_rejects_mixed_rings(ctx):
+    table, order, field, parse = ctx
+    with pytest.raises(ValueError, match="different coefficient field"):
+        GroebnerBasis(order, [parse("x[1,1]"), parse("x[1,2]", field=QQ)])
+    wider = parse_poly("x[1,2]", VariableTable.xy(3), field, MonomialOrder.from_name("paper", 3))
+    with pytest.raises(DimensionError):
+        GroebnerBasis(order, [parse("x[1,1]"), wider])
+
+
+def test_buchberger_rejects_mixed_fields(ctx):
+    _, order, _, parse = ctx
+    # unchecked, their basis would depend on their order: {x[1,1] + 3*x[1,2]}
+    # as given, {x[1,1], x[1,2]} reversed
+    gens = [parse("x[1,1] + 3*x[1,2]", field=PrimeField(7)), parse("x[1,1] + 10*x[1,2]")]
+    for seq in (gens, gens[::-1]):
+        with pytest.raises(ValueError, match="different coefficient field"):
+            groebner_basis(seq, order)
+        with pytest.raises(ValueError, match="different coefficient field"):
+            buchberger(seq)

@@ -86,7 +86,8 @@ def dense_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label="")
     def record(name, ok, message):
         checks[name] = bool(ok)
         if not ok:
-            raise CertificationError(name, message.format(lead=residue_lead))
+            raise CertificationError(name, message.format(
+                lead=format_monomial(residue_lead, h.table)))
 
     try:
         h.field.inv(lead_coeff)
@@ -110,7 +111,7 @@ def dense_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label="")
     record("residue_lead_coprime_to_bare_monomials", not bare_counts[residue_vars].any(),
            "the residue lead shares a variable with a prior bare monomial")
     record("residue_lead_coprime_to_prior_leads", not lead_counts[residue_vars].any(),
-           "the residue lead {lead!r} shares a variable with a prior effective lead")
+           "the residue lead {lead} shares a variable with a prior effective lead")
 
     rows = order.keys(np.array([t.monomial.exps for t in residue_terms])).tolist()
     record("tail_below_residue_lead", all(row < rows[0] for row in rows[1:]),
@@ -396,8 +397,7 @@ def test_failure_conditions_and_messages(gf):
          "a residue term is not strictly below the residue lead"),
         ([prior_step(product.entry(1, 1), ROLE_BASE)], product.entry(1, 2),
          "residue_lead_coprime_to_prior_leads",
-         "the residue lead Monomial((1, 0, 0, 0, 0, 1, 0, 0)) shares a variable "
-         "with a prior effective lead"),
+         "the residue lead x[1,1]*y[1,2] shares a variable with a prior effective lead"),
         ([prior_step(y(1, 2), ROLE_BARE)], x(1, 1) * y(1, 2),
          "residue_nonzero", "every term is divisible by a prior bare monomial"),
         ([], Polynomial.zero(product.table, gf, order),
@@ -406,8 +406,7 @@ def test_failure_conditions_and_messages(gf):
     cases = [(check_technical_step, *case) for case in technical]
     cases.append((coprime_extend_element, [prior_step(product.entry(1, 1), ROLE_BASE)],
                   x(1, 1), "lead_coprime_to_prior",
-                  "lead Monomial((1, 0, 0, 0, 0, 0, 0, 0)) shares a variable "
-                  "with a prior effective lead"))
+                  "lead x[1,1] shares a variable with a prior effective lead"))
     for step_fn, prior, h, condition, message in cases:
         with pytest.raises(CertificationError) as exc:
             step_fn(prior, h, order)

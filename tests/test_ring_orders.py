@@ -169,6 +169,13 @@ def test_a_precedence_must_permute_the_slots(precedence):
             assert MonomialOrder.from_name(name, n).nvars == 2 * n * n
 
 
+@pytest.mark.parametrize("precedence", [(0, 1), (0, 1, 2, 3)], ids=["too-short", "too-long"])
+def test_a_precedence_must_order_nvars_slots(precedence):
+    for build in (MonomialOrder.lex, MonomialOrder.grevlex):
+        with pytest.raises(ValueError, match="nvars=3"):
+            build(3, precedence)
+
+
 def dense_weights(kind, precedence):
     """The order's keys as the rows of an integer weight matrix: keys = W @ e."""
     nv = len(precedence)
