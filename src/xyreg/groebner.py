@@ -22,7 +22,12 @@ each new element, the kernel's remainder scaled to a leading 1, with the
 keys the kernel returned; :func:`reduce_basis` each tail-reduced element;
 the colon oracle's signature step (:func:`regseq.nonzerodivisor_colon`) the
 v-parts of its pairs.  So an element's keys are packed once, and only
-``GroebnerBasis(order, polys)`` packs, at construction.  A reduced basis,
+``GroebnerBasis(order, polys)`` packs, at construction, unless the state
+widens: keys are narrow guarded fields whose width the state chooses, and
+every key that meets the state's keys (f in :func:`normal_form`, an
+S-pair's lcm) is packed by the state itself (``kernels.Divisors.pack``),
+which first widens, repacking its elements from their exponent rows, when
+the key would not fit.  A reduced basis,
 and the minimal basis of a colon step, keep only some of the elements they
 were built from: their state is a copy of those elements sized to fit
 (``kernels.Divisors.take``).  An S-polynomial is never
@@ -98,14 +103,14 @@ class GroebnerBasis:
     def __init__(self, order, polys):
         polys = list(polys)
         table, field = (polys[0].table, polys[0].field) if polys else (None, None)
-        divisors = kernels.Divisors(order.nvars)
+        divisors = kernels.Divisors(order)
         for p in polys:
             if p.is_zero():
                 raise UndefinedLeadError("zero element in a basis")
             _check_ring(p, polys[0])
             if p.order != order:
                 raise OrderMismatchError("basis element carries a different order tag")
-            divisors.append(p.exps, _monic(field, p.coeffs), _packed(order, p.exps))
+            divisors.append(p.exps, _monic(field, p.coeffs), divisors.pack(p.exps))
         self._hold(order, table, field, divisors)
 
     @classmethod
@@ -146,10 +151,6 @@ class GroebnerBasis:
 def _monic(field, coeffs):
     """The coefficient array ``coeffs`` scaled to a leading 1."""
     return field.scale_array(field.inv(coeffs[0]), coeffs)
-
-
-def _packed(order, exps):
-    return kernels.pack_keys(order.keys(exps))
 
 
 def _check_inputs(f, divisors):
@@ -223,8 +224,8 @@ def normal_form(f, gb):
     _check_ring(f, gb)
     if f.is_zero():
         return f
-    r_exps, r_coeffs, _ = kernels.reduce_terms(f.field, f.exps, _packed(gb.order, f.exps),
-                                               f.coeffs, gb.flat_arrays())
+    div = gb.flat_arrays()
+    r_exps, r_coeffs, _ = kernels.reduce_terms(f.field, f.exps, div.pack(f.exps), f.coeffs, div)
     return Polynomial(f.table, f.field, f.order, r_exps, r_coeffs)
 
 
@@ -282,7 +283,7 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
         raise ValueError("all generators are zero")
 
     field, table = gens[0].field, gens[0].table
-    divisors = kernels.Divisors(order.nvars)
+    divisors = kernels.Divisors(order)
     heap = []
     pending = set()
     # per element j, its pairs (i, j) with i < j: lcm rows, lcm degrees and
@@ -301,7 +302,7 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
             pending.add((i, j))
 
     for j, p in enumerate(gens):
-        divisors.append(p.exps, p.coeffs, _packed(order, p.exps))
+        divisors.append(p.exps, p.coeffs, divisors.pack(p.exps))
         push_pairs(j)
 
     stats = PairStats()
@@ -339,8 +340,10 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
             stats.chain += 1
             continue
         stats.reduced += 1
+        # packing the lcm widens the state to hold it; under a graded order
+        # no term of the reduction outranks the lcm, so they all fit too
         r_exps, r_coeffs, r_keys = kernels.reduce_spair(field, i, j, lcm,
-                                                        _packed(order, lcm[None])[0], divisors)
+                                                        divisors.pack(lcm[None])[0], divisors)
         if len(r_coeffs) == 0:
             stats.zero += 1
             continue
@@ -370,9 +373,11 @@ def reduce_basis(gb):
     # tail-reduce the monic elements in one ascending pass: a tail term lies
     # below its lead, so only a smaller lead can divide it, and the smaller
     # elements are final
-    ascending = kernels.Divisors(order.nvars)
+    ascending = div.take(())
     for k in order.sort_desc(div.leads[kept])[::-1].tolist():
         exps, coeffs, keys = div.element(kept[k])
+        if ascending.width != div.width:  # a lex-type reduction widened it
+            keys = ascending.pack(exps)
         ascending.append(*kernels.reduce_terms(gb.field, exps, keys, coeffs, ascending))
     # the reduced basis runs in descending lead order, its state sized to fit
     return GroebnerBasis._of(order, gb.table, gb.field,

@@ -1,4 +1,4 @@
-"""Normal-form reduction kernel on packed order keys, and its divisor state.
+"""Normal-form reduction kernel on narrow guarded keys, and its divisor state.
 
 The inner loop of every Groebner computation is the repeated step "find a
 basis lead dividing the current head term, subtract the matching multiple".
@@ -10,33 +10,53 @@ one :class:`Divisors` state, all terms strictly descending under those
 keys, all divisors monic; output is the fully reduced remainder, none of
 whose terms is divisible by any divisor lead, with its packed keys.
 Divisor selection is first match in element order: each head term is
-tested against the whole block of divisor leads at once and the first
-dividing row is taken.
+tested against the divisor leads one at a time, in element order, and the
+first that divides it is taken.
 
-Packed keys: :func:`pack_keys` turns each row of int64 order-key columns
-(``MonomialOrder.keys``) into one Python int, the columns biased by 2**63
-and read as base-2**64 digits, most significant first.  Integer order is
-then the lexicographic order of the key rows, which is the monomial order.
-Packing is linear up to a constant and order keys are linear in the
-exponents, so a divisor term t shifted by head/lead has the key
-``pk(t) + pk(head) - pk(lead)``: one int add.  Every field is exactly as
-wide as an int64 key column, so a monomial packs exactly whenever its keys
-fit int64, shifted terms included; there is no width to choose.
+Packed keys: a term is one Python int, its packed key, and the key alone
+gives the term's order, its shift and the divisibility test.
+:func:`pack_keys` turns each row of order-key columns
+(``MonomialOrder.keys``) into one w-bit field per column, most significant
+first, holding the column plus a bias B = 2**(w-2); the top bit of each
+field is a guard bit, kept clear.  Integer order is then the lexicographic
+order of the key rows, which is the monomial order.  Packing is linear up
+to a constant and order keys are linear in the exponents, so a divisor
+term t shifted by head/lead has the key ``pk(t) + pk(head) - pk(lead)``:
+one int add.  With G the mask of all guard bits, a lead L divides a head H
+iff ``((H | G) - L) & G == G`` under a lex-type order (fields B + e), and
+iff ``((L | G) - H) & Ge == Ge`` under grevlex (fields B + deg, then
+B - e), where Ge leaves out the degree field: a field's guard bit survives
+the subtraction iff the exponent of H is at least that of L, and no field
+borrows from the next.  The working polynomial keeps no exponent rows; the
+remainder's rows are decoded from its keys once per reduction.
+
+Widths: a state packs at the narrowest w of 8, 16, 32 and 64 bits whose
+fields hold every key column of the state, |column| < B, and every key
+that meets the state's keys is packed at its width (:meth:`Divisors.pack`,
+which widens the state first when the rows do not fit).  A state widens,
+never narrows: it repacks every key from its exponent block.  Under
+grevlex no term of a reduction outranks the term it starts from (an
+S-pair's or J-pair's lcm, f's lead), so packing that term fits the whole
+reduction.  Under a lex-type order a reduction can raise exponents: a
+field that outgrows B sets its guard bit (it cannot carry into the next,
+for a shift adds less than 2B to a field), the kernel stops at that head,
+doubles the state's width and runs the reduction again.  No key leaves the
+kernel with a guard bit set.
 
 A :class:`Divisors` state is the one place the flat divisor layout lives:
 the exponent rows of every element, element after element, their packed
 keys and coefficients, the element starts, the lead block and each
-element's lead key.  It only grows, through ``append``; the code that
-builds a basis owns its state and hands it to the basis, so no element is
-packed twice.  ``take`` copies chosen elements into a new state sized to
-fit, which is how a basis keeps only some of the elements it was built
-from.
+element's lead key.  It only grows, through ``append`` (and widens); the
+code that builds a basis owns its state and hands it to the basis, so no
+element is packed twice.  ``take`` copies chosen elements into a new state
+of the same width, sized to fit, which is how a basis keeps only some of
+the elements it was built from.
 
-The working polynomial is a dict from packed key to coefficient, a dict from
-packed key to exponent row, and a max-heap of the keys (stored negated).  A
-term whose coefficient cancels leaves the dicts; its heap entry is skipped
-when popped, and a term that comes back is pushed again.  A step costs work
-in the divisor's tail, never a re-sort of the rest.
+The working polynomial is a dict from packed key to coefficient and a
+max-heap of the keys (stored negated).  A term whose coefficient cancels
+leaves the dict; its heap entry is skipped when popped, and a term that
+comes back is pushed again.  A step costs work in the divisor's tail,
+never a re-sort of the rest.
 
 The colon oracle's signature step runs the same loop through
 :func:`reduce_jpair` on a :class:`SignedDivisors` state: a copy of a basis
@@ -50,10 +70,11 @@ one above.
 """
 
 from heapq import heappop, heappush
+from itertools import islice
 
 import numpy as np
 
-_SIGN = np.uint64(1 << 63)
+_WIDTHS = (8, 16, 32, 64)  # the field widths a state packs at, narrowest first
 
 
 def active_backend():
@@ -61,33 +82,46 @@ def active_backend():
     return "numpy"
 
 
-def pack_keys(keys):
+def pack_keys(keys, width):
     """The packed ints (see the module docstring) of the rows of an (m, k)
-    int64 order-key block, as a list."""
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
-    width = 8 * keys.shape[1]
-    raw = (keys.view(np.uint64) ^ _SIGN).astype(">u8").tobytes()
+    int64 order-key block at field width ``width``, one of ``_WIDTHS``, as a
+    list; every column must lie below 2**(width - 2) in magnitude."""
+    keys = np.asarray(keys, dtype=np.int64)
+    size = width // 8
+    raw = (keys + (1 << (width - 2))).astype(f">u{size}").tobytes()
+    step = size * keys.shape[1]
     from_bytes = int.from_bytes
-    return [from_bytes(raw[at:at + width], "big") for at in range(0, len(raw), width)]
+    return [from_bytes(raw[at:at + step], "big") for at in range(0, len(raw), step)]
+
+
+class _Overflow(Exception):
+    """A reduction made a term whose key column outgrows the state's width."""
 
 
 class Divisors:
-    """A divisor list in the kernel's flat layout, grown one element at a
-    time.
+    """A divisor list under ``order`` in the kernel's flat layout, grown one
+    element at a time.
 
     Element k owns rows starts[k]:starts[k+1] of the exponent block and of
-    ``keys`` (packed) and ``coeffs`` (a list); row k of ``leads`` and
-    ``lead_keys[k]`` are its lead.  The exponent block starts with room for
-    ``rows`` rows and doubles when outgrown.
+    ``keys`` (packed at ``width`` bits a field) and ``coeffs`` (a list);
+    row k of ``leads`` and ``lead_keys[k]`` are its lead.  The exponent
+    block starts with room for ``rows`` rows and doubles when outgrown; a
+    new state packs at the narrowest width.
     """
 
-    def __init__(self, nvars, rows=16):
-        self._exps = np.empty((rows, nvars), dtype=np.int64)
-        self._leads = np.empty((4, nvars), dtype=np.int64)
+    def __init__(self, order, rows=16):
+        self.order = order
+        self._exps = np.empty((rows, order.nvars), dtype=np.int64)
+        self._leads = np.empty((4, order.nvars), dtype=np.int64)
+        # key column j holds the exponent of slot _slots[j] (negated under
+        # grevlex, behind the degree column)
+        self._slots = np.array(order.precedence[::-1] if order.graded else order.precedence,
+                               dtype=np.intp)
         self.keys = []
         self.coeffs = []
         self.starts = [0]
         self.lead_keys = []
+        self._set_width(_WIDTHS[0])
 
     def __len__(self):
         return len(self.lead_keys)
@@ -96,9 +130,45 @@ class Divisors:
     def leads(self):
         return self._leads[:len(self)]
 
+    def _set_width(self, width):
+        fields = self.order.nvars + self.order.graded
+        low = sum(1 << at for at in range(0, fields * width, width))  # each field's low bit
+        self.width = width
+        self._guard = low << (width - 1)
+        # under grevlex the degree field, the top one, takes no part in
+        # the divisibility test
+        self._mask = self._guard ^ (1 << (fields * width - 1)) if self.order.graded \
+            else self._guard
+        self._one = low << (width - 2)  # the key of the monomial 1
+
+    def _widen(self, width):
+        """Pack at ``width`` from now on, every key repacked from the
+        exponent block."""
+        if width > _WIDTHS[-1]:
+            raise OverflowError(f"an order key column reaches 2**{_WIDTHS[-1] - 2}")
+        self._set_width(width)
+        rows = self.starts[-1]
+        if rows:
+            self.keys = pack_keys(self.order.keys(self._exps[:rows]), width)
+            self.lead_keys = [self.keys[at] for at in self.starts[:-1]]
+
+    def fit(self, exps):
+        """Widen, if need be, until the keys of the (m, nvars) exponent rows
+        ``exps`` fit."""
+        top = int((exps.sum(axis=1) if self.order.graded else exps).max(initial=0))
+        width = next((w for w in _WIDTHS if top < 1 << (w - 2)), 2 * _WIDTHS[-1])
+        if width > self.width:
+            self._widen(width)
+
+    def pack(self, exps):
+        """The packed keys of the (m, nvars) exponent rows ``exps`` at this
+        state's width, widened first to hold them."""
+        self.fit(exps)
+        return pack_keys(self.order.keys(exps), self.width)
+
     def append(self, exps, coeffs, keys):
-        """Add one element: its exponent rows, coefficients and packed keys,
-        sorted descending."""
+        """Add one element: its exponent rows, coefficients and packed keys
+        at this state's width, sorted descending."""
         rows, k = self.starts[-1], len(self)
         if rows + len(exps) > len(self._exps):
             self._exps = _grown(self._exps, rows + len(exps))
@@ -118,9 +188,10 @@ class Divisors:
 
     def take(self, chosen):
         """A new state of the elements ``chosen`` (a sequence of indices) of
-        this one, in that order, its exponent block sized to fit them."""
-        out = Divisors(self._exps.shape[1], sum(self.starts[k + 1] - self.starts[k]
-                                                for k in chosen))
+        this one, in that order, at this state's width, its exponent block
+        sized to fit them."""
+        out = Divisors(self.order, sum(self.starts[k + 1] - self.starts[k] for k in chosen))
+        out._set_width(self.width)
         for k in chosen:
             out.append(*self.element(k))
         return out
@@ -131,12 +202,16 @@ class SignedDivisors(Divisors):
     one signature step: the v-part of pair k is element k, appended here,
     and its u-part element k - ``first`` of the state ``u``, whose leads are
     the signatures.  The copy is made by ``take``, so appending never
-    writes into ``basis``."""
+    writes into ``basis``; the two states share one width."""
 
     def __init__(self, basis):
         self.__dict__ = basis.take(range(len(basis))).__dict__
         self.first = len(basis)
-        self.u = Divisors(basis._exps.shape[1])
+        self.u = basis.take(())
+
+    def _widen(self, width):
+        super()._widen(width)
+        self.u._widen(width)
 
 
 def _grown(buf, need):
@@ -145,34 +220,77 @@ def _grown(buf, need):
     return out
 
 
-def _absorb(field, work, keys, exps, values, scale, delta):
-    """Add scale * (the terms with packed keys ``keys`` + delta, exponent rows
-    ``exps`` and coeffs ``values``) to the working polynomial."""
-    coeffs, rows, heap = work
-    add, mul, zero = field.add, field.mul, field.zero
-    for key, row, value in zip(keys, exps, values):
+def _rows(div, keys):
+    """The exponent rows of the terms with packed keys ``keys`` (at the
+    width of ``div``), as an int64 block."""
+    order, width = div.order, div.width
+    fields = order.nvars + order.graded
+    exps = np.zeros((len(keys), order.nvars), dtype=np.int64)
+    if keys:
+        size = width // 8
+        raw = b"".join([key.to_bytes(size * fields, "big") for key in keys])
+        cols = np.frombuffer(raw, dtype=f">u{size}").reshape(len(keys), fields)
+        cols = cols.astype(np.int64) - (1 << (width - 2))
+        exps[:, div._slots] = -cols[:, 1:] if order.graded else cols
+    return exps
+
+
+def _terms(field, div, keys, coeffs):
+    """The terms with packed keys ``keys`` and coefficients ``coeffs`` as
+    (exps, coeffs, keys); raises _Overflow if a key has a guard bit set."""
+    guard = div._guard
+    if any(key & guard for key in keys):
+        raise _Overflow
+    out = np.empty(len(coeffs), dtype=field.dtype)
+    out[:] = coeffs
+    return _rows(div, keys), out, keys
+
+
+def _absorb(field, work, keys, values, scale, delta):
+    """Add scale * (the terms with packed keys ``keys`` + delta and coeffs
+    ``values``) to the working polynomial."""
+    coeffs, heap = work
+    add, mul, zero, get, push = field.add, field.mul, field.zero, coeffs.get, heappush
+    for key, value in zip(keys, values):
         key += delta
         value = mul(scale, value)
-        old = coeffs.get(key)
+        old = get(key)
         if old is None:
             coeffs[key] = value
-            rows[key] = row
-            heappush(heap, -key)
+            push(heap, -key)
             continue
         value = add(old, value)
         if value == zero:
-            del coeffs[key], rows[key]
+            del coeffs[key]
         else:
             coeffs[key] = value
 
 
-def _absorb_element(field, work, div, k, scale, shift_exps, shift_key, skip=0):
+def _absorb_element(field, work, div, k, scale, shift, skip=0):
     """Add scale * t * (element k of ``div`` past its first ``skip`` rows) to
-    the working polynomial, where t has exponent row ``shift_exps`` and
-    packed key ``shift_key``."""
+    the working polynomial, where t is the monomial whose packed key is
+    ``shift`` plus that of 1."""
     lo, hi = div.starts[k] + skip, div.starts[k + 1]
-    _absorb(field, work, div.keys[lo:hi], div._exps[lo:hi] + shift_exps, div.coeffs[lo:hi],
-            scale, shift_key)
+    _absorb(field, work, div.keys[lo:hi], div.coeffs[lo:hi], scale, shift)
+
+
+def _first_divisor(div, key, start=0):
+    """The first element of ``div`` from ``start`` on whose lead divides the
+    term with packed key ``key``; -1 if none."""
+    leads = div.lead_keys if not start else islice(div.lead_keys, start, None)
+    guard = div._guard
+    if div.order.graded:
+        # ((L | G) - H) & Ge == Ge; L has no guard bit set, so L | G = L + G
+        mask, probe = div._mask, key - guard
+        for k, lead in enumerate(leads, start):
+            if (lead - probe) & mask == mask:
+                return k
+    else:
+        probe = key | guard
+        for k, lead in enumerate(leads, start):
+            if (probe - lead) & guard == guard:
+                return k
+    return -1
 
 
 def _reduce(field, work, div, bound=None, u_work=None):
@@ -185,85 +303,98 @@ def _reduce(field, work, div, bound=None, u_work=None):
     rest of the working polynomial unreduced.  The pairs of the
     :class:`SignedDivisors` ``div`` are then signature-bounded: a pair
     reduces the head only when its shifted signature lies below the bound,
-    and its u-part is carried into ``u_work``.
+    and its u-part is carried into ``u_work``.  Raises _Overflow at a head
+    whose key has a guard bit set.
     """
-    coeffs, rows, heap = work
-    leads, lead_keys = div.leads, div.lead_keys
+    coeffs, heap = work
+    lead_keys, guard = div.lead_keys, div._guard
     bounded = len(div) if bound is None else div.first
     neg = field.neg
-    r_exps, r_coeffs, r_keys = [], [], []
+    r_coeffs, r_keys = [], []
     while heap:
         key = -heappop(heap)
         c = coeffs.pop(key, None)
         if c is None:
             continue  # cancelled, or a second heap entry of a popped key
-        head = rows.pop(key)
-        divides = (leads <= head).all(axis=1)
-        hit = int(divides.argmax())  # the first dividing lead, if any
-        if not divides[hit]:
-            hit = -1
-        elif hit >= bounded:
-            hit = _first_admissible(div, divides, hit, key, bound)
+        if key & guard:
+            raise _Overflow
+        hit = _first_divisor(div, key)
+        if hit >= bounded:
+            hit = _first_admissible(div, hit, key, bound)
         if hit < 0:
-            r_exps.append(head)
             r_coeffs.append(c)
             r_keys.append(key)
             if bound is not None:  # top reduction only: the tail stays as it is
                 tail = sorted(coeffs, reverse=True)
-                r_exps.extend(rows[k] for k in tail)
                 r_coeffs.extend(coeffs[k] for k in tail)
                 r_keys.extend(tail)
                 break
             continue
-        scale, shift_exps, shift_key = neg(c), head - leads[hit], key - lead_keys[hit]
+        scale, shift = neg(c), key - lead_keys[hit]
         if hit >= bounded:
-            _absorb_element(field, u_work, div.u, hit - bounded, scale, shift_exps, shift_key)
-        _absorb_element(field, work, div, hit, scale, shift_exps, shift_key, 1)
-    if not r_coeffs:
-        return (np.zeros((0, leads.shape[1]), dtype=np.int64), np.zeros(0, dtype=field.dtype),
-                [])
-    out = np.empty(len(r_coeffs), dtype=field.dtype)
-    out[:] = r_coeffs
-    return np.array(r_exps, dtype=np.int64), out, r_keys
+            _absorb_element(field, u_work, div.u, hit - bounded, scale, shift)
+        _absorb_element(field, work, div, hit, scale, shift, 1)
+    return _terms(field, div, r_keys, r_coeffs)
 
 
-def _first_admissible(div, divides, hit, key, bound):
+def _first_admissible(div, hit, key, bound):
     """The first pair from ``hit`` on whose lead divides the term with packed
     key ``key`` at a shifted signature below the bound; -1 if none."""
     first, sig_keys, lead_keys = div.first, div.u.lead_keys, div.lead_keys
-    for k in (np.flatnonzero(divides[hit:]) + hit).tolist():
-        if sig_keys[k - first] + key - lead_keys[k] < bound:
-            return k
-    return -1
+    while hit >= 0 and sig_keys[hit - first] + key - lead_keys[hit] >= bound:
+        hit = _first_divisor(div, key, hit + 1)
+    return hit
+
+
+def _widening(div, run):
+    """``run()``, run again each time a field of its reduction overflows,
+    after doubling the width of ``div``."""
+    while True:
+        try:
+            return run()
+        except _Overflow:
+            div._widen(2 * div.width)
 
 
 def reduce_terms(field, f_exps, f_keys, f_coeffs, div):
-    """Fully reduce f by the :class:`Divisors` ``div``; returns the
-    remainder's (exps, coeffs, packed keys), f itself when either input is
-    empty."""
+    """Fully reduce f by the :class:`Divisors` ``div``; f's keys are packed
+    at the state's width.  Returns the remainder's (exps, coeffs, packed
+    keys), f itself when either input is empty."""
     if len(f_coeffs) == 0 or len(div) == 0:
         return f_exps, f_coeffs, list(f_keys)
-    work = ({}, {}, [])
-    _absorb(field, work, f_keys, f_exps, np.asarray(f_coeffs).tolist(), field.one, 0)
-    return _reduce(field, work, div)
+    values, width = np.asarray(f_coeffs).tolist(), div.width
+
+    def run():
+        work = ({}, [])
+        keys = f_keys if div.width == width else div.pack(f_exps)
+        _absorb(field, work, keys, values, field.one, 0)
+        return _reduce(field, work, div)
+
+    return _widening(div, run)
 
 
 def reduce_spair(field, i, j, lcm_exps, lcm_key, div):
     """Fully reduce the S-polynomial (lcm/lead_i)*d_i - (lcm/lead_j)*d_j of
     elements i and j of ``div``, built from their tails alone (the leads
-    cancel); ``lcm_key`` is the packed key of the leads' lcm.  Returns what
-    :func:`reduce_terms` returns."""
-    work = ({}, {}, [])
-    for k, scale in ((i, field.one), (j, field.neg(field.one))):
-        _absorb_element(field, work, div, k, scale, lcm_exps - div.leads[k],
-                        lcm_key - div.lead_keys[k], 1)
-    return _reduce(field, work, div)
+    cancel); ``lcm_key`` is the packed key of the leads' lcm, whose
+    exponent row is ``lcm_exps``.  Returns what :func:`reduce_terms`
+    returns."""
+    width = div.width
+
+    def run():
+        work = ({}, [])
+        lcm = lcm_key if div.width == width else div.pack(lcm_exps[None])[0]
+        for k, scale in ((i, field.one), (j, field.neg(field.one))):
+            _absorb_element(field, work, div, k, scale, lcm - div.lead_keys[k], 1)
+        return _reduce(field, work, div)
+
+    return _widening(div, run)
 
 
 def reduce_jpair(field, k, shift_exps, shift_key, div):
     """Regular-reduce the J-pair t*(u_k, v_k) of the pair k of the
     :class:`SignedDivisors` ``div``, where t has exponent row ``shift_exps``
-    and packed key ``shift_key``.
+    and ``shift_key`` is its packed key minus that of 1.
 
     Pairs satisfy u*f = v modulo the ideal of the elements before
     ``div.first``.  The head is reduced until no admissible divisor divides
@@ -273,14 +404,17 @@ def reduce_jpair(field, k, shift_exps, shift_key, div):
     top-reduced v and the u-part as two (exps, coeffs, packed keys) triples
     sorted descending.
     """
-    u_work = ({}, {}, [])
-    _absorb_element(field, u_work, div.u, k - div.first, field.one, shift_exps, shift_key)
-    work = ({}, {}, [])
-    _absorb_element(field, work, div, k, field.one, shift_exps, shift_key)
-    v = _reduce(field, work, div, div.u.lead_keys[k - div.first] + shift_key, u_work)
-    coeffs, rows, _ = u_work
-    keys = sorted(coeffs, reverse=True)
-    exps = np.array([rows[key] for key in keys], dtype=np.int64).reshape(-1, len(shift_exps))
-    out = np.empty(len(keys), dtype=field.dtype)
-    out[:] = [coeffs[key] for key in keys]
-    return v, (exps, out, keys)
+    width, pair = div.width, k - div.first
+
+    def run():
+        shift = shift_key if div.width == width else div.pack(shift_exps[None])[0] - div._one
+        u_work = ({}, [])
+        _absorb_element(field, u_work, div.u, pair, field.one, shift)
+        work = ({}, [])
+        _absorb_element(field, work, div, k, field.one, shift)
+        v = _reduce(field, work, div, div.u.lead_keys[pair] + shift, u_work)
+        coeffs = u_work[0]
+        keys = sorted(coeffs, reverse=True)
+        return v, _terms(field, div, keys, [coeffs[key] for key in keys])
+
+    return _widening(div, run)

@@ -70,7 +70,7 @@ from .fields import PrimeField
 # buchberger is not called here; perfbench/tracer.py rebinds it in every
 # module that holds it, and perfbench/selftest.py expects it in this one
 from . import kernels
-from .groebner import (GroebnerBasis, SignatureStats, _check_ring, _minimal, _packed, buchberger,
+from .groebner import (GroebnerBasis, SignatureStats, _check_ring, _minimal, buchberger,
                        normal_form)
 from .hilbert import _Dimension, _first_difference
 from .orders import MonomialOrder
@@ -486,6 +486,23 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
     ratios = []  # per pair: packed key of lm(u) minus that of lm(v)
     heap = []
     tick = count()
+    keyed = div.width  # the width the ratios and the heap keys are packed at
+
+    def rekey():
+        """Pack the ratios and the heap keys again if the state widened
+        since they were packed; the heap keeps its order."""
+        nonlocal keyed
+        if keyed == div.width:
+            return
+        keyed = div.width
+        ratios[:] = [sigs.lead_keys[i] - div.lead_keys[first + i] for i in range(len(ratios))]
+        if heap:
+            sides, others = (np.array(col, dtype=np.intp) for col in zip(*(e[3:] for e in heap)))
+            leads = div.leads
+            lcm_keys = div.pack(np.maximum(leads[sides], leads[others]))
+            heap[:] = [(lcm_key + ratios[side - first], lcm_key, t, side, other)
+                       for lcm_key, (_, _, t, side, other) in zip(lcm_keys, heap)]
+            heapq.heapify(heap)
 
     def admit(u, v):
         """Append the pair (u, v), made monic, and push its J-pairs with
@@ -493,6 +510,7 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
         inv = field.inv(v[1][0])
         div.append(v[0], field.scale_array(inv, v[1]), v[2])
         sigs.append(u[0], field.scale_array(inv, u[1]), u[2])
+        rekey()  # a lex-type reduction may have widened the state
         leads = div.leads
         k = len(div) - 1
         ratio = sigs.lead_keys[-1] - div.lead_keys[k]
@@ -511,17 +529,22 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
         if pair_budget is not None and stats.considered > pair_budget:
             raise BudgetExceededError(f"pair budget {pair_budget} exhausted",
                                       pairs_considered=stats.considered)
-        in_ideal = in_j.contains(lcms - leads[sides] + sigs.leads[sides - first])
+        sig_rows = lcms - leads[sides] + sigs.leads[sides - first]
+        in_ideal = in_j.contains(sig_rows)
         stats.syzygy += int(in_ideal.sum())
         keep = np.flatnonzero(~in_ideal)
+        # widen first where a J-pair's lcm or signature would not fit: under
+        # a graded order then no term of its reduction outgrows the state
+        div.fit(np.concatenate([lcms[keep], sig_rows[keep]]))
+        rekey()
         for side, other, lcm_key in zip(sides[keep].tolist(), others[keep].tolist(),
-                                        _packed(order, lcms[keep])):
+                                        div.pack(lcms[keep])):
             heapq.heappush(heap, (lcm_key + ratios[side - first], lcm_key, next(tick),
                                   side, other))
 
     one = np.zeros((1, order.nvars), dtype=np.int64)
-    v = kernels.reduce_terms(field, f.exps, _packed(order, f.exps), f.coeffs, div)
-    u = (one, field.array([field.one]), _packed(order, one))
+    v = kernels.reduce_terms(field, f.exps, div.pack(f.exps), f.coeffs, div)
+    u = (one, field.array([field.one]), div.pack(one))
     if len(v[1]) == 0:  # f lies in J: u = 1 is the witness
         stats.zero += 1
         return ColonStep(False, witness=Polynomial.constant(table, field, order, field.one),

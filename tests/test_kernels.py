@@ -1,12 +1,14 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
-from conftest import order_compare, random_poly
+from conftest import entries_2x2, grevlex_entries, order_compare, random_poly
 from xyreg.fields import PrimeField, QQ
 from xyreg.groebner import GroebnerBasis, buchberger, normal_form, reduce_basis, s_poly
-from xyreg.kernels import SignedDivisors, pack_keys, reduce_spair, reduce_terms
+from xyreg import kernels
+from xyreg.kernels import Divisors, SignedDivisors, pack_keys, reduce_spair, reduce_terms
 from xyreg.orders import MonomialOrder
 from xyreg.pattern import GenericProduct
 from xyreg.poly import Polynomial
@@ -60,8 +62,9 @@ def test_kernel_takes_the_first_dividing_lead_in_list_order():
     for divisors, remainder in (([d_linear, d_quadric], (y * w).scale(-1)),
                                 ([d_quadric, d_linear], (z * z).scale(-1))):
         gb = GroebnerBasis(order, divisors)
-        r_exps, r_coeffs, _ = reduce_terms(gf, f.exps, pack_keys(order.keys(f.exps)),
-                                           f.coeffs, gb.flat_arrays())
+        div = gb.flat_arrays()
+        r_exps, r_coeffs, _ = reduce_terms(gf, f.exps, pack_keys(order.keys(f.exps), div.width),
+                                           f.coeffs, div)
         assert Polynomial(table, gf, order, r_exps, r_coeffs) == remainder
         assert normal_form(f, gb) == remainder
 
@@ -135,6 +138,12 @@ def order_cases():
 ORDER_IDS = [case[0] for case in order_cases()]
 
 
+def key_top(order, exps):
+    """The largest key column of the exponent rows: the largest degree
+    under a graded order, else the largest exponent."""
+    return (exps.sum(axis=1) if order.graded else exps).max()
+
+
 def scaled(p, factor):
     """p with every exponent multiplied by factor (order and divisibility
     are unchanged, for the orders here are linear)."""
@@ -186,25 +195,36 @@ def test_spair_entry_matches_normal_form_of_s_poly(field, name, table, order):
     for _ in range(20):
         divisors = random_divisors(rng, table, field, order, rng.randint(2, 5))
         gb = GroebnerBasis(order, divisors)
+        div = gb.flat_arrays()
         lcm = np.maximum(divisors[0].exps[0], divisors[1].exps[0])
         r_exps, r_coeffs, r_keys = reduce_spair(
-            field, 0, 1, lcm, pack_keys(order.keys(lcm[None]))[0], gb.flat_arrays())
+            field, 0, 1, lcm, div.pack(lcm[None])[0], div)
         expected = normal_form(s_poly(divisors[0], divisors[1]), gb)
         assert Polynomial(table, field, order, r_exps, r_coeffs) == expected
-        assert r_keys == pack_keys(order.keys(expected.exps))
+        assert r_keys == pack_keys(order.keys(expected.exps), div.width)
 
 
 @pytest.mark.parametrize("name,table,order", order_cases(), ids=ORDER_IDS)
 def test_packed_keys_follow_the_order_and_add_linearly(name, table, order):
     rng = np.random.default_rng(5)
-    exps = rng.integers(0, 2**31 - 1, size=(40, table.nvars)) // rng.integers(1, 2**20, size=(40, 1))
-    packed = pack_keys(order.keys(exps))
-    one = pack_keys(order.keys(np.zeros((1, table.nvars), dtype=np.int64)))[0]
-    for a in range(0, 40, 3):
-        for b in range(1, 40, 7):
-            assert (packed[a] > packed[b]) - (packed[a] < packed[b]) == \
-                order_compare(order, exps[a], exps[b])
-            assert pack_keys(order.keys((exps[a] + exps[b])[None]))[0] == packed[a] + packed[b] - one
+    raw = rng.integers(0, 2**31 - 1, size=(40, table.nvars)) // rng.integers(1, 2**20, size=(40, 1))
+    for width in (8, 16, 32, 64):
+        # scaled so that the largest key column of any sum of two rows is
+        # just below the width's bias, which no narrower width holds
+        top = 2 * int(key_top(order, raw))
+        exps = (raw.astype(object) * (2**(width - 2) - 1) // top).astype(np.int64)
+        div = Divisors(order)
+        div.fit(2 * exps)
+        assert div.width == width
+        packed = pack_keys(order.keys(exps), div.width)
+        assert packed == div.pack(exps)
+        one = pack_keys(order.keys(np.zeros((1, table.nvars), dtype=np.int64)), div.width)[0]
+        for a in range(0, 40, 3):
+            for b in range(1, 40, 7):
+                assert (packed[a] > packed[b]) - (packed[a] < packed[b]) == \
+                    order_compare(order, exps[a], exps[b])
+                assert pack_keys(order.keys((exps[a] + exps[b])[None]), div.width)[0] == \
+                    packed[a] + packed[b] - one
 
 
 def test_bases_hand_their_divisor_state_over(monkeypatch):
@@ -235,3 +255,146 @@ def test_bases_hand_their_divisor_state_over(monkeypatch):
         assert (div.keys, div.coeffs, div.starts, div.lead_keys) == \
             (fresh.keys, fresh.coeffs, fresh.starts, fresh.lead_keys)
         assert (div.leads == fresh.leads).all()
+
+
+# -- the key contract: order, divisibility and decoding read from the keys --
+
+
+def rows_near_the_limit(rng, order, count, width):
+    """``count`` exponent rows whose largest key column lies just below the
+    bias of ``width``: every exponent near the limit, or (graded) one near
+    it and the rest small."""
+    nvars = order.nvars
+    limit = 2**(width - 2) - 1
+    if not order.graded:
+        return limit - rng.integers(0, 4, size=(count, nvars))
+    rows = rng.integers(0, 3, size=(count, nvars))
+    spread = rng.random(count) < 0.5
+    rows[spread] = limit // nvars - rows[spread]
+    tall = np.flatnonzero(~spread)
+    rows[tall, rng.integers(0, nvars, size=len(tall))] = limit - 3 * nvars
+    return rows
+
+
+@pytest.mark.parametrize("name,table,order", order_cases(), ids=ORDER_IDS)
+def test_key_divisibility_and_decoding_match_the_exponent_rows(name, table, order):
+    rng = np.random.default_rng(list(name.encode()))
+    for width in (8, 16, 32, 64):
+        heads = rows_near_the_limit(rng, order, 40, width)
+        # leads below some heads, and others that divide few
+        leads = np.vstack([np.maximum(heads[:12] - rng.integers(0, 3, size=(12, order.nvars)), 0),
+                           rows_near_the_limit(rng, order, 12, width)])
+        div = Divisors(order)
+        for lead in leads:
+            div.append(lead[None], [1], div.pack(lead[None]))
+        keys = div.pack(heads)
+        assert div.width == width and key_top(order, heads) >= 2**(width - 3)
+        assert np.array_equal(kernels._rows(div, keys), heads)
+        assert np.array_equal(kernels._rows(div, div.lead_keys), leads)
+        hits = 0
+        for head, key in zip(heads, keys):
+            divides = (leads <= head).all(axis=1)
+            first = int(np.argmax(divides)) if divides.any() else -1
+            assert kernels._first_divisor(div, key) == first
+            for k in range(len(leads)):
+                assert (kernels._first_divisor(div, key, k) == k) == divides[k]
+            hits += int(divides.sum())
+        assert 12 <= hits < len(heads) * len(leads)
+
+
+def assert_keys_are_clean(div):
+    """No stored key has a guard bit set, and every key decodes to its row
+    of the exponent block."""
+    assert not any(key & div._guard for key in div.keys)
+    assert np.array_equal(kernels._rows(div, div.keys), div._exps[:div.starts[-1]])
+    assert div.lead_keys == [div.keys[at] for at in div.starts[:-1]]
+
+
+def test_bases_and_colon_walks_store_clean_keys(gf):
+    gens = [p.resort(MonomialOrder.grevlex(18))
+            for p in (GenericProduct(3, field=gf).entry(i, j) for i, j in ((1, 1), (1, 2), (2, 1)))]
+    assert_keys_are_clean(buchberger(gens).flat_arrays())
+    basis = None
+    for f in gens:
+        step = nonzerodivisor_colon(basis, f)
+        assert step.regular
+        basis = step.basis
+        assert_keys_are_clean(basis.flat_arrays())
+
+
+# -- widening: a state that outgrows its width repacks, and results stay --
+
+
+def power(p, k):
+    out = p
+    for _ in range(k - 1):
+        out = out * p
+    return out
+
+
+def digest(polys):
+    """sha256 of the exponent bytes and coefficients of ``polys``."""
+    return hashlib.sha256(repr([(p.exps.tobytes(), p.coeffs.tolist())
+                                for p in polys]).encode()).hexdigest()[:16]
+
+
+def test_a_grevlex_buchberger_past_degree_63_widens_and_matches_the_unscaled_run(gf):
+    order = MonomialOrder.grevlex(8)
+    gens = [p.resort(order) for p in entries_2x2(gf)]
+    small = buchberger(gens)
+    # degree 40 fits 8-bit fields; S-pairs of degree 60 and 80 do not all
+    big = buchberger([scaled(p, 20) for p in gens])
+    assert small.flat_arrays().width == 8 and big.flat_arrays().width == 16
+    assert big.stats == small.stats
+    assert big.polys == tuple(scaled(p, 20) for p in small.polys)
+    assert_keys_are_clean(big.flat_arrays())
+    assert reduce_basis(big).polys == tuple(scaled(p, 20) for p in reduce_basis(small).polys)
+    # recorded with 64-bit fields
+    assert (digest(big.polys), digest(reduce_basis(big).polys)) == \
+        ("9f31d8731c1bbfc7", "d5697ba52ead0739")
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=repr)
+def test_a_lex_reduction_that_outgrows_its_width_mid_reduction_widens(field):
+    # a > b > c: a -> b^10 -> c^100, past 8-bit fields only after two steps
+    table = VariableTable(["a", "b", "c"])
+    order = MonomialOrder.lex(3)
+    a, b, c = (Polynomial.variable(table, field, order, k) for k in range(3))
+    divisors = [a - power(b, 10), b - power(c, 10)]
+    f = a * b + a + power(c, 3)
+    gb = GroebnerBasis(order, divisors)
+    assert gb.flat_arrays().width == 8
+    remainder = normal_form(f, gb)
+    assert gb.flat_arrays().width == 16
+    assert remainder == reference_normal_form(f, divisors) == \
+        power(c, 110) + power(c, 100) + power(c, 3)
+    assert_keys_are_clean(gb.flat_arrays())
+    # and in the reduced basis, whose tail reduction raises the exponents
+    red = reduce_basis(GroebnerBasis(order, divisors))
+    assert red.flat_arrays().width == 16
+    assert red.polys == (a - power(c, 100), b - power(c, 10))
+    assert_keys_are_clean(red.flat_arrays())
+
+
+def test_a_colon_step_whose_jpairs_outgrow_its_width_widens(gf):
+    # the 2x2 entries at degree 62 fit 8-bit fields, the J-pairs' lcms do
+    # not; the selected 3x3 entries at degree 32 widen in the third step,
+    # with J-pairs pending whose keys are packed again.  The digests of the
+    # scaled bases were recorded with 64-bit fields.
+    order = MonomialOrder.grevlex(8)
+    cases = [([p.resort(order) for p in entries_2x2(gf)], 31, "5e26cc94679cfde1"),
+             (grevlex_entries(gf, 3, False)[0], 16, "8da8355e9ad45507")]
+    for entries, factor, expected in cases:
+        small = big = None
+        for f in entries:
+            step, step_big = nonzerodivisor_colon(small, f), nonzerodivisor_colon(big, scaled(f, factor))
+            assert (step_big.regular, step_big.stats) == (step.regular, step.stats)
+            if not step.regular:
+                x12, y21 = (Polynomial.variable(VariableTable.xy(2), gf, order, k) for k in (1, 6))
+                assert step_big.witness == scaled(step.witness, factor) == power(x12 * y21, factor)
+                break
+            assert step_big.basis.polys == tuple(scaled(p, factor) for p in step.basis.polys)
+            assert_keys_are_clean(step_big.basis.flat_arrays())
+            small, big = step.basis, step_big.basis
+        assert small.flat_arrays().width == 8 and big.flat_arrays().width == 16
+        assert digest(big.polys) == expected
