@@ -14,9 +14,10 @@ lead an earlier kept lead divides, serves :func:`reduce_basis`,
 
 A basis is its divisor state: one :class:`kernels.Divisors`, the kernel's
 flat divisor layout with packed order keys (:meth:`GroebnerBasis.flat_arrays`),
-holds every element once, and the basis keeps no second copy of it.  Its
-``polys`` are read from the state when first asked for, with their
-exponents as views into the state's block.  The code that builds a basis
+holds every element once, each term as its key alone, and the basis keeps
+no second copy of it.  Its ``polys`` are decoded from the state's keys when
+first asked for (``kernels._rows``); :func:`normal_form` and the colon
+witness decode only the one polynomial they build.  The code that builds a basis
 grows that state as it goes and hands it over: :func:`buchberger` appends
 each new element, the kernel's remainder scaled to a leading 1, with the
 keys the kernel returned; :func:`reduce_basis` each tail-reduced element;
@@ -26,10 +27,10 @@ v-parts of its pairs.  So an element's keys are packed once, and only
 widens: keys are narrow guarded fields whose width the state chooses, and
 every key that meets the state's keys (f in :func:`normal_form`, an
 S-pair's lcm) is packed by the state itself (``kernels.Divisors.pack``),
-which first widens, repacking its elements from their exponent rows, when
-the key would not fit.  A reduced basis,
+which first widens, repacking its elements' keys from the keys themselves,
+when the key would not fit.  A reduced basis,
 and the minimal basis of a colon step, keep only some of the elements they
-were built from: their state is a copy of those elements sized to fit
+were built from: their state is a copy of those elements
 (``kernels.Divisors.take``).  An S-polynomial is never
 built as a polynomial; the kernel is seeded with the two shifted tails
 (:func:`kernels.reduce_spair`).  When an element is appended, one numpy
@@ -91,8 +92,8 @@ class GroebnerBasis:
     polys must be nonzero (else UndefinedLeadError), lie in one ring (else
     the errors of :func:`normal_form`) and carry ``order`` (else
     OrderMismatchError).
-    ``polys`` is read from the state when first asked for, its exponents
-    views into the state's block.  ``stats`` is the :class:`PairStats` of
+    ``polys`` is decoded from the state's keys when first asked for and
+    kept.  ``stats`` is the :class:`PairStats` of
     the :func:`buchberger` run, or the :class:`SignatureStats` of the
     signature step, that produced the basis (carried through
     :func:`reduce_basis`), else None.
@@ -110,7 +111,7 @@ class GroebnerBasis:
             _check_ring(p, polys[0])
             if p.order != order:
                 raise OrderMismatchError("basis element carries a different order tag")
-            divisors.append(p.exps, _monic(field, p.coeffs), divisors.pack(p.exps))
+            divisors.append(divisors.pack(p.exps), _monic(field, p.coeffs))
         self._hold(order, table, field, divisors)
 
     @classmethod
@@ -135,8 +136,9 @@ class GroebnerBasis:
     def polys(self):
         if self._polys is None:
             div = self._divisors
-            self._polys = tuple(Polynomial(self.table, self.field, self.order, *div.element(k)[:2])
-                                for k in range(len(div)))
+            self._polys = tuple(Polynomial(self.table, self.field, self.order,
+                                           kernels._rows(div, keys), coeffs)
+                                for keys, coeffs in map(div.element, range(len(div))))
         return self._polys
 
     def contains_unit(self):
@@ -225,8 +227,8 @@ def normal_form(f, gb):
     if f.is_zero():
         return f
     div = gb.flat_arrays()
-    r_exps, r_coeffs, _ = kernels.reduce_terms(f.field, f.exps, div.pack(f.exps), f.coeffs, div)
-    return Polynomial(f.table, f.field, f.order, r_exps, r_coeffs)
+    keys, coeffs = kernels.reduce_terms(f.field, div.pack(f.exps), div.width, f.coeffs, div)
+    return Polynomial(f.table, f.field, f.order, kernels._rows(div, keys), coeffs)
 
 
 def _prepare_generators(gens, order):
@@ -302,7 +304,7 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
             pending.add((i, j))
 
     for j, p in enumerate(gens):
-        divisors.append(p.exps, p.coeffs, divisors.pack(p.exps))
+        divisors.append(divisors.pack(p.exps), p.coeffs)
         push_pairs(j)
 
     stats = PairStats()
@@ -342,12 +344,12 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
         stats.reduced += 1
         # packing the lcm widens the state to hold it; under a graded order
         # no term of the reduction outranks the lcm, so they all fit too
-        r_exps, r_coeffs, r_keys = kernels.reduce_spair(field, i, j, lcm,
-                                                        divisors.pack(lcm[None])[0], divisors)
+        r_keys, r_coeffs = kernels.reduce_spair(field, i, j, divisors.pack(lcm[None])[0],
+                                                divisors)
         if len(r_coeffs) == 0:
             stats.zero += 1
             continue
-        divisors.append(r_exps, _monic(field, r_coeffs), r_keys)
+        divisors.append(r_keys, _monic(field, r_coeffs))
         push_pairs(len(divisors) - 1)
 
     yield None, divisors.leads
@@ -375,11 +377,10 @@ def reduce_basis(gb):
     # elements are final
     ascending = div.take(())
     for k in order.sort_desc(div.leads[kept])[::-1].tolist():
-        exps, coeffs, keys = div.element(kept[k])
-        if ascending.width != div.width:  # a lex-type reduction widened it
-            keys = ascending.pack(exps)
-        ascending.append(*kernels.reduce_terms(gb.field, exps, keys, coeffs, ascending))
-    # the reduced basis runs in descending lead order, its state sized to fit
+        keys, coeffs = div.element(kept[k])
+        # a lex-type reduction may have widened ``ascending`` past ``div``
+        ascending.append(*kernels.reduce_terms(gb.field, keys, div.width, coeffs, ascending))
+    # the reduced basis runs in descending lead order, in a state of its own
     return GroebnerBasis._of(order, gb.table, gb.field,
                              ascending.take(range(len(ascending) - 1, -1, -1)), gb.stats)
 

@@ -27,14 +27,18 @@ iff ``((H | G) - L) & G == G`` under a lex-type order (fields B + e), and
 iff ``((L | G) - H) & Ge == Ge`` under grevlex (fields B + deg, then
 B - e), where Ge leaves out the degree field: a field's guard bit survives
 the subtraction iff the exponent of H is at least that of L, and no field
-borrows from the next.  The working polynomial keeps no exponent rows; the
-remainder's rows are decoded from its keys once per reduction.
+borrows from the next.  Neither the working polynomial nor the divisor
+state keeps exponent rows: a remainder leaves the kernel as keys, and only
+code that builds a polynomial from keys decodes them (:func:`_rows`).
 
 Widths: a state packs at the narrowest w of 8, 16, 32 and 64 bits whose
 fields hold every key column of the state, |column| < B, and every key
 that meets the state's keys is packed at its width (:meth:`Divisors.pack`,
 which widens the state first when the rows do not fit).  A state widens,
-never narrows: it repacks every key from its exponent block.  Under
+never narrows: it repacks every key from the key itself, decoded to its
+columns at the old width and packed at the new one
+(:meth:`Divisors.repack`), and a reduction run again after widening
+repacks the key it was given (f's, an lcm's, a shift's) the same way.  Under
 grevlex no term of a reduction outranks the term it starts from (an
 S-pair's or J-pair's lcm, f's lead), so packing that term fits the whole
 reduction.  Under a lex-type order a reduction can raise exponents: a
@@ -44,12 +48,15 @@ doubles the state's width and runs the reduction again.  No key leaves the
 kernel with a guard bit set.
 
 A :class:`Divisors` state is the one place the flat divisor layout lives:
-the exponent rows of every element, element after element, their packed
-keys and coefficients, the element starts, the lead block and each
-element's lead key.  It only grows, through ``append`` (and widens); the
-code that builds a basis owns its state and hands it to the basis, so no
-element is packed twice.  ``take`` copies chosen elements into a new state
-of the same width, sized to fit, which is how a basis keeps only some of
+the packed keys and coefficients of every element, element after element,
+the element starts, each element's lead key and the lead block, one
+exponent row per element (decoded from the lead key on ``append``) and the
+state's only numpy array, which the pair loops and the lead-ideal code
+read.  A term is its key: the state holds no other copy of it.  A state
+only grows, through ``append`` (and widens); the code that builds a basis
+owns its state and hands it to the basis, so no element is packed twice.
+``take`` copies chosen elements into a new state of the same width, their
+keys references to the same ints, which is how a basis keeps only some of
 the elements it was built from.
 
 The working polynomial is a dict from packed key to coefficient and a
@@ -102,16 +109,14 @@ class Divisors:
     """A divisor list under ``order`` in the kernel's flat layout, grown one
     element at a time.
 
-    Element k owns rows starts[k]:starts[k+1] of the exponent block and of
-    ``keys`` (packed at ``width`` bits a field) and ``coeffs`` (a list);
-    row k of ``leads`` and ``lead_keys[k]`` are its lead.  The exponent
-    block starts with room for ``rows`` rows and doubles when outgrown; a
-    new state packs at the narrowest width.
+    Element k owns entries starts[k]:starts[k+1] of ``keys`` (packed at
+    ``width`` bits a field) and ``coeffs`` (lists); row k of ``leads``, the
+    state's one numpy block, and ``lead_keys[k]`` are its lead.  A new
+    state packs at the narrowest width.
     """
 
-    def __init__(self, order, rows=16):
+    def __init__(self, order):
         self.order = order
-        self._exps = np.empty((rows, order.nvars), dtype=np.int64)
         self._leads = np.empty((4, order.nvars), dtype=np.int64)
         # key column j holds the exponent of slot _slots[j] (negated under
         # grevlex, behind the degree column)
@@ -142,15 +147,14 @@ class Divisors:
         self._one = low << (width - 2)  # the key of the monomial 1
 
     def _widen(self, width):
-        """Pack at ``width`` from now on, every key repacked from the
-        exponent block."""
+        """Pack at ``width`` from now on, every key repacked from its
+        columns at the old width."""
         if width > _WIDTHS[-1]:
             raise OverflowError(f"an order key column reaches 2**{_WIDTHS[-1] - 2}")
+        old = self.width
         self._set_width(width)
-        rows = self.starts[-1]
-        if rows:
-            self.keys = pack_keys(self.order.keys(self._exps[:rows]), width)
-            self.lead_keys = [self.keys[at] for at in self.starts[:-1]]
+        self.keys = self.repack(self.keys, old)
+        self.lead_keys = [self.keys[at] for at in self.starts[:-1]]
 
     def fit(self, exps):
         """Widen, if need be, until the keys of the (m, nvars) exponent rows
@@ -166,31 +170,35 @@ class Divisors:
         self.fit(exps)
         return pack_keys(self.order.keys(exps), self.width)
 
-    def append(self, exps, coeffs, keys):
-        """Add one element: its exponent rows, coefficients and packed keys
-        at this state's width, sorted descending."""
-        rows, k = self.starts[-1], len(self)
-        if rows + len(exps) > len(self._exps):
-            self._exps = _grown(self._exps, rows + len(exps))
-        if k == len(self._leads):
-            self._leads = _grown(self._leads, k + 1)
-        self._exps[rows:rows + len(exps)] = exps
-        self._leads[k] = exps[0]
+    def repack(self, keys, width):
+        """The keys ``keys``, packed at ``width`` (at most this state's),
+        packed at this state's width: decoded to their columns, packed
+        again."""
+        if width == self.width:
+            return keys
+        return pack_keys(_columns(self, keys, width), self.width)
+
+    def append(self, keys, coeffs):
+        """Add one element: its packed keys at this state's width, sorted
+        descending, and its coefficients."""
+        k = len(self)
+        if k == len(self._leads):  # full: double it
+            self._leads = np.concatenate([self._leads, np.empty_like(self._leads)])
+        self._leads[k] = _rows(self, keys[:1])[0]
         self.keys.extend(keys)
         self.coeffs.extend(np.asarray(coeffs).tolist())
-        self.starts.append(rows + len(exps))
+        self.starts.append(len(self.keys))
         self.lead_keys.append(keys[0])
 
     def element(self, k):
-        """Element k as (exps, coeffs, packed keys)."""
+        """Element k as (packed keys, coeffs)."""
         lo, hi = self.starts[k], self.starts[k + 1]
-        return self._exps[lo:hi], self.coeffs[lo:hi], self.keys[lo:hi]
+        return self.keys[lo:hi], self.coeffs[lo:hi]
 
     def take(self, chosen):
         """A new state of the elements ``chosen`` (a sequence of indices) of
-        this one, in that order, at this state's width, its exponent block
-        sized to fit them."""
-        out = Divisors(self.order, sum(self.starts[k + 1] - self.starts[k] for k in chosen))
+        this one, in that order, at this state's width."""
+        out = Divisors(self.order)
         out._set_width(self.width)
         for k in chosen:
             out.append(*self.element(k))
@@ -214,36 +222,34 @@ class SignedDivisors(Divisors):
         self.u._widen(width)
 
 
-def _grown(buf, need):
-    out = np.empty((max(need, 2 * len(buf)), buf.shape[1]), dtype=buf.dtype)
-    out[:len(buf)] = buf
-    return out
+def _columns(div, keys, width):
+    """The order-key columns of the packed keys ``keys`` of ``div`` at field
+    width ``width``, as an int64 block."""
+    fields, size = div.order.nvars + div.order.graded, width // 8
+    raw = b"".join([key.to_bytes(size * fields, "big") for key in keys])
+    cols = np.frombuffer(raw, dtype=f">u{size}").reshape(len(keys), fields)
+    return cols.astype(np.int64) - (1 << (width - 2))
 
 
 def _rows(div, keys):
     """The exponent rows of the terms with packed keys ``keys`` (at the
     width of ``div``), as an int64 block."""
-    order, width = div.order, div.width
-    fields = order.nvars + order.graded
+    order = div.order
+    cols = _columns(div, keys, div.width)
     exps = np.zeros((len(keys), order.nvars), dtype=np.int64)
-    if keys:
-        size = width // 8
-        raw = b"".join([key.to_bytes(size * fields, "big") for key in keys])
-        cols = np.frombuffer(raw, dtype=f">u{size}").reshape(len(keys), fields)
-        cols = cols.astype(np.int64) - (1 << (width - 2))
-        exps[:, div._slots] = -cols[:, 1:] if order.graded else cols
+    exps[:, div._slots] = -cols[:, 1:] if order.graded else cols
     return exps
 
 
 def _terms(field, div, keys, coeffs):
     """The terms with packed keys ``keys`` and coefficients ``coeffs`` as
-    (exps, coeffs, keys); raises _Overflow if a key has a guard bit set."""
+    (keys, coeffs); raises _Overflow if a key has a guard bit set."""
     guard = div._guard
     if any(key & guard for key in keys):
         raise _Overflow
     out = np.empty(len(coeffs), dtype=field.dtype)
     out[:] = coeffs
-    return _rows(div, keys), out, keys
+    return keys, out
 
 
 def _absorb(field, work, keys, values, scale, delta):
@@ -294,8 +300,8 @@ def _first_divisor(div, key, start=0):
 
 
 def _reduce(field, work, div, bound=None, u_work=None):
-    """Reduce the working polynomial by ``div`` to its remainder (exps,
-    coeffs, keys).
+    """Reduce the working polynomial by ``div`` to its remainder (packed
+    keys, coeffs).
 
     With a signature ``bound`` (see :func:`reduce_jpair`) the reduction is
     a regular top reduction: it stops at the first head no admissible
@@ -356,34 +362,32 @@ def _widening(div, run):
             div._widen(2 * div.width)
 
 
-def reduce_terms(field, f_exps, f_keys, f_coeffs, div):
+def reduce_terms(field, f_keys, width, f_coeffs, div):
     """Fully reduce f by the :class:`Divisors` ``div``; f's keys are packed
-    at the state's width.  Returns the remainder's (exps, coeffs, packed
-    keys), f itself when either input is empty."""
+    at ``width``, at most the state's.  Returns the remainder's (packed
+    keys, coeffs), f itself when either input is empty."""
     if len(f_coeffs) == 0 or len(div) == 0:
-        return f_exps, f_coeffs, list(f_keys)
-    values, width = np.asarray(f_coeffs).tolist(), div.width
+        return div.repack(f_keys, width), f_coeffs
+    values = np.asarray(f_coeffs).tolist()
 
     def run():
         work = ({}, [])
-        keys = f_keys if div.width == width else div.pack(f_exps)
-        _absorb(field, work, keys, values, field.one, 0)
+        _absorb(field, work, div.repack(f_keys, width), values, field.one, 0)
         return _reduce(field, work, div)
 
     return _widening(div, run)
 
 
-def reduce_spair(field, i, j, lcm_exps, lcm_key, div):
+def reduce_spair(field, i, j, lcm_key, div):
     """Fully reduce the S-polynomial (lcm/lead_i)*d_i - (lcm/lead_j)*d_j of
     elements i and j of ``div``, built from their tails alone (the leads
-    cancel); ``lcm_key`` is the packed key of the leads' lcm, whose
-    exponent row is ``lcm_exps``.  Returns what :func:`reduce_terms`
-    returns."""
+    cancel); ``lcm_key`` is the packed key of the leads' lcm.  Returns what
+    :func:`reduce_terms` returns."""
     width = div.width
 
     def run():
         work = ({}, [])
-        lcm = lcm_key if div.width == width else div.pack(lcm_exps[None])[0]
+        lcm = div.repack([lcm_key], width)[0]
         for k, scale in ((i, field.one), (j, field.neg(field.one))):
             _absorb_element(field, work, div, k, scale, lcm - div.lead_keys[k], 1)
         return _reduce(field, work, div)
@@ -391,23 +395,23 @@ def reduce_spair(field, i, j, lcm_exps, lcm_key, div):
     return _widening(div, run)
 
 
-def reduce_jpair(field, k, shift_exps, shift_key, div):
+def reduce_jpair(field, k, shift_key, div):
     """Regular-reduce the J-pair t*(u_k, v_k) of the pair k of the
-    :class:`SignedDivisors` ``div``, where t has exponent row ``shift_exps``
-    and ``shift_key`` is its packed key minus that of 1.
+    :class:`SignedDivisors` ``div``, where ``shift_key`` is the packed key
+    of t minus that of 1.
 
     Pairs satisfy u*f = v modulo the ideal of the elements before
     ``div.first``.  The head is reduced until no admissible divisor divides
     it; the tail is left as it is.  Elements before ``div.first`` are
     always admissible; a later pair only when its shifted signature lies
     strictly below the J-pair's, so the signature is kept.  Returns the
-    top-reduced v and the u-part as two (exps, coeffs, packed keys) triples
-    sorted descending.
+    top-reduced v and the u-part as two (packed keys, coeffs) pairs sorted
+    descending.
     """
-    width, pair = div.width, k - div.first
+    width, one, pair = div.width, div._one, k - div.first
 
     def run():
-        shift = shift_key if div.width == width else div.pack(shift_exps[None])[0] - div._one
+        shift = div.repack([shift_key + one], width)[0] - div._one
         u_work = ({}, [])
         _absorb_element(field, u_work, div.u, pair, field.one, shift)
         work = ({}, [])

@@ -508,8 +508,8 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
         """Append the pair (u, v), made monic, and push its J-pairs with
         every earlier row that survive the syzygy criterion."""
         inv = field.inv(v[1][0])
-        div.append(v[0], field.scale_array(inv, v[1]), v[2])
-        sigs.append(u[0], field.scale_array(inv, u[1]), u[2])
+        div.append(v[0], field.scale_array(inv, v[1]))
+        sigs.append(u[0], field.scale_array(inv, u[1]))
         rekey()  # a lex-type reduction may have widened the state
         leads = div.leads
         k = len(div) - 1
@@ -542,9 +542,8 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
             heapq.heappush(heap, (lcm_key + ratios[side - first], lcm_key, next(tick),
                                   side, other))
 
-    one = np.zeros((1, order.nvars), dtype=np.int64)
-    v = kernels.reduce_terms(field, f.exps, div.pack(f.exps), f.coeffs, div)
-    u = (one, field.array([field.one]), div.pack(one))
+    v = kernels.reduce_terms(field, div.pack(f.exps), div.width, f.coeffs, div)
+    u = (div.pack(np.zeros((1, order.nvars), dtype=np.int64)), field.array([field.one]))
     if len(v[1]) == 0:  # f lies in J: u = 1 is the witness
         stats.zero += 1
         return ColonStep(False, witness=Polynomial.constant(table, field, order, field.one),
@@ -566,14 +565,14 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
             stats.cover += 1
             continue
         stats.reduced += 1
-        v, u = kernels.reduce_jpair(field, k, shift, sig_key - sigs.lead_keys[k - first], div)
+        v, u = kernels.reduce_jpair(field, k, sig_key - sigs.lead_keys[k - first], div)
         if len(v[1]) == 0:
             stats.zero += 1
-            u = Polynomial(table, field, order, *u[:2])
+            u = Polynomial(table, field, order, kernels._rows(div, u[0]), u[1])
             return ColonStep(False, witness=normal_form(u, prefix_gb).monic(), stats=stats)
         admit(u, v)
-    # the next step reads only the leads, so a minimal basis will do; its
-    # state is a copy sized to fit
+    # the next step reads only the leads, so a minimal basis will do, in a
+    # state of its own
     basis = GroebnerBasis._of(order, table, field, div.take(_minimal(div.leads)), stats)
     return ColonStep(True, basis, stats=stats)
 

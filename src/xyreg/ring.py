@@ -110,9 +110,6 @@ class Monomial:
     def nvars(self):
         return len(self.exps)
 
-    def is_one(self):
-        return self.degree == 0
-
     def __mul__(self, other):
         check_same_size(self.exps, other.exps)
         return Monomial(self.exps + other.exps)
@@ -127,10 +124,6 @@ class Monomial:
         if (diff < 0).any():
             raise ValueError("not divisible")
         return Monomial(diff)
-
-    def gcd(self, other):
-        check_same_size(self.exps, other.exps)
-        return Monomial(np.minimum(self.exps, other.exps))
 
     def lcm(self, other):
         check_same_size(self.exps, other.exps)

@@ -133,9 +133,10 @@ def test_an_out_of_memory_run_is_inconclusive(capsys, monkeypatch):
 
 
 def test_running_out_of_memory_exits_3_without_a_traceback():
-    # colon n=7 needs between 500 and 700 MB of address space; under 300 MB
-    # numpy raises its MemoryError subclass partway through the walk
-    limit = 300 << 20
+    # colon n=7 needs between 128 and 132 MB of address space, its imports
+    # about 100 MB; under 115 MB an allocation raises MemoryError partway
+    # through the walk
+    limit = 115 << 20
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "xyreg.cli", "oracle", "--n", "7", "--method", "colon"],

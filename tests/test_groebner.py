@@ -12,6 +12,7 @@ from xyreg.fields import PrimeField, QQ
 from xyreg.groebner import (GroebnerBasis, buchberger, groebner_basis,
                             lead_ideal, multi_divide, normal_form,
                             reduce_basis, s_poly)
+from xyreg import kernels
 from xyreg.kernels import pack_keys
 from xyreg.orders import MonomialOrder
 from xyreg.pattern import GenericProduct
@@ -317,11 +318,11 @@ def test_a_basis_holds_each_element_once_in_its_divisor_state(field):
         assert len(gb) == len(div) > 0, name
         assert gb.polys is gb.polys  # built once
         for k, p in enumerate(gb.polys):
-            exps, coeffs, keys = div.element(k)
-            assert np.array_equal(p.exps, exps) and p.coeffs.tolist() == coeffs, name
+            keys, coeffs = div.element(k)
+            assert np.array_equal(p.exps, kernels._rows(div, keys)), name
+            assert p.coeffs.tolist() == coeffs, name
             assert pack_keys(gb.order.keys(p.exps), div.width) == keys, name
             assert p.coeffs[0] == field.one, name
-            assert np.shares_memory(p.exps, exps), name
             assert (p.table, p.field, p.order) == (gb.table, gb.field, gb.order), name
         assert list(gb) == list(gb.polys)
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -8,7 +9,8 @@ from conftest import entries_2x2, grevlex_entries, order_compare, random_poly
 from xyreg.fields import PrimeField, QQ
 from xyreg.groebner import GroebnerBasis, buchberger, normal_form, reduce_basis, s_poly
 from xyreg import kernels
-from xyreg.kernels import Divisors, SignedDivisors, pack_keys, reduce_spair, reduce_terms
+from xyreg.kernels import (Divisors, SignedDivisors, pack_keys, reduce_jpair, reduce_spair,
+                           reduce_terms)
 from xyreg.orders import MonomialOrder
 from xyreg.pattern import GenericProduct
 from xyreg.poly import Polynomial
@@ -63,9 +65,9 @@ def test_kernel_takes_the_first_dividing_lead_in_list_order():
                                 ([d_quadric, d_linear], (z * z).scale(-1))):
         gb = GroebnerBasis(order, divisors)
         div = gb.flat_arrays()
-        r_exps, r_coeffs, _ = reduce_terms(gf, f.exps, pack_keys(order.keys(f.exps), div.width),
-                                           f.coeffs, div)
-        assert Polynomial(table, gf, order, r_exps, r_coeffs) == remainder
+        r_keys, r_coeffs = reduce_terms(gf, pack_keys(order.keys(f.exps), div.width), div.width,
+                                        f.coeffs, div)
+        assert Polynomial(table, gf, order, kernels._rows(div, r_keys), r_coeffs) == remainder
         assert normal_form(f, gb) == remainder
 
 
@@ -197,10 +199,9 @@ def test_spair_entry_matches_normal_form_of_s_poly(field, name, table, order):
         gb = GroebnerBasis(order, divisors)
         div = gb.flat_arrays()
         lcm = np.maximum(divisors[0].exps[0], divisors[1].exps[0])
-        r_exps, r_coeffs, r_keys = reduce_spair(
-            field, 0, 1, lcm, div.pack(lcm[None])[0], div)
+        r_keys, r_coeffs = reduce_spair(field, 0, 1, div.pack(lcm[None])[0], div)
         expected = normal_form(s_poly(divisors[0], divisors[1]), gb)
-        assert Polynomial(table, field, order, r_exps, r_coeffs) == expected
+        assert Polynomial(table, field, order, kernels._rows(div, r_keys), r_coeffs) == expected
         assert r_keys == pack_keys(order.keys(expected.exps), div.width)
 
 
@@ -286,7 +287,7 @@ def test_key_divisibility_and_decoding_match_the_exponent_rows(name, table, orde
                            rows_near_the_limit(rng, order, 12, width)])
         div = Divisors(order)
         for lead in leads:
-            div.append(lead[None], [1], div.pack(lead[None]))
+            div.append(div.pack(lead[None]), [1])
         keys = div.pack(heads)
         assert div.width == width and key_top(order, heads) >= 2**(width - 3)
         assert np.array_equal(kernels._rows(div, keys), heads)
@@ -303,11 +304,14 @@ def test_key_divisibility_and_decoding_match_the_exponent_rows(name, table, orde
 
 
 def assert_keys_are_clean(div):
-    """No stored key has a guard bit set, and every key decodes to its row
-    of the exponent block."""
+    """No stored key has a guard bit set, every key decodes to rows that
+    pack to it again, and each lead key decodes to its row of the lead
+    block."""
     assert not any(key & div._guard for key in div.keys)
-    assert np.array_equal(kernels._rows(div, div.keys), div._exps[:div.starts[-1]])
+    rows = kernels._rows(div, div.keys)
+    assert pack_keys(div.order.keys(rows), div.width) == div.keys
     assert div.lead_keys == [div.keys[at] for at in div.starts[:-1]]
+    assert np.array_equal(kernels._rows(div, div.lead_keys), div.leads)
 
 
 def test_bases_and_colon_walks_store_clean_keys(gf):
@@ -354,13 +358,20 @@ def test_a_grevlex_buchberger_past_degree_63_widens_and_matches_the_unscaled_run
         ("9f31d8731c1bbfc7", "d5697ba52ead0739")
 
 
-@pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=repr)
-def test_a_lex_reduction_that_outgrows_its_width_mid_reduction_widens(field):
-    # a > b > c: a -> b^10 -> c^100, past 8-bit fields only after two steps
+def chain_case(field):
+    """The lex chain a - b^10, b - c^10 (a > b > c), its order and its
+    variables: each step of a reduction by it multiplies c's exponent by
+    ten, so a - b^10 runs to a - c^100, past 8-bit fields."""
     table = VariableTable(["a", "b", "c"])
     order = MonomialOrder.lex(3)
     a, b, c = (Polynomial.variable(table, field, order, k) for k in range(3))
-    divisors = [a - power(b, 10), b - power(c, 10)]
+    return order, (a, b, c), [a - power(b, 10), b - power(c, 10)]
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=repr)
+def test_a_lex_reduction_that_outgrows_its_width_mid_reduction_widens(field):
+    # a > b > c: a -> b^10 -> c^100, past 8-bit fields only after two steps
+    order, (a, b, c), divisors = chain_case(field)
     f = a * b + a + power(c, 3)
     gb = GroebnerBasis(order, divisors)
     assert gb.flat_arrays().width == 8
@@ -398,3 +409,92 @@ def test_a_colon_step_whose_jpairs_outgrow_its_width_widens(gf):
             small, big = step.basis, step_big.basis
         assert small.flat_arrays().width == 8 and big.flat_arrays().width == 16
         assert digest(big.polys) == expected
+
+
+WIDENING_IDS = ["lex", "grevlex", "paper"]
+
+
+@pytest.mark.parametrize("name,table,order",
+                         [case for case in order_cases() if case[0] in WIDENING_IDS],
+                         ids=WIDENING_IDS)
+def test_a_state_widens_from_its_stored_keys_alone(name, table, order, monkeypatch):
+    rng = np.random.default_rng(list(name.encode()))
+    rows = np.unique(rows_near_the_limit(rng, order, 30, 8), axis=0)
+    elements = [rows[at:at + 5][order.sort_desc(rows[at:at + 5])]
+                for at in range(0, len(rows), 5)]
+    rows = np.concatenate(elements)
+    div = Divisors(order)
+    for element in elements:
+        div.append(div.pack(element), [1] * len(element))
+    assert div.width == 8
+    expected = {wider: pack_keys(order.keys(rows), wider) for wider in (16, 32, 64)}
+    calls = []
+    keys = MonomialOrder.keys
+    monkeypatch.setattr(MonomialOrder, "keys",
+                        lambda self, exps: calls.append(len(exps)) or keys(self, exps))
+    for wider in (16, 32, 64):
+        div._widen(wider)
+        assert div.width == wider
+        assert div.keys == expected[wider]
+        assert div.lead_keys == [div.keys[at] for at in div.starts[:-1]]
+    assert calls == []  # no key is packed again from exponent rows
+    assert np.array_equal(kernels._rows(div, div.keys), rows)
+
+
+def numpy_bytes(div):
+    """The bytes of every numpy array a state holds."""
+    return sum(value.nbytes for value in vars(div).values() if isinstance(value, np.ndarray))
+
+
+def test_a_states_numpy_bytes_do_not_grow_with_its_terms():
+    order = MonomialOrder.lex(3)
+    rows = np.array(list(itertools.product(range(10), repeat=3)), dtype=np.int64)[::-1]
+    single, wide, many = Divisors(order), Divisors(order), Divisors(order)
+    single.append(single.pack(rows[:1]), [1])
+    wide.append(wide.pack(rows), [1] * len(rows))
+    for row in rows:
+        many.append(many.pack(row[None]), [1])
+    assert len(wide.keys) == len(many.keys) == 1000
+    # one element of 1,000 terms holds no more numpy bytes than one of a
+    # single term; 1,000 elements hold one lead row each
+    assert numpy_bytes(wide) == numpy_bytes(single)
+    assert numpy_bytes(many) <= numpy_bytes(single) + 2 * 1000 * many.leads[0].nbytes
+    assert np.array_equal(many.leads, rows)
+
+
+def decoded(div, terms, like):
+    """The polynomial of the (packed keys, coeffs) ``terms`` of ``div``."""
+    keys, coeffs = terms
+    return Polynomial(like.table, like.field, like.order, kernels._rows(div, keys), coeffs)
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=repr)
+def test_pair_reductions_keep_their_results_across_a_mid_reduction_lex_widening(field):
+    order, (a, _, c), chain = chain_case(field)
+    one = field.one
+    unit = Polynomial.constant(a.table, field, order, one)
+    spair, jpair = [], []
+    for widen_first in (False, True):
+        # the S-pair of a - b^10 and a*c - 1 is 1 - b^10*c, whose remainder is
+        # 1 - c^101
+        div = GroebnerBasis(order, [chain[0], chain[1], a * c - unit]).flat_arrays()
+        if widen_first:
+            div._widen(16)
+        lcm = (a * c).exps
+        terms = reduce_spair(field, 0, 2, div.pack(lcm)[0], div)
+        assert div.width == 16
+        spair.append(decoded(div, terms, a))
+        assert terms[0] == pack_keys(order.keys(spair[-1].exps), 16)
+        # the pair (1, c) after J's chain: its J-pair with a, shifted by a,
+        # top-reduces a*c to c^101, which the pair itself reduces at the
+        # shifted signature c^100 < a
+        div = SignedDivisors(GroebnerBasis(order, chain).flat_arrays())
+        if widen_first:
+            div._widen(16)
+        div.append(div.pack(c.exps), [one])
+        div.u.append(div.pack(np.zeros((1, 3), dtype=np.int64)), [one])
+        v, u = reduce_jpair(field, 2, div.pack(a.exps)[0] - div._one, div)
+        assert div.width == div.u.width == 16
+        jpair.append((decoded(div, v, a), decoded(div, u, a)))
+    assert spair[0] == spair[1] == unit - power(c, 101)
+    assert jpair[0] == jpair[1] == (Polynomial.zero(a.table, field, order), a - power(c, 100))

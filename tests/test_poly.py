@@ -70,7 +70,7 @@ def test_leading_terms(ctx):
         f11 = GenericProduct(n).entry(1, 1)
         assert format_monomial(f11.leading_monomial(), f11.table) == "x[1,1]*y[1,1]"
     const = parse("5")
-    assert const.leading_monomial().is_one()
+    assert const.leading_monomial() == Monomial.one(xy2.nvars)
     assert const.leading_coefficient() == 5
     with pytest.raises(UndefinedLeadError):
         parse("0").leading_term()
