@@ -15,21 +15,22 @@ included):
   ``--search``, with the accepted entries and the sha256 of the report.
 
 Each run's peak resident memory comes from the child process itself
-(``os.wait4``).  A case whose first run takes under ``REPEAT_BELOW_S``
-seconds runs ``REPEATS`` times, each in a fresh process, and records the
-median wall time (and the largest peak); one run of a sub-second case
-moves by about a tenth of a second from run to run.  The run is recorded under ``--label`` in a
+(``os.wait4``).  Every case runs once for each ``--src LABEL=DIR``, label
+after label, before the next case starts, so two trees (a parent commit and
+a change) are timed seconds apart on a host whose speed drifts over
+minutes.  A case whose first runs all take under ``REPEAT_BELOW_S`` seconds
+runs ``REPEATS`` rounds in fresh processes, the order of the labels
+alternating from round to round, and records each label's median wall time
+(and its largest peak); one run of a sub-second case moves by about a tenth
+of a second from run to run.  Each label's runs are recorded in a
 ``BENCH_<date>.json`` file, with the Python and numpy versions,
 ``xyreg.active_backend()``, the processor and the sha256 of every
-certificate, so two labels in one file (a parent commit and a change)
-compare like for like.  An existing file gains the label; other labels in
-it are kept.
+certificate and report, so the labels compare like for like.  A label
+already in an existing file is replaced; other labels are kept.
 
-    python3 benchmarks/bench_e2e.py --label change
-    python3 benchmarks/bench_e2e.py --label parent --src /path/to/parent/src
+    python3 benchmarks/bench_e2e.py --src parent=/path/to/parent/src --src change=src
 
-``--src`` points at the ``src`` directory to import xyreg from (default:
-this checkout's).  Threads of the numeric libraries are pinned to 1.
+Threads of the numeric libraries are pinned to 1.
 """
 
 import argparse
@@ -91,12 +92,12 @@ def stamp(src):
     return info
 
 
-def timed_run(src, args, timeout):
+def timed_run(src, cwd, args, timeout):
     """(wall seconds, exit code, peak RSS in MB) of one fresh ``python args``
-    run; the run is killed after ``timeout`` s."""
+    run in ``cwd``; the run is killed after ``timeout`` s."""
     with tempfile.TemporaryFile() as err:
         start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, *args],
+        proc = subprocess.Popen([sys.executable, *args], cwd=cwd,
                                 env=child_env(src), stdout=subprocess.DEVNULL, stderr=err)
         timer = threading.Timer(timeout, proc.kill)
         timer.start()
@@ -112,41 +113,67 @@ def timed_run(src, args, timeout):
     return seconds, code, usage.ru_maxrss / 1024
 
 
-def run_case(src, name, args, command):
-    """The timed runs of ``python args``: one, or ``REPEATS`` when the first
-    takes under ``REPEAT_BELOW_S`` s.  The record names the run ``command``
-    and holds the median wall time, the largest peak RSS and every run's
-    time."""
-    runs = []
-    while not runs or (len(runs) < REPEATS and runs[0][0] < REPEAT_BELOW_S):
-        seconds, code, peak = timed_run(src, args, TIMEOUT_S)
-        if code == -signal.SIGKILL:
-            print(f"{name}: stopped after {TIMEOUT_S} s", flush=True)
-            return {"command": command, "timeout_s": TIMEOUT_S, "wall_s": None}
-        if code != 0:
-            raise SystemExit(f"{name}: exit code {code}")
-        runs.append((seconds, peak))
-    seconds = statistics.median(s for s, _ in runs)
-    peak = max(p for _, p in runs)
-    print(f"{name}: {seconds:.2f} s (median of {len(runs)}), peak RSS {peak:.1f} MB",
-          flush=True)
-    return {"command": command, "wall_s": round(seconds, 3), "peak_rss_mb": round(peak, 1),
-            "runs_s": [round(s, 3) for s, _ in runs]}
+def run_case(runs, name, args, command):
+    """Time ``python args`` under every label of ``runs`` (label -> (src,
+    working directory)), label after label within each round, so the labels
+    of one case are timed seconds apart, not a whole benchmark apart.
+
+    One round, or ``REPEATS`` when every first run took under
+    ``REPEAT_BELOW_S`` s; odd rounds take the labels in reverse order.
+    Returns, per label, the record naming the run ``command`` with the
+    median wall time, the largest peak RSS and every run's time, or, for a
+    label whose run was killed, a record with no wall time."""
+    times = {label: [] for label in runs}
+    stopped = set()
+    for round_ in range(REPEATS):
+        if round_ and any(done[0][0] >= REPEAT_BELOW_S for done in times.values() if done):
+            break
+        for label in list(runs)[::1 if round_ % 2 == 0 else -1]:
+            if label in stopped:
+                continue
+            seconds, code, peak = timed_run(*runs[label], args, TIMEOUT_S)
+            if code == -signal.SIGKILL:
+                print(f"{name} [{label}]: stopped after {TIMEOUT_S} s", flush=True)
+                stopped.add(label)
+            elif code != 0:
+                raise SystemExit(f"{name} [{label}]: exit code {code}")
+            else:
+                times[label].append((seconds, peak))
+    records = {}
+    for label, done in times.items():
+        if label in stopped:
+            records[label] = {"command": command, "timeout_s": TIMEOUT_S, "wall_s": None}
+            continue
+        seconds = statistics.median(s for s, _ in done)
+        peak = max(p for _, p in done)
+        print(f"{name} [{label}]: {seconds:.2f} s (median of {len(done)}), "
+              f"peak RSS {peak:.1f} MB", flush=True)
+        records[label] = {"command": command, "wall_s": round(seconds, 3),
+                          "peak_rss_mb": round(peak, 1),
+                          "runs_s": [round(s, 3) for s, _ in done]}
+    return records
 
 
-def cli_case(src, name, argv):
+def cli_case(runs, name, argv):
     """:func:`run_case` for ``xyreg argv``, its file arguments named FILE."""
     command = " ".join(["xyreg"] + ["FILE" if prev in ("--out", "--input") else a
                                     for prev, a in zip([""] + argv, argv)])
-    return run_case(src, name, ["-m", "xyreg.cli", *argv], command)
+    return run_case(runs, name, ["-m", "xyreg.cli", *argv], command)
+
+
+def labelled_src(text):
+    label, sep, src = text.partition("=")
+    if not (label and sep and src):
+        raise argparse.ArgumentTypeError(f"expected LABEL=DIR, got {text!r}")
+    return label, Path(src).resolve()
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True,
-                        help="name of this run in the file, e.g. parent or change")
-    parser.add_argument("--src", default=str(ROOT / "src"),
-                        help="src directory to import xyreg from")
+    parser.add_argument("--src", type=labelled_src, action="append", required=True,
+                        metavar="LABEL=DIR",
+                        help="a label (e.g. parent or change) and the src directory to "
+                             "import xyreg from; repeat it to compare trees")
     parser.add_argument("--sizes", type=int, nargs="*", default=list(SIZES),
                         help="certify sizes; those in %s are also rechecked" % (RECHECK_SIZES,))
     parser.add_argument("--hilbert", type=int, nargs="*", default=list(HILBERT_SIZES),
@@ -155,70 +182,84 @@ def main(argv=None):
                         help="sizes of the colon oracle runs")
     parser.add_argument("--search", type=int, nargs="*", default=list(SEARCH_SIZES),
                         help="sizes of the search runs, each with both methods")
-    parser.add_argument("--note", default="", help="free text stored with the run")
+    parser.add_argument("--note", default="", help="free text stored with every label's run")
     parser.add_argument("--out", default=None,
                         help="output file (default BENCH_<today>.json at the repository root)")
     args = parser.parse_args(argv)
+    srcs = dict(args.src)
+    if len(srcs) != len(args.src):
+        parser.error("each --src label must be new")
 
-    src = Path(args.src).resolve()
     out = Path(args.out) if args.out else ROOT / f"BENCH_{datetime.date.today():%Y-%m-%d}.json"
-    record = {"stamp": stamp(src), "note": args.note, "cases": {}}
-    print(json.dumps(record["stamp"]), flush=True)
-    # (case, output file, fields read from its bytes), read once every timed
-    # run is done: a child's peak RSS counts this process's peak at the
-    # spawn, so a parsed certificate here would inflate every later row
+    records = {label: {"stamp": stamp(src), "note": args.note, "cases": {}}
+               for label, src in srcs.items()}
+    for label, record in records.items():
+        print(label, json.dumps(record["stamp"]), flush=True)
+
+    def add(name, cases):
+        for label, case in cases.items():
+            records[label]["cases"][name] = case
+
+    # (label, case name, output file, fields read from its bytes), read once
+    # every timed run is done: a child's peak RSS counts this process's peak
+    # at the spawn, so a parsed certificate here would inflate every later row
     outputs = []
-    record["cases"]["import"] = run_case(src, "import", IMPORT_ARGS,
-                                         'python -c "import xyreg.cli"')
     with tempfile.TemporaryDirectory() as tmp:
+        # each label runs in a directory of its own, so the file names in
+        # the command line are the same for every label
+        runs = {label: (src, Path(tmp) / f"run{k}") for k, (label, src) in enumerate(srcs.items())}
+        for _, cwd in runs.values():
+            cwd.mkdir()
+        add("import", run_case(runs, "import", IMPORT_ARGS, 'python -c "import xyreg.cli"'))
+
+        def case(name, argv, output, read):
+            cases = cli_case(runs, name, argv)
+            add(name, cases)
+            for label, result in cases.items():
+                if result["wall_s"] is not None:
+                    outputs.append((label, name, runs[label][1] / output, read))
+            return cases
+
         for n in args.sizes:
-            cert = Path(tmp) / f"cert-{n}.json"
-            name = f"certify n={n}"
-            case = cli_case(src, name, ["certify", "--n", str(n), "--format", "json",
-                                        "--out", str(cert)])
-            if case["wall_s"] is not None:
-                outputs.append((case, cert, lambda data: {
-                    "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data),
-                    "steps": len(json.loads(data)["steps"])}))
-            record["cases"][name] = case
-            if n in RECHECK_SIZES and case["wall_s"] is not None:
-                name = f"recheck n={n}"
-                record["cases"][name] = cli_case(
-                    src, name, ["recheck", "--input", str(cert), "--format", "json"])
+            cert = f"cert-{n}.json"
+            cases = case(f"certify n={n}",
+                         ["certify", "--n", str(n), "--format", "json", "--out", cert],
+                         cert, lambda data: {"sha256": hashlib.sha256(data).hexdigest(),
+                                             "bytes": len(data),
+                                             "steps": len(json.loads(data)["steps"])})
+            live = {label: runs[label] for label, c in cases.items() if c["wall_s"] is not None}
+            if n in RECHECK_SIZES and live:
+                add(f"recheck n={n}", cli_case(live, f"recheck n={n}",
+                                               ["recheck", "--input", cert, "--format", "json"]))
         oracles = [("hilbert", n) for n in args.hilbert] + [("colon", n) for n in args.colon]
         # cheapest first, so the largest hilbert run (which may hit the timeout) ends the list
         for method, n in sorted(oracles, key=lambda c: (c[1], c[0] == "hilbert")):
-            report = Path(tmp) / f"{method}-{n}.json"
-            name = f"oracle {method} n={n}"
-            case = cli_case(src, name, ["oracle", "--method", method, "--n", str(n),
-                                        "--format", "json", "--out", str(report)])
-            if case["wall_s"] is not None:
-                outputs.append((case, report, lambda data, method=method: {
-                    "verdict": json.loads(data)["verdict"],
-                    **({"details": json.loads(data)["details"]} if method == "hilbert" else {}),
-                    "sha256": hashlib.sha256(data).hexdigest()}))
-            record["cases"][name] = case
+            report = f"{method}-{n}.json"
+            case(f"oracle {method} n={n}",
+                 ["oracle", "--method", method, "--n", str(n), "--format", "json",
+                  "--out", report],
+                 report, lambda data, method=method: {
+                     "verdict": json.loads(data)["verdict"],
+                     **({"details": json.loads(data)["details"]} if method == "hilbert" else {}),
+                     "sha256": hashlib.sha256(data).hexdigest()})
         for n in args.search:
             for method in ("colon", "hilbert"):
-                report = Path(tmp) / f"search-{method}-{n}.json"
-                name = f"search {method} n={n}"
-                case = cli_case(src, name, ["search", "--method", method, "--n", str(n),
-                                            "--format", "json", "--out", str(report)])
-                if case["wall_s"] is not None:
-                    outputs.append((case, report, lambda data: {
-                        "accepted": json.loads(data)["accepted"],
-                        "sha256": hashlib.sha256(data).hexdigest()}))
-                record["cases"][name] = case
-        for case, path, read in outputs:
-            case.update(read(path.read_bytes()))
+                report = f"search-{method}-{n}.json"
+                case(f"search {method} n={n}",
+                     ["search", "--method", method, "--n", str(n), "--format", "json",
+                      "--out", report],
+                     report, lambda data: {"accepted": json.loads(data)["accepted"],
+                                           "sha256": hashlib.sha256(data).hexdigest()})
+        for label, name, path, read in outputs:
+            records[label]["cases"][name].update(read(path.read_bytes()))
 
     doc = json.loads(out.read_text()) if out.exists() else {
         "what": "fresh-process wall time and peak RSS of xyreg certify/recheck/oracle runs; "
                 "written by benchmarks/bench_e2e.py",
         "runs": {}}
-    doc["runs"][args.label] = record
+    doc["runs"].update(records)
     out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {out} [{args.label}]")
+    print(f"wrote {out} [{', '.join(records)}]")
 
 
 if __name__ == "__main__":

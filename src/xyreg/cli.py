@@ -5,8 +5,9 @@ Subcommands: gen, certify, oracle, counterexample, search, gb, recheck.
 subcommand accepts only the flags it reads) and its ``cmd_*`` function.
 A ``cmd_*`` function reads its ring arguments through one check, builds its
 report as a JSON payload and as text lines, and leaves through ``_emit``,
-which writes the form ``--format`` asks for; certify alone builds only
-that form, for its certificate is large.
+which writes the form ``--format`` asks for line by line.  certify hands
+over both forms as generators, for its certificate is large: only the form
+asked for is rendered, one step at a time, and never held whole.
 Exit codes: 0 the checked property holds, 1 it fails, 2 usage error,
 3 inconclusive (a resource budget, or memory, ran out before an answer
 was reached), 4 an internal cross-check failed, so there is no verdict.
@@ -15,6 +16,7 @@ All emissions are UTF-8 and newline-terminated.
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import BudgetExceededError, CrossCheckError, ParseError, XyregError
@@ -73,18 +75,32 @@ def build_parser():
     return parser
 
 
-def _emit(args, code, payload, lines):
-    """Write the report, ``payload`` as JSON or ``lines`` as text, as
-    ``--format`` asks, to ``--out`` or stdout; return the exit code."""
-    text = json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines)
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(args, code, json_lines, lines):
+    """Write the report as ``--format`` asks, its JSON text ``json_lines`` or
+    its text ``lines``, to ``--out`` or stdout, and return the exit code.
+
+    Both forms are iterables of lines, each written with a newline as it is
+    produced, so a generator's report is never held whole.  A ``--out``
+    file that anything interrupts is removed, so no partial report is left.
+    """
+    lines = json_lines if args.format == "json" else lines
+    if not args.out:
+        sys.stdout.writelines(f"{line}\n" for line in lines)
+        return code
+    with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh.writelines(f"{line}\n" for line in lines)
+        except BaseException:
+            fh.close()
+            os.remove(args.out)
+            raise
     return code
+
+
+def _json(payload):
+    """``payload``'s indented JSON text as ``_emit`` takes it, rendered only
+    when read."""
+    yield json.dumps(payload, indent=2)
 
 
 def _n_and_field(args):
@@ -170,29 +186,32 @@ def cmd_gen(args):
     lines += [f"  {e['label']} = {e['polynomial']}" for e in payload["selected"]]
     lines += ["", "augmented ordering (bare variables interleaved):",
               "  " + ", ".join(e["label"] for e in payload["augmented"])]
-    return _emit(args, EXIT_OK, payload, lines)
+    return _emit(args, EXIT_OK, _json(payload), lines)
 
 
 def cmd_certify(args):
     n, field = _n_and_field(args)
     cert = certify_pattern(n, field=field)
     code = EXIT_OK if cert.verdict == "certified" else EXIT_FAIL
-    if args.format == "json":  # a certificate is large: build only the form asked for
-        return _emit(args, code, cert.to_json_dict(), None)
-    lines = [f"certifying the selected entries for n={n} ({len(cert.steps)} steps):"]
+    return _emit(args, code, cert.json_lines(), _certificate_lines(cert))
+
+
+def _certificate_lines(cert):
+    """The text form of a certificate, one line per step."""
+    yield f"certifying the selected entries for n={cert.n} ({len(cert.steps)} steps):"
     for k, step in enumerate(cert.steps, start=1):
         extra = ""
         if step.kind == "TECHNICAL" and step.subtractions:
             subs = ", ".join(format_monomial(m, cert.table) for m, _ in step.subtractions)
             extra = f" after subtracting multiples of {subs}"
-        lines.append(f"  step {k}: {step.kind} {step.label}, effective lead "
-                     f"{format_monomial(step.effective_lead, cert.table)}{extra}")
+        yield (f"  step {k}: {step.kind} {step.label}, effective lead "
+               f"{format_monomial(step.effective_lead, cert.table)}{extra}")
     if cert.verdict == "certified":
-        lines += ["verdict: certified", cert.note]
+        yield "verdict: certified"
+        yield cert.note
     else:
-        lines.append(f"verdict: failed at step {cert.failure['step']} "
-                     f"({cert.failure['condition']})")
-    return _emit(args, code, None, lines)
+        yield (f"verdict: failed at step {cert.failure['step']} "
+               f"({cert.failure['condition']})")
 
 
 def cmd_oracle(args):
@@ -212,7 +231,7 @@ def cmd_oracle(args):
     if report.witness is not None:
         payload["witness"] = {"index": report.first_failure, "u": format_poly(report.witness)}
         lines.append(f"witness at index {report.first_failure}: u = {payload['witness']['u']}")
-    return _emit(args, EXIT_OK if report.regular else EXIT_FAIL, payload, lines)
+    return _emit(args, EXIT_OK if report.regular else EXIT_FAIL, _json(payload), lines)
 
 
 def cmd_counterexample(args):
@@ -222,7 +241,7 @@ def cmd_counterexample(args):
              f"residue after expansion: {payload['residue']}"]
     lines += [f"  [{'ok' if c['holds'] else 'FAIL'}] {c['claim']}" for c in payload["checks"]]
     lines.append("all checks passed" if payload["passed"] else "CHECKS FAILED")
-    return _emit(args, EXIT_OK if payload["passed"] else EXIT_FAIL, payload, lines)
+    return _emit(args, EXIT_OK if payload["passed"] else EXIT_FAIL, _json(payload), lines)
 
 
 def cmd_search(args):
@@ -246,7 +265,7 @@ def cmd_search(args):
              f"final length: {len(report.chain)}",
              "accepted: " + (", ".join(accepted) if accepted else "none")]
     lines += [f"rejected {item['entry']}: {item['reason']}" for item in rejected]
-    return _emit(args, EXIT_OK, payload, lines)
+    return _emit(args, EXIT_OK, _json(payload), lines)
 
 
 def cmd_recheck(args):
@@ -259,7 +278,7 @@ def cmd_recheck(args):
             raise ValueError(f"{args.input}: JSON nested too deeply") from None
     verdict = recheck_certificate(data)
     return _emit(args, EXIT_OK if verdict == "certified" else EXIT_FAIL,
-                 {"verdict": verdict}, [f"verdict: {verdict}"])
+                 _json({"verdict": verdict}), [f"verdict: {verdict}"])
 
 
 def cmd_gb(args):
@@ -271,7 +290,7 @@ def cmd_gb(args):
     if not polys:
         raise ValueError("the input contains no nonzero polynomials")
     basis = [format_poly(p) for p in groebner_basis(polys, order, **_budgets(args)).polys]
-    return _emit(args, EXIT_OK, {"order": args.order, "basis": basis}, basis)
+    return _emit(args, EXIT_OK, _json({"order": args.order, "basis": basis}), basis)
 
 
 # subcommand -> (help, the flags its cmd_* function reads, that function);

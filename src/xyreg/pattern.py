@@ -17,7 +17,6 @@ bare-divisible terms to expose the effective lead
 which is coprime to everything certified before it.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .groebner import groebner_basis, normal_form
 from .orders import MonomialOrder
 from .poly import Polynomial, format_poly
 from .regseq import (ROLE_BARE, ROLE_BASE, ROLE_TECHNICAL, RegularityCertificate,
-                     SparsePolynomial, _PriorLeads, check_technical_step,
+                     SparsePolynomial, _PriorLeads, _canonical_json, check_technical_step,
                      coprime_extend_element)
 from .ring import VariableTable, _xy_slot, format_monomial
 
@@ -250,10 +249,6 @@ def _certificate_inputs(data):
         raise CertificateFormatError(f"bad field {spec!r}: {exc}") from None
 
 
-def _canonical_json(value):
-    return json.dumps(value, sort_keys=True)
-
-
 def recheck_certificate(data):
     """Re-certify the pattern a serialized certificate names, and compare.
 
@@ -279,7 +274,7 @@ def recheck_certificate(data):
     fresh = _empty_certificate(n, field)
     try:
         for claimed, step in zip(steps, _certified_steps(n, field)):
-            if _canonical_json(claimed) != _canonical_json(fresh.step_json_dict(step)):
+            if not fresh.step_matches(claimed, step):
                 return "failed"
     except CertificationError:
         return "failed"

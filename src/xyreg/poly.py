@@ -228,23 +228,23 @@ def format_poly(p):
 def _format_terms(field, terms, table):
     """Render (coefficient, support) terms, in the order given, as a sum in
     the input grammar; '0' when there are none."""
+    rational, one, fmt = field.is_exact_rational, field.one, field.format
     pieces = []
     for coeff, support in terms:
-        sign = ""
-        if field.is_exact_rational and coeff < 0:
-            sign = "-"
+        negative = rational and coeff < 0
+        if negative:
             coeff = -coeff
         mono_text = _format_support(support, table)
         if mono_text == "1":
-            body = field.format(coeff)
-        elif coeff == field.one:
+            body = fmt(coeff)
+        elif coeff == one:
             body = mono_text
         else:
-            body = f"{field.format(coeff)}*{mono_text}"
-        if not pieces:
-            pieces.append(f"-{body}" if sign == "-" else body)
+            body = f"{fmt(coeff)}*{mono_text}"
+        if pieces:
+            pieces.append(f" - {body}" if negative else f" + {body}")
         else:
-            pieces.append(f" {'-' if sign == '-' else '+'} {body}")
+            pieces.append(f"-{body}" if negative else body)
     return "".join(pieces) or "0"
 
 

@@ -59,8 +59,12 @@ depend on that choice.
 """
 
 import heapq
+import json
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from itertools import count
+# the escaper json.dumps uses under ensure_ascii, in C where it is built
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -343,37 +347,97 @@ class RegularityCertificate:
     failure: dict = None  # {"step": 1-based index, "condition": ...}
     note: str = ""
 
-    def step_json_dict(self, s):
-        """The JSON form of one step, as it appears in ``to_json_dict``."""
+    def step_json(self, s):
+        """One step's JSON text, exactly as ``json.dumps(..., indent=2)``
+        writes it inside the certificate's ``"steps"`` list (four spaces in,
+        no trailing comma).  This is the one place a step's keys and layout
+        are written down: strings go through the stdlib's own escaper and
+        ``true``/``false``/``null`` are literals, so no dict is built."""
         table = self.table
-        lead = _format_support(s.effective_lead, table)
-        return {
-            "kind": s.kind,
-            "label": s.label,
-            "role": s.role,
-            "element": _format_terms(s.element.field, s.element.terms, table),
-            "effective_lead": lead,
-            "subtractions": [[_format_support(m, table), _format_term(t, table)]
-                             for m, t in s.subtractions],
-            "m_next": lead if s.kind == "TECHNICAL" else None,
-            "checks": dict(s.checks),
-            "strict_form": s.strict_form,
-        }
+        lead = _quote(_format_support(s.effective_lead, table))
+        subtractions = _json_block(
+            [f"[\n          {_quote(_format_support(m, table))},"
+             f"\n          {_quote(_format_term(t, table))}\n        ]"
+             for m, t in s.subtractions], "[", "]")
+        checks = _checks_json(tuple(s.checks.items()))
+        element = _quote(_format_terms(s.element.field, s.element.terms, table))
+        return (f'    {{\n'
+                f'      "kind": {_quote(s.kind)},\n'
+                f'      "label": {_quote(s.label)},\n'
+                f'      "role": {_quote(s.role)},\n'
+                f'      "element": {element},\n'
+                f'      "effective_lead": {lead},\n'
+                f'      "subtractions": {subtractions},\n'
+                f'      "m_next": {lead if s.kind == "TECHNICAL" else "null"},\n'
+                f'      "checks": {checks},\n'
+                f'      "strict_form": {_LITERALS[s.strict_form]}\n'
+                f'    }}')
+
+    def json_lines(self):
+        """The certificate's JSON text, as ``json.dumps(..., indent=2)`` of
+        :meth:`to_json_dict` writes it, in pieces to be joined by newlines:
+        the head up to ``"steps": [``, each step (rendered when asked for),
+        then the tail.  The head and tail are ``json.dumps`` of the
+        certificate without its steps."""
+        frame = {"n": self.n, "order": self.order_name, "field": dict(self.field_spec),
+                 "steps": [], "verdict": self.verdict}
+        if self.failure is not None:
+            frame["failure"] = dict(self.failure)
+        if self.note:
+            frame["note"] = self.note
+        text = json.dumps(frame, indent=2)
+        if not self.steps:
+            yield text
+            return
+        # a '"' inside a JSON string is escaped, so the first match is the key
+        head, steps, tail = text.partition('"steps": []')
+        yield head + steps[:-1]
+        last = len(self.steps) - 1
+        for k, s in enumerate(self.steps):
+            yield self.step_json(s) + ("," if k < last else "")
+        yield "  ]" + tail
+
+    def step_matches(self, value, s):
+        """Whether the JSON value ``value`` is step ``s``: equal as canonical
+        JSON, so keys may come in any order but ``true`` is not ``1``.  A
+        value with the step's own key order is compared as text, unparsed:
+        ``json.dumps`` with the separators of the indented layout writes it
+        as the step's text with each line's indentation and break dropped."""
+        text = self.step_json(s)
+        # no line break or indentation falls inside a JSON string
+        unindented = "".join(map(str.lstrip, text.split("\n")))
+        return (json.dumps(value, separators=(",", ": ")) == unindented
+                or _canonical_json(value) == _canonical_json(json.loads(text)))
 
     def to_json_dict(self):
-        steps = [self.step_json_dict(s) for s in self.steps]
-        out = {
-            "n": self.n,
-            "order": self.order_name,
-            "field": dict(self.field_spec),
-            "steps": steps,
-            "verdict": self.verdict,
-        }
-        if self.failure is not None:
-            out["failure"] = dict(self.failure)
-        if self.note:
-            out["note"] = self.note
-        return out
+        """The JSON value of :meth:`json_lines`."""
+        return json.loads("\n".join(self.json_lines()))
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _canonical_json(value):
+    """``value`` as JSON text that two equal values share whatever their key
+    order, and that tells ``true`` from ``1``."""
+    return json.dumps(value, sort_keys=True)
+
+
+@lru_cache(maxsize=16)
+def _checks_json(checks):
+    """A step's ``checks``, given as (name, outcome) pairs, as JSON text; the
+    steps of a walk share a handful of these, so each is rendered once."""
+    return _json_block([f"{_quote(name)}: {_LITERALS[ok]}" for name, ok in checks],
+                       "{", "}")
+
+
+def _json_block(items, opener, closer):
+    """A step's list or object value of the rendered ``items``, laid out as
+    ``json.dumps(..., indent=2)`` lays out the value of a key six spaces in;
+    ``[]`` or ``{}`` when there are none."""
+    if not items:
+        return opener + closer
+    return f"{opener}\n        " + ",\n        ".join(items) + f"\n      {closer}"
 
 
 def _format_term(t, table):

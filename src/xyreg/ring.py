@@ -158,7 +158,7 @@ def _format_support(support, table):
     if not support:
         return "1"
     names = table.names
-    return "*".join(names[v] if e == 1 else f"{names[v]}^{e}" for v, e in support)
+    return "*".join([names[v] if e == 1 else f"{names[v]}^{e}" for v, e in support])
 
 
 def _support(exps):

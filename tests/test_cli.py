@@ -132,12 +132,18 @@ def test_an_out_of_memory_run_is_inconclusive(capsys, monkeypatch):
     assert run(capsys, "oracle", "--n", "2") == (3, "", "inconclusive: out of memory\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmPeak")
 def test_running_out_of_memory_exits_3_without_a_traceback():
-    # colon n=7 needs between 128 and 132 MB of address space, its imports
-    # about 100 MB; under 115 MB an allocation raises MemoryError partway
-    # through the walk
-    limit = 115 << 20
+    # the limit is the address space the imports take, measured in a child
+    # of the same interpreter, plus a margin: colon n=7 needs about 30 MB
+    # past its imports, and margins from 2 to 28 MB all make an allocation
+    # raise MemoryError partway through the walk, whatever the imports weigh
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+    probe = subprocess.run(
+        [sys.executable, "-c", "import xyreg.cli; print(next(line.split()[1] for line "
+         "in open('/proc/self/status') if line.startswith('VmPeak:')))"],
+        env=env, capture_output=True, text=True, check=True)
+    limit = (int(probe.stdout) << 10) + (15 << 20)  # VmPeak is in kB
     proc = subprocess.run(
         [sys.executable, "-m", "xyreg.cli", "oracle", "--n", "7", "--method", "colon"],
         env=env, capture_output=True, timeout=600,
