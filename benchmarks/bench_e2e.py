@@ -24,9 +24,11 @@ alternating from round to round, and records each label's median wall time
 (and its largest peak); one run of a sub-second case moves by about a tenth
 of a second from run to run.  Each label's runs are recorded in a
 ``BENCH_<date>.json`` file, with the Python and numpy versions,
-``xyreg.active_backend()``, the processor and the sha256 of every
-certificate and report, so the labels compare like for like.  A label
-already in an existing file is replaced; other labels are kept.
+``xyreg.active_backend()``, the processor, the label's ``src/xyreg`` code
+lines (lines holding code, not docstrings, comments or blanks) and the
+sha256 of every certificate and report, so the labels compare like for
+like.  A label already in an existing file is replaced; other labels are
+kept.
 
     python3 benchmarks/bench_e2e.py --src parent=/path/to/parent/src --src change=src
 
@@ -34,8 +36,10 @@ Threads of the numeric libraries are pinned to 1.
 """
 
 import argparse
+import ast
 import datetime
 import hashlib
+import io
 import json
 import os
 import platform
@@ -46,6 +50,7 @@ import sys
 import tempfile
 import threading
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,11 +89,36 @@ def cpu_model():
     return platform.processor() or None
 
 
+# tokens that hold no code of their own
+LAYOUT_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                 tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(package):
+    """The number of lines of the ``*.py`` files in ``package`` that hold
+    code: a line with a token other than a comment or layout, and outside
+    every docstring (a statement that is a string alone)."""
+    total = 0
+    for path in sorted(Path(package).glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in LAYOUT_TOKENS:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) \
+                    and isinstance(node.value.value, str):
+                lines.difference_update(range(node.lineno, node.end_lineno + 1))
+        total += len(lines)
+    return total
+
+
 def stamp(src):
     out = subprocess.run([sys.executable, "-c", STAMP_CODE], env=child_env(src),
                          capture_output=True, text=True, check=True)
     info = json.loads(out.stdout)
-    info.update(nproc=os.cpu_count(), cpu=cpu_model(), platform=platform.platform())
+    info.update(nproc=os.cpu_count(), cpu=cpu_model(), platform=platform.platform(),
+                code_lines=code_lines(Path(src) / "xyreg"))
     return info
 
 

@@ -33,14 +33,15 @@ and the minimal basis of a colon step, keep only some of the elements they
 were built from: their state is a copy of those elements
 (``kernels.Divisors.take``).  An S-polynomial is never
 built as a polynomial; the kernel is seeded with the two shifted tails
-(:func:`kernels.reduce_spair`).  When an element is appended, one numpy
-pass gives the lcm rows, lcm degrees and coprimality of all its pairs with
-the earlier elements; a popped pair only looks them up.  The pair loop is
-one generator, :func:`_buchberger_walk`: :func:`buchberger` drains it, and
-the Hilbert oracle (:func:`hilbert._first_difference`) reads the lead block
-at each degree boundary it yields and may stop early.  The basis that
-:func:`buchberger` returns records its :class:`PairStats`; the signature
-step records :class:`SignatureStats`.
+(:func:`kernels.reduce_spair`).  The pair heap is the pair loop's only
+per-pair state: when an element is appended, one numpy pass gives the lcm
+degrees of all its pairs with the earlier elements, the heap's keys, and a
+popped pair reads its lcm and coprimality from the two lead rows.  The
+pair loop is one generator, :func:`_buchberger_walk`: :func:`buchberger`
+drains it, and the Hilbert oracle (:func:`hilbert._first_difference`)
+reads the lead block at each degree boundary it yields and may stop early.
+The basis that :func:`buchberger` returns records its :class:`PairStats`;
+the signature step records :class:`SignatureStats`.
 """
 
 import heapq
@@ -286,20 +287,12 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
 
     field, table = gens[0].field, gens[0].table
     divisors = kernels.Divisors(order)
-    heap = []
-    pending = set()
-    # per element j, its pairs (i, j) with i < j: lcm rows, lcm degrees and
-    # whether the leads are coprime, computed once when j is appended
-    pair_lcms, pair_degs, pair_coprime = [], [], []
+    heap = []  # (lcm degree, i, j) per pair not yet taken
+    pending = set()  # the pairs (i, j) in the heap
 
     def push_pairs(j):
         leads = divisors.leads
-        lcms = np.maximum(leads[:j], leads[j])
-        degs = lcms.sum(axis=1).tolist()
-        pair_lcms.append(lcms)
-        pair_degs.append(degs)
-        pair_coprime.append((~np.minimum(leads[:j], leads[j]).any(axis=1)).tolist())
-        for i, lcm_deg in enumerate(degs):
+        for i, lcm_deg in enumerate(np.maximum(leads[:j], leads[j]).sum(axis=1).tolist()):
             heapq.heappush(heap, (lcm_deg, i, j))
             pending.add((i, j))
 
@@ -313,7 +306,7 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
         if heap[0][0] > done + 1:
             done = heap[0][0] - 1
             yield done, divisors.leads
-        _, i, j = heapq.heappop(heap)
+        lcm_deg, i, j = heapq.heappop(heap)
         pending.discard((i, j))
         stats.considered += 1
         if pair_budget is not None and stats.considered > pair_budget:
@@ -321,18 +314,18 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
                 f"pair budget {pair_budget} exhausted",
                 pairs_considered=stats.considered,
             )
-        lcm_deg = pair_degs[j][i]
         if degree_budget is not None and lcm_deg > degree_budget:
             raise BudgetExceededError(
                 f"degree budget {degree_budget} exceeded by a pair of degree {lcm_deg}",
                 pairs_considered=stats.considered, degree_reached=lcm_deg,
             )
-        if pair_coprime[j][i]:
+        leads = divisors.leads
+        if not np.minimum(leads[i], leads[j]).any():
             stats.coprime += 1
             continue
-        lcm = pair_lcms[j][i]
+        lcm = np.maximum(leads[i], leads[j])
         chained = False
-        for k in np.flatnonzero((divisors.leads <= lcm).all(axis=1)).tolist():
+        for k in np.flatnonzero((leads <= lcm).all(axis=1)).tolist():
             if k in (i, j):
                 continue
             if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:

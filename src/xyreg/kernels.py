@@ -118,10 +118,6 @@ class Divisors:
     def __init__(self, order):
         self.order = order
         self._leads = np.empty((4, order.nvars), dtype=np.int64)
-        # key column j holds the exponent of slot _slots[j] (negated under
-        # grevlex, behind the degree column)
-        self._slots = np.array(order.precedence[::-1] if order.graded else order.precedence,
-                               dtype=np.intp)
         self.keys = []
         self.coeffs = []
         self.starts = [0]
@@ -237,7 +233,9 @@ def _rows(div, keys):
     order = div.order
     cols = _columns(div, keys, div.width)
     exps = np.zeros((len(keys), order.nvars), dtype=np.int64)
-    exps[:, div._slots] = -cols[:, 1:] if order.graded else cols
+    # key column j holds the exponent of slot order._columns[j] (negated
+    # under grevlex, behind the degree column)
+    exps[:, order._columns] = -cols[:, 1:] if order.graded else cols
     return exps
 
 

@@ -32,7 +32,8 @@ class MonomialOrder:
     lex under ``precedence`` (highest slot first), or grevlex under it when
     ``graded``.  ``precedence`` must order every slot 0..nvars-1 once; a
     repeated or missing slot is a ValueError, for it would give two
-    monomials one key."""
+    monomials one key.  :meth:`lex` and :meth:`grevlex` take the slots in
+    index order."""
 
     __slots__ = ("precedence", "graded", "_columns", "_ranks")
 
@@ -53,12 +54,12 @@ class MonomialOrder:
 
     # -- construction ----------------------------------------------------
     @classmethod
-    def lex(cls, nvars, precedence=None):
-        return cls(_precedence(nvars, precedence))
+    def lex(cls, nvars):
+        return cls(range(nvars))
 
     @classmethod
-    def grevlex(cls, nvars, precedence=None):
-        return cls(_precedence(nvars, precedence), graded=True)
+    def grevlex(cls, nvars):
+        return cls(range(nvars), graded=True)
 
     @classmethod
     def from_name(cls, name, n):
@@ -132,17 +133,7 @@ class MonomialOrder:
         return hash((self.precedence, self.graded))
 
     def __repr__(self):
-        name = "grevlex" if self.graded else "lex"
-        return f"MonomialOrder.{name}({self.nvars}, {self.precedence})"
-
-
-def _precedence(nvars, precedence):
-    """``precedence`` (range(nvars) when None) as a tuple; a ValueError
-    unless it orders exactly ``nvars`` slots."""
-    precedence = tuple(range(nvars) if precedence is None else precedence)
-    if len(precedence) != nvars:
-        raise ValueError(f"precedence of {len(precedence)} slots for nvars={nvars}")
-    return precedence
+        return f"MonomialOrder({self.precedence}, graded={self.graded})"
 
 
 def certification_precedence(n):

@@ -45,13 +45,14 @@ def build_ring(n):
 
 
 class GenericProduct:
-    """Entries of X*Y over a fixed table, field and order, with caching."""
+    """Entries of X*Y over a fixed table and field, under the paper order,
+    with caching."""
 
-    def __init__(self, n, field=None, order=None):
+    def __init__(self, n, field=None):
         self.n = n
         self.table = build_ring(n)
         self.field = field if field is not None else PrimeField(DEFAULT_PRIME)
-        self.order = order if order is not None else MonomialOrder.from_name("paper", n)
+        self.order = MonomialOrder.from_name("paper", n)
         self._cache = {}
 
     def x(self, i, j):
@@ -128,9 +129,10 @@ class PatternSpec:
         }
 
 
-def selected_entries(n, field=None, order=None):
-    """The selected product entries as polynomials, in pattern order."""
-    product = GenericProduct(n, field, order)
+def selected_entries(n, field=None):
+    """The selected product entries as polynomials under the paper order, in
+    pattern order."""
+    product = GenericProduct(n, field)
     return [product.entry(s, t) for s, t in PatternSpec.build(n).positions]
 
 
@@ -176,24 +178,25 @@ def _certified_steps(n, field):
     """Certify the augmented walk one step at a time, yielding each step.
 
     Every element is built as a SparsePolynomial, so the walk holds no dense
-    exponent row.  Every computed effective lead is checked against its
-    prediction.  Raises CertificationError at the first step that fails;
-    the steps yielded before it are certified.
+    exponent row, and it keeps the effective leads, not the steps: a step
+    the caller drops is freed.  Every computed effective lead is checked
+    against its prediction.  Raises CertificationError at the first step
+    that fails; the steps yielded before it are certified.
     """
     order = MonomialOrder.from_name("paper", n)
     table = build_ring(n)
     var = [(v, 1) for v in range(table.nvars)]
-    steps = _PriorLeads()
+    prior = _PriorLeads()
     for kind, a, t in PatternSpec.build(n).augmented:
         label = f"{kind}[{a},{t}]"
         if kind == "y":
             y = SparsePolynomial(table, field, order,
                                  ((field.one, (var[_xy_slot(n, "y", a, t)],)),))
-            step = coprime_extend_element(steps, y, order, role=ROLE_BARE, label=label)
+            step = coprime_extend_element(prior, y, role=ROLE_BARE, label=label)
         else:
             role = ROLE_BASE if t == 1 else ROLE_TECHNICAL
             entry = _sparse_entry(table, field, order, a, t, var)
-            step = check_technical_step(steps, entry, order, role=role, label=label)
+            step = check_technical_step(prior, entry, role=role, label=label)
             predicted = expected_effective_lead(n, a, t)
             if step.effective_lead != predicted:
                 raise CertificationError(
@@ -202,7 +205,7 @@ def _certified_steps(n, field):
                     f"{format_monomial(step.effective_lead, table)}, "
                     f"predicted {format_monomial(predicted, table)}")
             step.checks["lead_matches_prediction"] = True
-        steps.append(step)
+        prior.append(step)
         yield step
 
 

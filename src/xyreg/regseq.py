@@ -15,10 +15,10 @@ Every monomial on this path is a support, the (slot, exponent) pairs of
 its nonzero exponents (see :mod:`ring`), and every element a
 :class:`SparsePolynomial` of (coefficient, support) terms; a Polynomial or
 Monomial argument is read into that form once, on the way in.  The
-earlier steps are read through one private accumulator, ``_PriorLeads``:
-a list of the certified steps whose ``append`` indexes the new effective
-lead by the variables it uses, non-bare leads and bare monomials apart,
-and keeps count of the variables two leads of a kind share.  A step
+earlier steps are read through one private accumulator, ``_PriorLeads``,
+whose ``append`` indexes a step's effective lead by the variables it uses,
+non-bare leads and bare monomials apart, and keeps count of the variables
+two leads of a kind share; it keeps the leads, not the steps.  A step
 therefore costs work in its own terms, not in the number of earlier steps
 or of variables: each term's bare-divisor test reads only the index lists
 of that term's variables (first divisor in step order wins), and every
@@ -69,7 +69,7 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from .errors import (BudgetExceededError, CertificationError, CrossCheckError,
-                     HomogeneityError, OrderMismatchError, UndefinedLeadError)
+                     HomogeneityError, UndefinedLeadError)
 from .fields import PrimeField
 # buchberger is not called here; perfbench/tracer.py rebinds it in every
 # module that holds it, and perfbench/selftest.py expects it in this one
@@ -124,17 +124,11 @@ class CertificateStep:
     strict_form: bool = None
 
 
-def _sparse(p, order):
+def _sparse(p):
     """``p``, a Polynomial or a SparsePolynomial, as a SparsePolynomial under
-    ``order`` (its own when None).  A Polynomial is resorted only when its
-    order differs, then read row by row in its row order; a
-    SparsePolynomial must already be under ``order``."""
+    its own order; a Polynomial is read row by row in its row order."""
     if isinstance(p, SparsePolynomial):
-        if order is not None and order != p.order:
-            raise OrderMismatchError("a SparsePolynomial is certified under its own order")
         return p
-    if order is not None and p.order != order:
-        p = p.resort(order)
     return SparsePolynomial(p.table, p.field, p.order,
                             tuple(zip(p.coeffs.tolist(), map(_support, p.exps))))
 
@@ -197,24 +191,24 @@ class _VariableIndex:
         return len(support) in hits.values()
 
 
-class _PriorLeads(list):
-    """The steps certified so far, with their effective leads accumulated.
+class _PriorLeads:
+    """The effective leads of the steps certified so far, accumulated; the
+    steps themselves are not kept.
 
-    ``append`` indexes each effective lead by its variables, bare monomials
-    (``bare``) apart from the other leads (``leads``), and notes whether
-    some variable is used by both kinds (``shared``).  Leads of one kind are
-    pairwise coprime iff its index has no clash, and a monomial is coprime
-    to all of them iff the index uses none of its variables, so every check
-    reads the accumulated state in the monomial's own terms.  Only
-    ``append`` and ``extend`` keep the state.
+    ``append`` indexes each step's effective lead by its variables, bare
+    monomials (``bare``) apart from the other leads (``leads``), and notes
+    whether some variable is used by both kinds (``shared``).  Leads of one
+    kind are pairwise coprime iff its index has no clash, and a monomial is
+    coprime to all of them iff the index uses none of its variables, so
+    every check reads the accumulated state in the monomial's own terms.
     """
 
     def __init__(self, steps=()):
-        super().__init__()
         self.leads = _VariableIndex()
         self.bare = _VariableIndex()
         self.shared = False
-        self.extend(steps)
+        for step in steps:
+            self.append(step)
 
     def append(self, step):
         lead = step.effective_lead
@@ -223,11 +217,6 @@ class _PriorLeads(list):
         index, other = (self.bare, self.leads) if step.role == ROLE_BARE else (self.leads, self.bare)
         self.shared = self.shared or any(other.uses(v) for v, _ in lead)
         index.add(lead)
-        super().append(step)
-
-    def extend(self, steps):
-        for step in steps:
-            self.append(step)
 
 
 def _prior_leads(prior):
@@ -236,7 +225,7 @@ def _prior_leads(prior):
     return prior if isinstance(prior, _PriorLeads) else _PriorLeads(prior)
 
 
-def check_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label=""):
+def check_technical_step(prior, h, *, role=ROLE_TECHNICAL, label=""):
     """Decompose h against the prior bare monomials and certify the residue.
 
     ``prior`` is the list of CertificateSteps certified so far, and ``h`` a
@@ -247,7 +236,7 @@ def check_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label="")
     strictly below it.  Raises CertificationError with the violated
     condition's name; on success returns the TECHNICAL step.
     """
-    h = _sparse(h, order)
+    h = _sparse(h)
     if not h.terms:
         raise CertificationError("residue_nonzero", "the element is zero")
 
@@ -312,11 +301,11 @@ def check_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label="")
                            strict_form=strict)
 
 
-def coprime_extend_element(prior, p, order=None, *, role=ROLE_BASE, label=""):
+def coprime_extend_element(prior, p, *, role=ROLE_BASE, label=""):
     """Certify p, a Polynomial or a SparsePolynomial, by its true lead, which
     must be coprime to the effective lead of every step in ``prior``;
     returns the COPRIME_EXTEND step."""
-    p = _sparse(p, order)
+    p = _sparse(p)
     if not p.terms:
         raise UndefinedLeadError("zero element has no leading term")
     lead = p.terms[0][1]
@@ -546,7 +535,7 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
     f = f.resort(order)
     div = kernels.SignedDivisors(prefix_gb.flat_arrays())
     first, sigs = div.first, div.u
-    in_j = _MonomialIdeal(div.leads.copy())  # the leads of J, packed once per step
+    in_j = _MonomialIdeal(div.leads)  # the leads of J, packed once per step
     ratios = []  # per pair: packed key of lm(u) minus that of lm(v)
     heap = []
     tick = count()
@@ -651,21 +640,19 @@ class _MonomialIdeal:
     Rows are packed into uint64 words of guarded bit fields, as in
     :mod:`hilbert`: g divides m iff ((m | G) - g) & G == G word by word,
     where G holds every field's top (guard) bit.  The generators are packed
-    once, and again, wider, only when a row outgrows the fields.
+    once, in fields that hold their largest exponent T, and a row is capped
+    at T before it is packed: every generator exponent is at most T, so g
+    divides m iff g divides min(m, T).
     """
 
     def __init__(self, gens):
-        self.gens = gens
-        self._widen(int(gens.max(initial=0)))
-
-    def _widen(self, top):
-        width = top.bit_length() + 1
+        self.top = int(gens.max(initial=0))
+        width = self.top.bit_length() + 1
         per = 64 // width
-        self.words = -(-self.gens.shape[1] // per)
+        self.words = -(-gens.shape[1] // per)
         self.shifts = np.arange(per, dtype=np.uint64) * np.uint64(width)
         self.guard = np.uint64(sum(1 << (k * width + width - 1) for k in range(per)))
-        self.top = (1 << (width - 1)) - 1  # the largest exponent a field holds
-        self.packed = self._pack(self.gens)
+        self.packed = self._pack(gens)
 
     def _pack(self, a):
         per = len(self.shifts)
@@ -674,11 +661,8 @@ class _MonomialIdeal:
 
     def contains(self, rows):
         """For each exponent row, whether some generator row divides it."""
-        top = int(rows.max(initial=0))
-        if top > self.top:
-            self._widen(top)
         guard, gens = self.guard, self.packed
-        packed = self._pack(rows) | guard
+        packed = self._pack(np.minimum(rows, self.top)) | guard
         out = np.empty(len(rows), dtype=bool)
         step = max(1, _CONTAINS_BLOCK // max(1, len(gens)))
         for at in range(0, len(rows), step):

@@ -46,12 +46,14 @@ def random_poly(rng, table, field, order, max_terms=5, max_degree=4):
 
 
 def entries_2x2(field, order=None):
-    """The four product entries for n=2 in row-major order."""
+    """The four product entries for n=2 in row-major order, resorted to
+    ``order`` when one is given."""
     from xyreg.pattern import GenericProduct
 
-    product = GenericProduct(2, field=field, order=order)
-    return [product.entry(1, 1), product.entry(1, 2),
-            product.entry(2, 1), product.entry(2, 2)]
+    product = GenericProduct(2, field=field)
+    entries = [product.entry(1, 1), product.entry(1, 2),
+               product.entry(2, 1), product.entry(2, 2)]
+    return entries if order is None else [p.resort(order) for p in entries]
 
 
 def grevlex_entries(field, n, full):

@@ -102,11 +102,11 @@ def test_a_walk_failing_at_a_technical_step_matches(capsys, tmp_path, monkeypatc
 def test_a_walk_failing_at_a_coprime_extend_step_matches(capsys, tmp_path, monkeypatch):
     extend = pattern.coprime_extend_element
 
-    def clashing(prior, p, order=None, *, role, label):
+    def clashing(prior, p, *, role, label):
         if label == "y[2,3]":
             raise CertificationError("lead_coprime_to_prior",
                                      'lead "y[2,3]" clashes — forced\n')
-        return extend(prior, p, order, role=role, label=label)
+        return extend(prior, p, role=role, label=label)
 
     monkeypatch.setattr(pattern, "coprime_extend_element", clashing)
     cert = certify_pattern(4)

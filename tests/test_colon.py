@@ -23,8 +23,8 @@ from xyreg.groebner import groebner_basis, multi_divide, normal_form, reduce_bas
 from xyreg.orders import MonomialOrder
 from xyreg.pattern import GenericProduct, PatternSpec, selected_entries
 from xyreg.poly import Polynomial, canonicalize, format_poly, parse_poly
-from xyreg.regseq import (colon_witness_holds, greedy_extend, nonzerodivisor_colon,
-                          sequence_oracle)
+from xyreg.regseq import (_MonomialIdeal, colon_witness_holds, greedy_extend,
+                          nonzerodivisor_colon, sequence_oracle)
 from xyreg.ring import Monomial, VariableTable
 
 FIELDS = (PrimeField(7), PrimeField(32003), QQ)
@@ -52,7 +52,7 @@ def reference_nonzerodivisor(prefix_gb, f):
     order, table, field = prefix_gb.order, prefix_gb.table, f.field
     ext_table = VariableTable(table.names + ("_elim",))
     aux = table.nvars
-    ext_order = MonomialOrder.lex(aux + 1, (aux, *range(aux)))  # eliminates t
+    ext_order = MonomialOrder((aux, *range(aux)))  # eliminates t
     t = Polynomial.variable(ext_table, field, ext_order, aux)
     one = Polynomial.constant(ext_table, field, ext_order, field.one)
     gens = [t * lift(g, ext_table, ext_order) for g in prefix_gb.polys]
@@ -378,3 +378,19 @@ def test_cli_reports_the_witness_only_on_a_zerodivisor(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "witness at index 4: u = x[1,2]*y[2,1]"
     assert main(oracle + ["--format", "json"]) == 0
     assert "witness" not in json.loads(capsys.readouterr().out)
+
+
+def test_monomial_ideal_membership_agrees_with_the_dense_test():
+    # rows reach past every generator exponent, so contains must cap them
+    # at the generators' largest exponent rather than widen its fields
+    rng = np.random.default_rng(5)
+    for nvars, top, size in ((3, 1, 4), (8, 3, 12), (50, 5, 30), (20, 200, 6)):
+        gens = rng.integers(0, top + 1, size=(size, nvars))
+        for high in (top, 2 * top + 1, 1000):
+            rows = np.concatenate([rng.integers(0, high + 1, size=(200, nvars)),
+                                   gens + rng.integers(0, 2, size=gens.shape)])
+            dense = np.array([(gens <= row).all(axis=1).any() for row in rows])
+            assert (_MonomialIdeal(gens).contains(rows) == dense).all(), (nvars, top, high)
+        assert _MonomialIdeal(gens).contains(rows[:0]).shape == (0,)
+    rows = rng.integers(0, 3, size=(10, 4))
+    assert not _MonomialIdeal(np.zeros((0, 4), dtype=np.int64)).contains(rows).any()

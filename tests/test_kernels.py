@@ -131,10 +131,10 @@ def order_cases():
     elimination order."""
     generic5 = VariableTable([f"v{k}" for k in range(5)])
     generic6 = VariableTable([f"v{k}" for k in range(6)])
-    return [("lex", generic5, MonomialOrder.lex(5, (3, 0, 4, 1, 2))),
+    return [("lex", generic5, MonomialOrder((3, 0, 4, 1, 2))),
             ("grevlex", generic5, MonomialOrder.grevlex(5)),
             ("paper", VariableTable.xy(2), MonomialOrder.from_name("paper", 2)),
-            ("elim", generic6, MonomialOrder.lex(6, (5, *range(5))))]
+            ("elim", generic6, MonomialOrder((5, *range(5))))]
 
 
 ORDER_IDS = [case[0] for case in order_cases()]

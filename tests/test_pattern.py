@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 from xyreg.cli import main
 from xyreg.fields import PrimeField
-from xyreg.pattern import (GenericProduct, PatternSpec, _sparse_entry, build_ring,
-                           certify_pattern, column_limit, counterexample_2x2,
+from xyreg.pattern import (GenericProduct, PatternSpec, _certified_steps, _sparse_entry,
+                           build_ring, certify_pattern, column_limit, counterexample_2x2,
                            expected_effective_lead, recheck_certificate, selected_entries,
                            selected_rows)
 from xyreg.poly import format_poly
@@ -181,6 +182,18 @@ def test_sparse_entries_match_the_product_entries(gf):
                 dense = product.entry(i, j)
                 assert sparse.terms == tuple(zip(dense.coeffs.tolist(),
                                                  map(_support, dense.exps))), (n, i, j)
+
+
+def test_the_walk_keeps_no_step_it_has_yielded(gf):
+    # the walk keeps the effective leads, not the steps: once the caller
+    # drops a step, nothing holds it
+    refs = []
+    for step in _certified_steps(6, gf):
+        refs.append(weakref.ref(step))
+        assert all(ref() is None for ref in refs[:-1]), len(refs)
+    del step
+    assert len(refs) == len(PatternSpec.build(6).augmented)
+    assert refs[-1]() is None
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")

@@ -47,7 +47,7 @@ def check_coprime_leads(seq, order=None):
     return True, None
 
 
-def dense_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label=""):
+def dense_technical_step(prior, h, *, role=ROLE_TECHNICAL, label=""):
     """check_technical_step on dense exponent rows: the reference the sparse
     step is tested against.
 
@@ -55,10 +55,7 @@ def dense_technical_step(prior, h, order=None, *, role=ROLE_TECHNICAL, label="")
     reads per-variable counts summed afresh over the prior leads, and each
     term's first dividing bare monomial is found by a scan in step order.
     """
-    if order is None:
-        order = h.order
-    elif h.order != order:
-        h = h.resort(order)
+    order = h.order
     if h.is_zero():
         raise CertificationError("residue_nonzero", "the element is zero")
 
@@ -146,17 +143,15 @@ def test_check_coprime_leads_examples(gf):
         check_coprime_leads([Polynomial.zero(product.table, gf, order)], order)
 
 
-def certified_prefix_through(product, order, items):
+def certified_prefix_through(product, items):
     """Drive the step primitives over ('f', s, t) / ('y', i, t) items."""
     prior = []
     for kind, a, b in items:
         if kind == "y":
-            prior.append(coprime_extend_element(prior, product.y(a, b), order,
-                                                role=ROLE_BARE))
+            prior.append(coprime_extend_element(prior, product.y(a, b), role=ROLE_BARE))
         else:
             role = ROLE_BASE if b == 1 else ROLE_TECHNICAL
-            prior.append(check_technical_step(prior, product.entry(a, b), order,
-                                              role=role))
+            prior.append(check_technical_step(prior, product.entry(a, b), role=role))
     return prior
 
 
@@ -164,10 +159,9 @@ def test_technical_step_first_column_extension(gf):
     # the first selected entry of column 2 sheds exactly one term
     for n in (2, 3, 5):
         product = GenericProduct(n, field=gf)
-        order = MonomialOrder.from_name("paper", n)
         items = [("f", i, 1) for i in range(1, n + 1)] + [("y", 1, 2)]
-        prior = certified_prefix_through(product, order, items)
-        step = check_technical_step(prior, product.entry(1, 2), order)
+        prior = certified_prefix_through(product, items)
+        step = check_technical_step(prior, product.entry(1, 2))
         assert len(step.subtractions) == 1
         mono, mult = step.subtractions[0]
         assert format_monomial(mono, product.table) == "y[1,2]"
@@ -179,11 +173,10 @@ def test_technical_step_first_column_extension(gf):
 
 def test_technical_step_row3_column2_non_strict(gf):
     product = GenericProduct(4, field=gf)
-    order = MonomialOrder.from_name("paper", 4)
     items = ([("f", i, 1) for i in (1, 2, 3, 4)]
              + [("y", 1, 2), ("f", 1, 2), ("y", 3, 2)])
-    prior = certified_prefix_through(product, order, items)
-    step = check_technical_step(prior, product.entry(3, 2), order)
+    prior = certified_prefix_through(product, items)
+    step = check_technical_step(prior, product.entry(3, 2))
     subs = {(format_monomial(m, product.table), format_monomial(t.monomial, product.table))
             for m, t in step.subtractions}
     assert subs == {("y[1,2]", "x[3,1]"), ("y[3,2]", "x[3,3]")}
@@ -195,28 +188,25 @@ def test_technical_step_row3_column2_non_strict(gf):
 
 def test_technical_step_lead_clash_fails(gf):
     product = GenericProduct(2, field=gf)
-    order = MonomialOrder.from_name("paper", 2)
-    prior = [coprime_extend_element([], product.entry(1, 1), order, role=ROLE_BASE)]
+    prior = [coprime_extend_element([], product.entry(1, 1), role=ROLE_BASE)]
     with pytest.raises(CertificationError) as exc:
-        check_technical_step(prior, product.entry(1, 2), order)
+        check_technical_step(prior, product.entry(1, 2))
     assert exc.value.condition == "residue_lead_coprime_to_prior_leads"
 
 
 def test_technical_step_degenerate_residue(gf):
     product = GenericProduct(2, field=gf)
-    order = MonomialOrder.from_name("paper", 2)
-    prior = [coprime_extend_element([], product.y(1, 2), order, role=ROLE_BARE)]
+    prior = [coprime_extend_element([], product.y(1, 2), role=ROLE_BARE)]
     with pytest.raises(CertificationError) as exc:
-        check_technical_step(prior, product.x(1, 1) * product.y(1, 2), order)
+        check_technical_step(prior, product.x(1, 1) * product.y(1, 2))
     assert exc.value.condition == "residue_nonzero"
 
 
 def test_coprime_extend_rejects_clash(gf):
     product = GenericProduct(2, field=gf)
-    order = MonomialOrder.from_name("paper", 2)
-    prior = [coprime_extend_element([], product.entry(1, 1), order, role=ROLE_BASE)]
+    prior = [coprime_extend_element([], product.entry(1, 1), role=ROLE_BASE)]
     with pytest.raises(CertificationError):
-        coprime_extend_element(prior, product.x(1, 1), order, role=ROLE_BARE)
+        coprime_extend_element(prior, product.x(1, 1), role=ROLE_BARE)
 
 
 def prior_step(poly, role):
@@ -246,20 +236,19 @@ def test_technical_step_negative_controls(gf):
     ]
     for prior, h, condition in cases:
         with pytest.raises(CertificationError) as exc:
-            check_technical_step(prior, h, order)
+            check_technical_step(prior, h)
         assert exc.value.condition == condition
 
 
 def test_technical_step_subtracts_the_first_dividing_bare_monomial(gf):
     product = GenericProduct(2, field=gf)
-    order = MonomialOrder.from_name("paper", 2)
     x, y = product.x, product.y
     f11 = product.entry(1, 1)  # x[1,1]*y[1,1] + x[1,2]*y[2,1]
     # x[1,1] and y[1,1] both divide the lead term; prior order decides
     for first, second, multiplier in [(x(1, 1), y(1, 1), "y[1,1]"),
                                       (y(1, 1), x(1, 1), "x[1,1]")]:
         prior = [prior_step(first, ROLE_BARE), prior_step(second, ROLE_BARE)]
-        step = check_technical_step(prior, f11, order)
+        step = check_technical_step(prior, f11)
         assert len(step.subtractions) == 1
         mono, mult = step.subtractions[0]
         assert mono == _support(first.leading_monomial().exps)
@@ -344,12 +333,10 @@ def test_accumulated_priors_agree_with_plain_lists_200_lists(gf):
                     outcome(step_fn, grown, polys[-1]), (monos, k)
             if k < len(prior):
                 grown.append(prior[k])
-        assert list(grown) == prior
 
 
 def test_accumulated_priors_fail_the_same_named_check(gf):
     product = GenericProduct(3, field=gf)
-    order = MonomialOrder.from_name("paper", 3)
     x, y = product.x, product.y
     cases = [
         ([prior_step(x(1, 1) * y(1, 1), ROLE_BASE), prior_step(y(2, 2), ROLE_BARE),
@@ -367,10 +354,10 @@ def test_accumulated_priors_fail_the_same_named_check(gf):
         grown = _PriorLeads(prior)
         for form in (prior, grown):
             with pytest.raises(CertificationError) as exc:
-                check_technical_step(form, h, order)
+                check_technical_step(form, h)
             assert exc.value.condition == condition
         with pytest.raises(CertificationError) as exc:
-            coprime_extend_element(grown, prior[0].element, order)
+            coprime_extend_element(grown, prior[0].element)
         assert exc.value.condition == "lead_coprime_to_prior"
 
 
@@ -409,7 +396,7 @@ def test_failure_conditions_and_messages(gf):
                   "lead x[1,1] shares a variable with a prior effective lead"))
     for step_fn, prior, h, condition, message in cases:
         with pytest.raises(CertificationError) as exc:
-            step_fn(prior, h, order)
+            step_fn(prior, h)
         assert exc.value.condition == condition
         assert str(exc.value) == f"[{condition}] {message}"
 
@@ -453,7 +440,7 @@ def random_technical_prefixes(gf):
     nvars = 7
     table = VariableTable([f"v{k}" for k in range(nvars)])
     orders = [MonomialOrder.lex(nvars), MonomialOrder.grevlex(nvars),
-              MonomialOrder.lex(nvars, (nvars - 1, *range(nvars - 1)))]
+              MonomialOrder((nvars - 1, *range(nvars - 1)))]
 
     def monomial(slots, degree):
         exps = np.zeros(nvars, dtype=np.int64)
@@ -578,12 +565,11 @@ def test_nonzerodivisor_colon_examples(gf):
     assert format_poly(step.witness) == "y[1,1]"
     assert colon_witness_holds(gb2, x11, step.witness)
 
-    product = GenericProduct(2, field=gf, order=order)
-    gb3 = groebner_basis([product.entry(1, 1), product.entry(1, 2),
-                          product.entry(2, 1)])
-    step = nonzerodivisor_colon(gb3, product.entry(2, 2))
+    f11, f12, f21, f22 = entries_2x2(gf, order)
+    gb3 = groebner_basis([f11, f12, f21])
+    step = nonzerodivisor_colon(gb3, f22)
     assert step.regular is False
-    assert colon_witness_holds(gb3, product.entry(2, 2), step.witness)
+    assert colon_witness_holds(gb3, f22, step.witness)
 
 
 def random_coprime_lead_sequence(rng):
