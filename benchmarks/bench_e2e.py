@@ -6,6 +6,8 @@ included):
 
 * ``python -c "import xyreg.cli"`` alone, the cold-start cost every run
   pays, always recorded (``import`` row),
+* ``gen --n N --format json`` for each N in ``--gen``, with the sha256 of
+  its JSON,
 * ``certify --n N --format json`` for each N in ``--sizes``,
 * ``recheck`` of that certificate for N in ``RECHECK_SIZES``,
 * ``oracle --method hilbert --n N --format json`` for each N in ``--hilbert``
@@ -30,6 +32,13 @@ sha256 of every certificate and report, so the labels compare like for
 like.  A label already in an existing file is replaced; other labels are
 kept.
 
+Every child starts under an address-space limit of ``ADDRESS_LIMIT`` bytes
+(4 GiB, ``RLIMIT_AS``, set in the child only), far above what any default
+case needs, so a run that outgrows it exits 3 (``inconclusive: out of
+memory``) instead of waking the kernel's OOM killer; such a run is
+recorded with its exit code and no wall time, as a run killed at the
+timeout is.
+
     python3 benchmarks/bench_e2e.py --src parent=/path/to/parent/src --src change=src
 
 Threads of the numeric libraries are pinned to 1.
@@ -43,6 +52,7 @@ import io
 import json
 import os
 import platform
+import resource
 import signal
 import statistics
 import subprocess
@@ -55,11 +65,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (16, 24, 32, 48, 64, 96, 128)
+GEN_SIZES = (16, 32, 64, 128)
 RECHECK_SIZES = (32, 48, 64, 96, 128)
 HILBERT_SIZES = (4, 5, 6)
 COLON_SIZES = (3, 4, 5, 6, 7)
 SEARCH_SIZES = (3, 4)
 TIMEOUT_S = 900  # a run still going after this is killed and recorded as stopped
+ADDRESS_LIMIT = 4 * 2**30  # RLIMIT_AS of every child, in bytes
+EXIT_INCONCLUSIVE = 3  # xyreg's exit code for a run out of memory
 REPEAT_BELOW_S = 5.0  # a case whose first run is faster runs REPEATS times
 REPEATS = 3
 IMPORT_ARGS = ["-c", "import xyreg.cli"]  # the cold-start row
@@ -76,6 +89,11 @@ def child_env(src):
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[name] = "1"
     return env
+
+
+def limit_address_space():
+    """Run in the child between fork and exec: cap its address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_LIMIT, ADDRESS_LIMIT))
 
 
 def cpu_model():
@@ -115,10 +133,11 @@ def code_lines(package):
 
 def stamp(src):
     out = subprocess.run([sys.executable, "-c", STAMP_CODE], env=child_env(src),
-                         capture_output=True, text=True, check=True)
+                         preexec_fn=limit_address_space, capture_output=True, text=True,
+                         check=True)
     info = json.loads(out.stdout)
     info.update(nproc=os.cpu_count(), cpu=cpu_model(), platform=platform.platform(),
-                code_lines=code_lines(Path(src) / "xyreg"))
+                code_lines=code_lines(Path(src) / "xyreg"), address_limit=ADDRESS_LIMIT)
     return info
 
 
@@ -127,8 +146,9 @@ def timed_run(src, cwd, args, timeout):
     run in ``cwd``; the run is killed after ``timeout`` s."""
     with tempfile.TemporaryFile() as err:
         start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, *args], cwd=cwd,
-                                env=child_env(src), stdout=subprocess.DEVNULL, stderr=err)
+        proc = subprocess.Popen([sys.executable, *args], cwd=cwd, env=child_env(src),
+                                preexec_fn=limit_address_space,
+                                stdout=subprocess.DEVNULL, stderr=err)
         timer = threading.Timer(timeout, proc.kill)
         timer.start()
         try:
@@ -152,27 +172,31 @@ def run_case(runs, name, args, command):
     ``REPEAT_BELOW_S`` s; odd rounds take the labels in reverse order.
     Returns, per label, the record naming the run ``command`` with the
     median wall time, the largest peak RSS and every run's time, or, for a
-    label whose run was killed, a record with no wall time."""
+    label whose run was killed or ran out of memory (exit 3), a record with
+    no wall time.  Any other non-zero exit ends the benchmark."""
     times = {label: [] for label in runs}
-    stopped = set()
+    ended = {}  # label -> the record of its run that gave no time
     for round_ in range(REPEATS):
         if round_ and any(done[0][0] >= REPEAT_BELOW_S for done in times.values() if done):
             break
         for label in list(runs)[::1 if round_ % 2 == 0 else -1]:
-            if label in stopped:
+            if label in ended:
                 continue
             seconds, code, peak = timed_run(*runs[label], args, TIMEOUT_S)
             if code == -signal.SIGKILL:
                 print(f"{name} [{label}]: stopped after {TIMEOUT_S} s", flush=True)
-                stopped.add(label)
+                ended[label] = {"command": command, "timeout_s": TIMEOUT_S, "wall_s": None}
+            elif code == EXIT_INCONCLUSIVE:
+                print(f"{name} [{label}]: exit code {code}", flush=True)
+                ended[label] = {"command": command, "exit_code": code, "wall_s": None}
             elif code != 0:
                 raise SystemExit(f"{name} [{label}]: exit code {code}")
             else:
                 times[label].append((seconds, peak))
     records = {}
     for label, done in times.items():
-        if label in stopped:
-            records[label] = {"command": command, "timeout_s": TIMEOUT_S, "wall_s": None}
+        if label in ended:
+            records[label] = ended[label]
             continue
         seconds = statistics.median(s for s, _ in done)
         peak = max(p for _, p in done)
@@ -204,6 +228,8 @@ def main(argv=None):
                         metavar="LABEL=DIR",
                         help="a label (e.g. parent or change) and the src directory to "
                              "import xyreg from; repeat it to compare trees")
+    parser.add_argument("--gen", type=int, nargs="*", default=list(GEN_SIZES),
+                        help="sizes of the gen runs")
     parser.add_argument("--sizes", type=int, nargs="*", default=list(SIZES),
                         help="certify sizes; those in %s are also rechecked" % (RECHECK_SIZES,))
     parser.add_argument("--hilbert", type=int, nargs="*", default=list(HILBERT_SIZES),
@@ -250,6 +276,11 @@ def main(argv=None):
                     outputs.append((label, name, runs[label][1] / output, read))
             return cases
 
+        for n in args.gen:
+            gen = f"gen-{n}.json"
+            case(f"gen n={n}", ["gen", "--n", str(n), "--format", "json", "--out", gen],
+                 gen, lambda data: {"sha256": hashlib.sha256(data).hexdigest(),
+                                    "bytes": len(data)})
         for n in args.sizes:
             cert = f"cert-{n}.json"
             cases = case(f"certify n={n}",
@@ -284,7 +315,7 @@ def main(argv=None):
             records[label]["cases"][name].update(read(path.read_bytes()))
 
     doc = json.loads(out.read_text()) if out.exists() else {
-        "what": "fresh-process wall time and peak RSS of xyreg certify/recheck/oracle runs; "
+        "what": "fresh-process wall time and peak RSS of xyreg gen/certify/recheck/oracle runs; "
                 "written by benchmarks/bench_e2e.py",
         "runs": {}}
     doc["runs"].update(records)

@@ -25,7 +25,7 @@ from .groebner import groebner_basis
 from .orders import ORDER_NAMES, MonomialOrder
 from .pattern import (GenericProduct, PatternSpec, build_ring, certify_pattern,
                       counterexample_2x2, recheck_certificate, selected_entries)
-from .poly import format_poly, parse_poly
+from .poly import _format_terms, format_poly, parse_poly
 from .regseq import greedy_extend, sequence_oracle
 from .ring import format_monomial
 
@@ -173,7 +173,8 @@ def cmd_gen(args):
     product = GenericProduct(n, field=field)
     payload = spec.to_json_dict()
     payload["selected"] = [
-        {"label": _entry_label(s, t), "polynomial": format_poly(product.entry(s, t))}
+        {"label": _entry_label(s, t),
+         "polynomial": _format_terms(field, product._terms(s, t), product.table)}
         for s, t in spec.positions
     ]
     payload["augmented"] = [

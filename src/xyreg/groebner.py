@@ -15,8 +15,8 @@ lead an earlier kept lead divides, serves :func:`reduce_basis`,
 A basis is its divisor state: one :class:`kernels.Divisors`, the kernel's
 flat divisor layout with packed order keys (:meth:`GroebnerBasis.flat_arrays`),
 holds every element once, each term as its key alone, and the basis keeps
-no second copy of it.  Its ``polys`` are decoded from the state's keys when
-first asked for (``kernels._rows``); :func:`normal_form` and the colon
+no second copy of it.  Its ``polys`` are decoded from the state's keys on
+each read, never kept (``kernels._rows``); :func:`normal_form` and the colon
 witness decode only the one polynomial they build.  The code that builds a basis
 grows that state as it goes and hands it over: :func:`buchberger` appends
 each new element, the kernel's remainder scaled to a leading 1, with the
@@ -93,14 +93,14 @@ class GroebnerBasis:
     polys must be nonzero (else UndefinedLeadError), lie in one ring (else
     the errors of :func:`normal_form`) and carry ``order`` (else
     OrderMismatchError).
-    ``polys`` is decoded from the state's keys when first asked for and
+    ``polys`` is decoded from the state's keys on each read, never
     kept.  ``stats`` is the :class:`PairStats` of
     the :func:`buchberger` run, or the :class:`SignatureStats` of the
     signature step, that produced the basis (carried through
     :func:`reduce_basis`), else None.
     """
 
-    __slots__ = ("order", "table", "field", "stats", "_divisors", "_polys")
+    __slots__ = ("order", "table", "field", "stats", "_divisors")
 
     def __init__(self, order, polys):
         polys = list(polys)
@@ -125,7 +125,7 @@ class GroebnerBasis:
 
     def _hold(self, order, table, field, divisors, stats=None):
         self.order, self.table, self.field, self.stats = order, table, field, stats
-        self._divisors, self._polys = divisors, None
+        self._divisors = divisors
 
     def __len__(self):
         return len(self._divisors)
@@ -135,12 +135,10 @@ class GroebnerBasis:
 
     @property
     def polys(self):
-        if self._polys is None:
-            div = self._divisors
-            self._polys = tuple(Polynomial(self.table, self.field, self.order,
-                                           kernels._rows(div, keys), coeffs)
-                                for keys, coeffs in map(div.element, range(len(div))))
-        return self._polys
+        div = self._divisors
+        return tuple(Polynomial(self.table, self.field, self.order,
+                                kernels._rows(div, keys), coeffs)
+                     for keys, coeffs in map(div.element, range(len(div))))
 
     def contains_unit(self):
         return not self._divisors.leads.any(axis=1).all()

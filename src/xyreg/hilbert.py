@@ -13,8 +13,10 @@ x_v^e, so I + x_v^e is x_v^e beside the generators free of x_v and
 N(I + x_v^e) = (1 - t^e) * N(those generators); I : x_v^e lowers the
 exponents of x_v.  Once no variable is shared by two generators,
 N(I) = prod (1 - t^deg m).  The recursion memoizes on the minimal
-generator set.  A numerator is a sparse {degree: coefficient} dict, so a
-generator of degree 2**31 costs one entry, not 2**31.
+generator set.  Inside the recursion a numerator is a sparse {degree:
+coefficient} dict, so a generator of degree 2**31 costs one entry there,
+not 2**31; :func:`hilbert_numerator` returns it dense, one coefficient per
+degree up to the top one, so its result does grow with the degree.
 
 A lead ideal grows one monomial at a time through N(J + m) = N(J) -
 t^deg(m) * N(J : m) (:class:`_LeadSeries`, one memo for every colon it

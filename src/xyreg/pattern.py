@@ -15,6 +15,12 @@ bare-divisible terms to expose the effective lead
     x[s, s+t-1] * y[s+t-1, t]      (t >= 2; x[s,s] * y[s,1] for t = 1),
 
 which is coprime to everything certified before it.
+
+An entry is built once, by :class:`GenericProduct`, as its n terms in
+descending paper order.  The certificate walk, its recheck and ``gen`` read
+those terms as they are, and only Groebner work (the oracles, search and the
+2x2 counterexample) turns them into a dense :class:`Polynomial`.  A certify
+or recheck run builds one product, so one variable table and one order.
 """
 
 from dataclasses import dataclass
@@ -45,15 +51,20 @@ def build_ring(n):
 
 
 class GenericProduct:
-    """Entries of X*Y over a fixed table and field, under the paper order,
-    with caching."""
+    """Entries of X*Y over one table and field, under the paper order.
+
+    An entry is built one way, as its terms in descending paper order
+    (:meth:`_terms`): the certificate walk and ``gen`` read those terms as
+    they are, and :meth:`entry` copies them into the dense exponent rows
+    that Groebner work needs.
+    """
 
     def __init__(self, n, field=None):
         self.n = n
         self.table = build_ring(n)
         self.field = field if field is not None else PrimeField(DEFAULT_PRIME)
         self.order = MonomialOrder.from_name("paper", n)
-        self._cache = {}
+        self._var = [(v, 1) for v in range(self.table.nvars)]
 
     def x(self, i, j):
         return Polynomial.variable(self.table, self.field, self.order,
@@ -63,21 +74,33 @@ class GenericProduct:
         return Polynomial.variable(self.table, self.field, self.order,
                                    self.table.slot("y", i, j))
 
+    def _terms(self, i, j):
+        """f[i,j]'s (coefficient, support) terms in descending paper order.
+
+        Every x ranks above every y in the paper order, so the terms
+        x[i,k]*y[k,j] rank by x[i,k]: the diagonal k = i first, then the
+        superdiagonals k = i+1..n, then the subdiagonal k = 1..i-1.  A
+        support's pair (v, 1) is ``_var[v]``, shared by every term that
+        uses slot v.
+        """
+        n, var, one = self.n, self._var, self.field.one
+        x = _xy_slot(n, "x", i, 1) - 1  # x[i,k] is slot x + k
+        y = _xy_slot(n, "y", 1, j) - n  # y[k,j] is slot y + k*n
+        return tuple((one, (var[x + k], var[y + k * n]))
+                     for k in (*range(i, n + 1), *range(1, i)))
+
     def entry(self, i, j):
-        """f[i,j] = sum_k x[i,k]*y[k,j]: homogeneous of degree 2, n terms."""
-        key = (i, j)
-        if key not in self._cache:
-            n = self.n
-            terms = []
-            one = self.field.one
-            for k in range(1, n + 1):
-                e = np.zeros(self.table.nvars, dtype=np.int64)
-                e[self.table.slot("x", i, k)] += 1
-                e[self.table.slot("y", k, j)] += 1
-                terms.append((one, e))
-            self._cache[key] = Polynomial.from_terms(self.table, self.field,
-                                                     self.order, terms)
-        return self._cache[key]
+        """f[i,j] = sum_k x[i,k]*y[k,j]: homogeneous of degree 2, n terms.
+
+        The rows are :meth:`_terms` in their order, which is descending
+        (the certificate walk's tail check confirms it at every step), so
+        nothing is sorted."""
+        terms = self._terms(i, j)
+        exps = np.zeros((self.n, self.table.nvars), dtype=np.int64)
+        for row, (_, support) in enumerate(terms):
+            exps[row, [v for v, _ in support]] = 1
+        return Polynomial(self.table, self.field, self.order, exps,
+                          self.field.array([c for c, _ in terms]))
 
 
 def column_limit(n, t):
@@ -147,45 +170,31 @@ def expected_effective_lead(n, s, t):
     return ((_xy_slot(n, "x", s, k), 1), (_xy_slot(n, "y", k, t), 1))
 
 
-def _empty_certificate(n, field):
-    """A "certified" certificate for the pattern of size n with no steps yet."""
+def _empty_certificate(product):
+    """A "certified" certificate for ``product``'s pattern with no steps yet."""
+    field = product.field
     if isinstance(field, PrimeField):
         field_spec = {"kind": "gfp", "prime": field.p}
     else:
         field_spec = {"kind": "rat"}
-    return RegularityCertificate(n=n, order_name="paper", field_spec=field_spec,
-                                 table=build_ring(n), steps=[],
+    return RegularityCertificate(n=product.n, order_name="paper", field_spec=field_spec,
+                                 table=product.table, steps=[],
                                  verdict="certified", note=PERMUTATION_NOTE)
 
 
-def _sparse_entry(table, field, order, i, j, var):
-    """f[i,j] as a SparsePolynomial in descending paper order, built in place.
+def _certified_steps(product):
+    """Certify ``product``'s augmented walk one step at a time, yielding
+    each step.
 
-    Every x ranks above every y in the paper order, so the terms
-    x[i,k]*y[k,j] rank by x[i,k]: the diagonal k = i first, then the
-    superdiagonals k = i+1..n, then the subdiagonal k = 1..i-1.  ``var[v]``
-    is the pair (v, 1), shared by every term that uses slot v.
+    Every element is built as a SparsePolynomial from the product's terms,
+    so the walk holds no dense exponent row, and it keeps the effective
+    leads, not the steps: a step the caller drops is freed.  Every computed
+    effective lead is checked against its prediction.  Raises
+    CertificationError at the first step that fails; the steps yielded
+    before it are certified.
     """
-    n, one = table.n, field.one
-    x = _xy_slot(n, "x", i, 1) - 1  # x[i,k] is slot x + k
-    y = _xy_slot(n, "y", 1, j) - n  # y[k,j] is slot y + k*n
-    terms = tuple((one, (var[x + k], var[y + k * n]))
-                  for k in (*range(i, n + 1), *range(1, i)))
-    return SparsePolynomial(table, field, order, terms)
-
-
-def _certified_steps(n, field):
-    """Certify the augmented walk one step at a time, yielding each step.
-
-    Every element is built as a SparsePolynomial, so the walk holds no dense
-    exponent row, and it keeps the effective leads, not the steps: a step
-    the caller drops is freed.  Every computed effective lead is checked
-    against its prediction.  Raises CertificationError at the first step
-    that fails; the steps yielded before it are certified.
-    """
-    order = MonomialOrder.from_name("paper", n)
-    table = build_ring(n)
-    var = [(v, 1) for v in range(table.nvars)]
+    n, table, field, order = product.n, product.table, product.field, product.order
+    var = product._var
     prior = _PriorLeads()
     for kind, a, t in PatternSpec.build(n).augmented:
         label = f"{kind}[{a},{t}]"
@@ -195,7 +204,7 @@ def _certified_steps(n, field):
             step = coprime_extend_element(prior, y, role=ROLE_BARE, label=label)
         else:
             role = ROLE_BASE if t == 1 else ROLE_TECHNICAL
-            entry = _sparse_entry(table, field, order, a, t, var)
+            entry = SparsePolynomial(table, field, order, product._terms(a, t))
             step = check_technical_step(prior, entry, role=role, label=label)
             predicted = expected_effective_lead(n, a, t)
             if step.effective_lead != predicted:
@@ -214,10 +223,10 @@ def certify_pattern(n, field=None):
     computed effective lead against its prediction.  Returns the full
     certificate; a failure on valid input would be a bug, and is reported
     as a failed verdict with the step index and violated condition."""
-    field = field if field is not None else PrimeField(DEFAULT_PRIME)
-    cert = _empty_certificate(n, field)
+    product = GenericProduct(n, field)
+    cert = _empty_certificate(product)
     try:
-        for step in _certified_steps(n, field):
+        for step in _certified_steps(product):
             cert.steps.append(step)
     except CertificationError as exc:
         cert.verdict = "failed"
@@ -274,9 +283,10 @@ def recheck_certificate(data):
     if (not isinstance(steps, list) or len(steps) < n * (n + 1) // 2
             or len(steps) != len(PatternSpec.build(n).augmented)):
         return "failed"
-    fresh = _empty_certificate(n, field)
+    product = GenericProduct(n, field)
+    fresh = _empty_certificate(product)
     try:
-        for claimed, step in zip(steps, _certified_steps(n, field)):
+        for claimed, step in zip(steps, _certified_steps(product)):
             if not fresh.step_matches(claimed, step):
                 return "failed"
     except CertificationError:

@@ -5,16 +5,17 @@ import subprocess
 import sys
 import weakref
 
+import numpy as np
 import pytest
 
 from xyreg.cli import main
-from xyreg.fields import PrimeField
-from xyreg.pattern import (GenericProduct, PatternSpec, _certified_steps, _sparse_entry,
-                           build_ring, certify_pattern, column_limit, counterexample_2x2,
+from xyreg.fields import QQ, PrimeField
+from xyreg.pattern import (GenericProduct, PatternSpec, _certified_steps, build_ring,
+                           certify_pattern, column_limit, counterexample_2x2,
                            expected_effective_lead, recheck_certificate, selected_entries,
                            selected_rows)
-from xyreg.poly import format_poly
-from xyreg.ring import _support, format_monomial
+from xyreg.poly import Polynomial, format_poly
+from xyreg.ring import format_monomial
 
 
 def test_build_ring():
@@ -171,24 +172,34 @@ def test_certificate_json_matches_golden_digests(tmp_path):
         assert recheck_certificate(json.loads(path.read_bytes())) == "certified", argv
 
 
+def _dense_entry(product, i, j):
+    """f[i,j] built the dense way: one zero row per term, sorted and merged
+    by Polynomial.from_terms."""
+    table, one = product.table, product.field.one
+    rows = []
+    for k in range(1, product.n + 1):
+        e = np.zeros(table.nvars, dtype=np.int64)
+        e[table.slot("x", i, k)] += 1
+        e[table.slot("y", k, j)] += 1
+        rows.append((one, e))
+    return Polynomial.from_terms(table, product.field, product.order, rows)
+
+
 def test_sparse_entries_match_the_product_entries(gf):
-    # the walk builds each entry already in descending paper order
-    for n in (2, 3, 5, 8):
-        product = GenericProduct(n, field=gf)
-        var = [(v, 1) for v in range(product.table.nvars)]
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                sparse = _sparse_entry(product.table, gf, product.order, i, j, var)
-                dense = product.entry(i, j)
-                assert sparse.terms == tuple(zip(dense.coeffs.tolist(),
-                                                 map(_support, dense.exps))), (n, i, j)
+    # entry copies the terms, built in descending paper order, with no sort
+    for field in (gf, QQ):
+        for n in (2, 3, 5, 8):
+            product = GenericProduct(n, field=field)
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    assert product.entry(i, j) == _dense_entry(product, i, j), (n, i, j)
 
 
 def test_the_walk_keeps_no_step_it_has_yielded(gf):
     # the walk keeps the effective leads, not the steps: once the caller
     # drops a step, nothing holds it
     refs = []
-    for step in _certified_steps(6, gf):
+    for step in _certified_steps(GenericProduct(6, gf)):
         refs.append(weakref.ref(step))
         assert all(ref() is None for ref in refs[:-1]), len(refs)
     del step
@@ -210,6 +221,21 @@ def test_certify_n64_peak_memory():
                          text=True, check=True)
     peak_mb = int(out.stdout) / 1024  # VmHWM is in kB
     assert peak_mb < 300, f"certify n=64 peaked at {peak_mb:.0f} MB"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_gen_n64_peak_memory(tmp_path):
+    # gen renders each entry from its terms and builds no dense row; the
+    # dense, cached builder peaked at about 1.2 GB
+    code = ("import sys; from xyreg.cli import main; "
+            "main(['gen', '--n', '64', '--format', 'json', '--out', sys.argv[1]]); "
+            "print(next(line.split()[1] for line in open('/proc/self/status') "
+            "if line.startswith('VmHWM:')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "gen.json")], env=env,
+                         capture_output=True, text=True, check=True)
+    peak_mb = int(out.stdout) / 1024  # VmHWM is in kB
+    assert peak_mb < 150, f"gen n=64 peaked at {peak_mb:.0f} MB"
 
 
 def test_counterexample(gf):
