@@ -25,18 +25,24 @@ the colon oracle's signature step (:func:`regseq.nonzerodivisor_colon`) the
 v-parts of its pairs.  So an element's keys are packed once, and only
 ``GroebnerBasis(order, polys)`` packs, at construction, unless the state
 widens: keys are narrow guarded fields whose width the state chooses, and
-every key that meets the state's keys (f in :func:`normal_form`, an
-S-pair's lcm) is packed by the state itself (``kernels.Divisors.pack``),
+every key that meets the state's keys is packed by the state itself,
 which first widens, repacking its elements' keys from the keys themselves,
-when the key would not fit.  A reduced basis,
+when the key would not fit: f in :func:`normal_form` through
+``kernels.Divisors.pack``, an S-pair's lcm from the two lead keys
+(``kernels.lead_lcm_key``).  A reduced basis,
 and the minimal basis of a colon step, keep only some of the elements they
 were built from: their state is a copy of those elements
 (``kernels.Divisors.take``).  An S-polynomial is never
 built as a polynomial; the kernel is seeded with the two shifted tails
 (:func:`kernels.reduce_spair`).  The pair heap is the pair loop's only
 per-pair state: when an element is appended, one numpy pass gives the lcm
-degrees of all its pairs with the earlier elements, the heap's keys, and a
-popped pair reads its lcm and coprimality from the two lead rows.  The
+degrees of all its pairs with the earlier elements, the heap's keys.  A
+popped pair reads its lcm key and its coprimality from the two lead keys,
+with a few integer operations and no numpy call
+(:func:`kernels.lead_lcm_key`, :func:`kernels.coprime_leads`); only the
+chain test reads the lcm as a row of the lead block.  Both are made at pop
+time, not at push time: the Hilbert oracle's dimension stop leaves most
+pushed pairs unpopped.  The
 pair loop is one generator, :func:`_buchberger_walk`: :func:`buchberger`
 drains it, and the Hilbert oracle (:func:`hilbert._first_difference`)
 reads the lead block at each degree boundary it yields and may stop early.
@@ -317,10 +323,14 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
                 f"degree budget {degree_budget} exceeded by a pair of degree {lcm_deg}",
                 pairs_considered=stats.considered, degree_reached=lcm_deg,
             )
-        leads = divisors.leads
-        if not np.minimum(leads[i], leads[j]).any():
+        # the lcm's key comes from the two lead keys, the state widened to
+        # hold it; under a graded order no term of the reduction outranks
+        # the lcm, so they all fit too
+        lcm_key = kernels.lead_lcm_key(divisors, i, j, lcm_deg)
+        if kernels.coprime_leads(divisors, i, j, lcm_key):
             stats.coprime += 1
             continue
+        leads = divisors.leads
         lcm = np.maximum(leads[i], leads[j])
         chained = False
         for k in np.flatnonzero((leads <= lcm).all(axis=1)).tolist():
@@ -333,10 +343,7 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
             stats.chain += 1
             continue
         stats.reduced += 1
-        # packing the lcm widens the state to hold it; under a graded order
-        # no term of the reduction outranks the lcm, so they all fit too
-        r_keys, r_coeffs = kernels.reduce_spair(field, i, j, divisors.pack(lcm[None])[0],
-                                                divisors)
+        r_keys, r_coeffs = kernels.reduce_spair(field, i, j, lcm_key, divisors)
         if len(r_coeffs) == 0:
             stats.zero += 1
             continue

@@ -14,7 +14,8 @@ tested against the divisor leads one at a time, in element order, and the
 first that divides it is taken.
 
 Packed keys: a term is one Python int, its packed key, and the key alone
-gives the term's order, its shift and the divisibility test.
+gives the term's order, its shift, the divisibility test, and the lcm
+of two terms and whether they are coprime.
 :func:`pack_keys` turns each row of order-key columns
 (``MonomialOrder.keys``) into one w-bit field per column, most significant
 first, holding the column plus a bias B = 2**(w-2); the top bit of each
@@ -27,16 +28,20 @@ iff ``((H | G) - L) & G == G`` under a lex-type order (fields B + e), and
 iff ``((L | G) - H) & Ge == Ge`` under grevlex (fields B + deg, then
 B - e), where Ge leaves out the degree field: a field's guard bit survives
 the subtraction iff the exponent of H is at least that of L, and no field
-borrows from the next.  Neither the working polynomial nor the divisor
+borrows from the next.  The same marks, spread over each field's value
+bits, choose each field of the lcm from one key or the other
+(:func:`lead_lcm_key`); two terms are coprime iff their lcm is their
+product (:func:`coprime_leads`).  Neither the working polynomial nor the divisor
 state keeps exponent rows: a remainder leaves the kernel as keys, and only
 code that builds a polynomial from keys decodes them (:func:`_rows`).
 
 Widths: a state packs at the narrowest w of 8, 16, 32 and 64 bits whose
 fields hold every key column of the state, |column| < B, and every key
 that meets the state's keys is packed at its width (:meth:`Divisors.pack`,
-which widens the state first when the rows do not fit).  A state widens,
-never narrows: it repacks every key from the key itself, decoded to its
-columns at the old width and packed at the new one
+which widens the state first when the rows do not fit, and
+:func:`lead_lcm_key`, which widens it first when a degree does not).  A
+state widens, never narrows: it repacks every key from the key itself,
+decoded to its columns at the old width and packed at the new one
 (:meth:`Divisors.repack`), and a reduction run again after widening
 repacks the key it was given (f's, an lcm's, a shift's) the same way.  Under
 grevlex no term of a reduction outranks the term it starts from (an
@@ -155,10 +160,12 @@ class Divisors:
     def fit(self, exps):
         """Widen, if need be, until the keys of the (m, nvars) exponent rows
         ``exps`` fit."""
-        top = int((exps.sum(axis=1) if self.order.graded else exps).max(initial=0))
-        width = next((w for w in _WIDTHS if top < 1 << (w - 2)), 2 * _WIDTHS[-1])
-        if width > self.width:
-            self._widen(width)
+        self._fit(int((exps.sum(axis=1) if self.order.graded else exps).max(initial=0)))
+
+    def _fit(self, top):
+        """Widen, if need be, until a key column of ``top`` fits."""
+        if top >= 1 << (self.width - 2):
+            self._widen(next((w for w in _WIDTHS if top < 1 << (w - 2)), 2 * _WIDTHS[-1]))
 
     def pack(self, exps):
         """The packed keys of the (m, nvars) exponent rows ``exps`` at this
@@ -376,11 +383,44 @@ def reduce_terms(field, f_keys, width, f_coeffs, div):
     return _widening(div, run)
 
 
+def lead_lcm_key(div, i, j, degree):
+    """The packed key of the lcm of the leads of elements i and j of
+    ``div``, whose total degree is ``degree``, read from their lead keys.
+
+    ``kept = ((a | G) - b) & G`` keeps the guard bit of each field where a
+    is at least b, and ``kept - (kept >> (w - 1))`` spreads each kept
+    guard bit over its field's value bits.  Under a lex-type order (fields
+    B + e) the lcm takes the larger field; under grevlex (fields B - e) the
+    smaller, behind the degree field B + ``degree``.  Under grevlex the
+    state widens first when ``degree`` does not fit its fields, as
+    :meth:`Divisors.fit` would for the lcm's exponent row."""
+    if div.order.graded:
+        div._fit(degree)
+    a, b, width = div.lead_keys[i], div.lead_keys[j], div.width
+    kept = ((a | div._guard) - b) & div._guard
+    mask = kept - (kept >> (width - 1))
+    if not div.order.graded:
+        return b ^ ((a ^ b) & mask)
+    top = div.order.nvars * width  # the degree field's lowest bit
+    smaller = a ^ ((a ^ b) & mask)
+    return (smaller & ((1 << top) - 1)) | (degree + (1 << (width - 2))) << top
+
+
+def coprime_leads(div, i, j, lcm_key):
+    """Whether the leads a and b of elements i and j of ``div`` share no
+    variable, given ``lcm_key``, the packed key of their lcm at the state's
+    width: iff their lcm is their product, whose key is a + b less the key
+    of 1.  No field carries on either side of the test, so it holds field
+    by field."""
+    return lcm_key + div._one == div.lead_keys[i] + div.lead_keys[j]
+
+
 def reduce_spair(field, i, j, lcm_key, div):
     """Fully reduce the S-polynomial (lcm/lead_i)*d_i - (lcm/lead_j)*d_j of
     elements i and j of ``div``, built from their tails alone (the leads
-    cancel); ``lcm_key`` is the packed key of the leads' lcm.  Returns what
-    :func:`reduce_terms` returns."""
+    cancel); ``lcm_key`` is the packed key of the leads' lcm at the state's
+    width (:func:`lead_lcm_key`).  Returns what :func:`reduce_terms`
+    returns."""
     width = div.width
 
     def run():

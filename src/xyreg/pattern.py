@@ -182,9 +182,9 @@ def _empty_certificate(product):
                                  verdict="certified", note=PERMUTATION_NOTE)
 
 
-def _certified_steps(product):
-    """Certify ``product``'s augmented walk one step at a time, yielding
-    each step.
+def _certified_steps(product, walk):
+    """Certify ``walk``, the augmented items of ``product``'s pattern
+    (``PatternSpec.augmented``), one step at a time, yielding each step.
 
     Every element is built as a SparsePolynomial from the product's terms,
     so the walk holds no dense exponent row, and it keeps the effective
@@ -196,7 +196,7 @@ def _certified_steps(product):
     n, table, field, order = product.n, product.table, product.field, product.order
     var = product._var
     prior = _PriorLeads()
-    for kind, a, t in PatternSpec.build(n).augmented:
+    for kind, a, t in walk:
         label = f"{kind}[{a},{t}]"
         if kind == "y":
             y = SparsePolynomial(table, field, order,
@@ -226,7 +226,7 @@ def certify_pattern(n, field=None):
     product = GenericProduct(n, field)
     cert = _empty_certificate(product)
     try:
-        for step in _certified_steps(product):
+        for step in _certified_steps(product, PatternSpec.build(n).augmented):
             cert.steps.append(step)
     except CertificationError as exc:
         cert.verdict = "failed"
@@ -280,13 +280,15 @@ def recheck_certificate(data):
     # every walk has at least n(n+1)/2 steps, so testing that first keeps the
     # work done before certifying within the size of the input
     steps = data["steps"]
-    if (not isinstance(steps, list) or len(steps) < n * (n + 1) // 2
-            or len(steps) != len(PatternSpec.build(n).augmented)):
+    if not isinstance(steps, list) or len(steps) < n * (n + 1) // 2:
+        return "failed"
+    walk = PatternSpec.build(n).augmented
+    if len(steps) != len(walk):
         return "failed"
     product = GenericProduct(n, field)
     fresh = _empty_certificate(product)
     try:
-        for claimed, step in zip(steps, _certified_steps(product)):
+        for claimed, step in zip(steps, _certified_steps(product, walk)):
             if not fresh.step_matches(claimed, step):
                 return "failed"
     except CertificationError:

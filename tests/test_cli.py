@@ -8,6 +8,7 @@ import time
 import pytest
 
 from xyreg.cli import main
+from xyreg.pattern import PatternSpec
 
 
 def run(capsys, *argv):
@@ -292,6 +293,18 @@ def test_recheck_genuine_certificates(capsys, tmp_path):
         assert code == 0 and out == "verdict: certified\n", argv
     code, out, _ = run(capsys, "recheck", "--input", str(path), "--format", "json")
     assert code == 0 and json.loads(out) == {"verdict": "certified"}
+
+
+def test_certify_and_recheck_build_the_pattern_once(capsys, tmp_path, monkeypatch):
+    build = PatternSpec.build.__func__
+    calls = []
+    monkeypatch.setattr(PatternSpec, "build",
+                        classmethod(lambda cls, n: calls.append(n) or build(cls, n)))
+    path = certificate_file(capsys, tmp_path, "--n", "5")
+    assert calls == [5]
+    calls.clear()
+    assert run(capsys, "recheck", "--input", str(path))[:2] == (0, "verdict: certified\n")
+    assert calls == [5]
 
 
 def test_recheck_forged_certificate(capsys, tmp_path):

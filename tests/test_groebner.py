@@ -279,6 +279,7 @@ def test_normal_form_rejects_a_basis_over_another_field(basis_field):
 PAIR_STATS = {
     ("n3", 3, False): (78, 45, 8, 25, 17),
     ("full3x3", 3, True): (1770, 807, 663, 300, 249),
+    ("n4", 4, False): (595, 357, 125, 113, 86),
 }
 
 

@@ -441,6 +441,45 @@ def test_a_state_widens_from_its_stored_keys_alone(name, table, order, monkeypat
     assert np.array_equal(kernels._rows(div, div.keys), rows)
 
 
+LCM_ORDERS = {"lex": MonomialOrder.lex(6), "grevlex": MonomialOrder.grevlex(6),
+              "permuted-lex": MonomialOrder((4, 1, 5, 0, 3, 2)),
+              "permuted-grevlex": MonomialOrder((4, 1, 5, 0, 3, 2), graded=True)}
+
+
+@pytest.mark.parametrize("name", LCM_ORDERS)
+def test_the_lcm_key_and_coprimality_of_two_leads_match_their_rows(name):
+    order = LCM_ORDERS[name]
+    rng = np.random.default_rng(list(name.encode()))
+    coprime = []
+    for top in (2, 4, 12, 40, 2**13, 2**29):  # exponent ranges across the widths
+        shape = (10, order.nvars)
+        rows = rng.integers(1, top, size=shape) * (rng.random(shape) < 0.4)
+        div = Divisors(order)
+        for row in rows:
+            div.append(div.pack(row[None]), [1])
+        for i, j in itertools.combinations(range(len(rows)), 2):
+            lcm = np.maximum(rows[i], rows[j])
+            key = kernels.lead_lcm_key(div, i, j, int(lcm.sum()))
+            width = div.width
+            assert key == div.pack(lcm[None])[0]
+            assert div.width == width  # the helper widened as far as packing needs
+            coprime.append(kernels.coprime_leads(div, i, j, key))
+            assert coprime[-1] == (not np.minimum(rows[i], rows[j]).any())
+    assert 0 < sum(coprime) < len(coprime) / 2
+    # leads of degree 42 and 24 fit 8-bit fields; their lcm, of degree 64,
+    # does not
+    leads = np.zeros((2, order.nvars), dtype=np.int64)
+    leads[0, 0], leads[1, 1], leads[:, 5] = 40, 22, 2
+    div = Divisors(order)
+    for lead in leads:
+        div.append(div.pack(lead[None]), [1])
+    assert div.width == 8
+    key = kernels.lead_lcm_key(div, 0, 1, 64)
+    assert div.width == (16 if order.graded else 8)
+    assert key == div.pack(np.maximum(*leads)[None])[0]
+    assert kernels._rows(div, [key])[0].tolist() == [40, 22, 0, 0, 0, 2]
+
+
 def numpy_bytes(div):
     """The bytes of every numpy array a state holds."""
     return sum(value.nbytes for value in vars(div).values() if isinstance(value, np.ndarray))

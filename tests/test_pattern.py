@@ -199,11 +199,12 @@ def test_the_walk_keeps_no_step_it_has_yielded(gf):
     # the walk keeps the effective leads, not the steps: once the caller
     # drops a step, nothing holds it
     refs = []
-    for step in _certified_steps(GenericProduct(6, gf)):
+    walk = PatternSpec.build(6).augmented
+    for step in _certified_steps(GenericProduct(6, gf), walk):
         refs.append(weakref.ref(step))
         assert all(ref() is None for ref in refs[:-1]), len(refs)
     del step
-    assert len(refs) == len(PatternSpec.build(6).augmented)
+    assert len(refs) == len(walk)
     assert refs[-1]() is None
 
 
