@@ -6,6 +6,10 @@ included):
 
 * ``python -c "import xyreg.cli"`` alone, the cold-start cost every run
   pays, always recorded (``import`` row),
+* ``xyreg.cli.main`` called ``INPROCESS_CALLS`` times in one interpreter
+  on each of ``INPROCESS_CASES``, the cost a caller that runs the CLI
+  in-process pays per call (the median call; the first call, which builds
+  the parser, is recorded apart), always recorded (``in-process`` rows),
 * ``gen --n N --format json`` for each N in ``--gen``, with the sha256 of
   its JSON,
 * ``certify --n N --format json`` for each N in ``--sizes``,
@@ -76,6 +80,29 @@ EXIT_INCONCLUSIVE = 3  # xyreg's exit code for a run out of memory
 REPEAT_BELOW_S = 5.0  # a case whose first run is faster runs REPEATS times
 REPEATS = 3
 IMPORT_ARGS = ["-c", "import xyreg.cli"]  # the cold-start row
+INPROCESS_CALLS = 50
+INPROCESS_CASES = (
+    ("in-process certify n=16",
+     ["certify", "--n", "16", "--format", "json", "--out", "inprocess-certify-16.json"]),
+    ("in-process oracle hilbert n=4",
+     ["oracle", "--method", "hilbert", "--n", "4", "--format", "json",
+      "--out", "inprocess-hilbert-4.json"]),
+)
+
+# argv (JSON) and a call count -> the first call's and the median call's seconds
+INPROCESS_CODE = """
+import json, statistics, sys, time
+import xyreg.cli
+argv, calls = json.loads(sys.argv[1]), int(sys.argv[2])
+times = []
+for _ in range(calls):
+    start = time.perf_counter()
+    code = xyreg.cli.main(list(argv))
+    times.append(time.perf_counter() - start)
+    if code != 0:
+        sys.exit(f"exit code {code}")
+print(json.dumps({"first_s": times[0], "median_s": statistics.median(times)}))
+"""
 
 STAMP_CODE = """
 import json, sys, numpy, xyreg
@@ -208,11 +235,44 @@ def run_case(runs, name, args, command):
     return records
 
 
+def cli_command(argv):
+    """``xyreg argv`` as recorded, its file arguments named FILE."""
+    return " ".join(["xyreg"] + ["FILE" if prev in ("--out", "--input") else a
+                                 for prev, a in zip([""] + argv, argv)])
+
+
 def cli_case(runs, name, argv):
-    """:func:`run_case` for ``xyreg argv``, its file arguments named FILE."""
-    command = " ".join(["xyreg"] + ["FILE" if prev in ("--out", "--input") else a
-                                    for prev, a in zip([""] + argv, argv)])
-    return run_case(runs, name, ["-m", "xyreg.cli", *argv], command)
+    """:func:`run_case` for ``xyreg argv``."""
+    return run_case(runs, name, ["-m", "xyreg.cli", *argv], cli_command(argv))
+
+
+def inprocess_case(runs, name, argv):
+    """The per-call time of ``xyreg.cli.main(argv)`` under every label of
+    ``runs``: one child per label and round runs it ``INPROCESS_CALLS``
+    times, labels alternating as in :func:`run_case`.  Returns, per label,
+    the median over rounds of each child's median call and first call."""
+    timings = {label: [] for label in runs}
+    for round_ in range(REPEATS):
+        for label in list(runs)[::1 if round_ % 2 == 0 else -1]:
+            src, cwd = runs[label]
+            proc = subprocess.run(
+                [sys.executable, "-c", INPROCESS_CODE, json.dumps(argv), str(INPROCESS_CALLS)],
+                cwd=cwd, env=child_env(src), preexec_fn=limit_address_space,
+                capture_output=True, text=True, timeout=TIMEOUT_S)
+            if proc.returncode != 0:
+                raise SystemExit(f"{name} [{label}]: {proc.stderr.strip()}")
+            timings[label].append(json.loads(proc.stdout))
+    command = cli_command(argv)
+    records = {}
+    for label, done in timings.items():
+        per_call = statistics.median(t["median_s"] for t in done)
+        first = statistics.median(t["first_s"] for t in done)
+        print(f"{name} [{label}]: {per_call * 1e3:.2f} ms a call (first {first * 1e3:.2f} ms, "
+              f"{len(done)} x {INPROCESS_CALLS} calls)", flush=True)
+        records[label] = {"command": f"{command}, {INPROCESS_CALLS} calls in one process",
+                          "per_call_s": round(per_call, 5), "first_call_s": round(first, 5),
+                          "rounds_per_call_s": [round(t["median_s"], 5) for t in done]}
+    return records
 
 
 def labelled_src(text):
@@ -267,6 +327,8 @@ def main(argv=None):
         for _, cwd in runs.values():
             cwd.mkdir()
         add("import", run_case(runs, "import", IMPORT_ARGS, 'python -c "import xyreg.cli"'))
+        for name, argv in INPROCESS_CASES:
+            add(name, inprocess_case(runs, name, argv))
 
         def case(name, argv, output, read):
             cases = cli_case(runs, name, argv)

@@ -12,9 +12,13 @@ Exit codes: 0 the checked property holds, 1 it fails, 2 usage error,
 3 inconclusive (a resource budget, or memory, ran out before an answer
 was reached), 4 an internal cross-check failed, so there is no verdict.
 All emissions are UTF-8 and newline-terminated.
+``main`` builds its parser once per process, on its first call (importing
+the module builds none), and reuses it: each parse fills a fresh
+namespace, so no call sees another's flags.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -62,7 +66,10 @@ FLAGS = {
 BUDGETS = ("budget-pairs", "budget-degree")
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built on the first call and shared by
+    every later one, ``main``'s among them, so no caller may change it."""
     parser = argparse.ArgumentParser(
         prog="xyreg",
         description="Regular sequences among the entries of a generic matrix product.",

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -7,6 +8,7 @@ import time
 
 import pytest
 
+from xyreg import cli
 from xyreg.cli import main
 from xyreg.pattern import PatternSpec
 
@@ -124,8 +126,6 @@ def test_oracle_budget_inconclusive(capsys):
 
 
 def test_an_out_of_memory_run_is_inconclusive(capsys, monkeypatch):
-    import xyreg.cli as cli
-
     def exhausted(*args, **kwargs):
         raise MemoryError
 
@@ -277,6 +277,45 @@ def test_flags_belong_to_their_subcommand(capsys):
     assert run(capsys, "gen", "--n", "2", "--method", "colon")[0] == 2
     assert run(capsys, "counterexample", "--n", "2")[0] == 2
     assert run(capsys, "recheck", "--n", "2")[0] == 2
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(capsys, monkeypatch):
+    run(capsys, "gen", "--n", "2")  # builds the parser if no earlier call has
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, "oracle", "--method", "nope")[0] == 2
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: xyreg")
+    code, out, _ = run(capsys, "oracle", "--n", "3", "--method", "colon", "--format", "json")
+    assert code == 0 and json.loads(out)["method"] == "colon"
+    code, out, _ = run(capsys, "oracle", "--n", "3", "--format", "json")
+    assert code == 0 and json.loads(out)["method"] == "hilbert"  # the default comes back
+    assert run(capsys, "certify", "--n", "3", "--order", "lex")[0] == 2
+    assert built == []
+
+
+def test_importing_the_cli_builds_no_parser():
+    # a fresh interpreter, so that no earlier import or call has built one;
+    # building the parser afterwards shows that the counter counts
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: built.append(self) or init(self, *a, **k)\n"
+            "import xyreg.cli\n"
+            "print(len(built))\n"
+            "xyreg.cli.build_parser()\n"
+            "print(len(built))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["0", str(1 + len(cli.SUBCOMMANDS))]
 
 
 def certificate_file(capsys, tmp_path, *argv):

@@ -436,6 +436,14 @@ def test_cli_transcript(argv, code, out, err, written, workdir, monkeypatch):
     assert transcript(argv) == (code, out, err, written)
 
 
+def test_the_table_holds_again_in_reverse_order(workdir, monkeypatch):
+    # ``prepare`` has run ``main`` in this process, so every case, usage
+    # errors included, goes through a parser an earlier call has used
+    monkeypatch.chdir(workdir)
+    assert [transcript(argv) for argv, *_ in reversed(GOLDEN)] == \
+        [tuple(expected) for _, *expected in reversed(GOLDEN)]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         prepare(Path(tmp))
