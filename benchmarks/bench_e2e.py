@@ -28,8 +28,11 @@ minutes.  A case whose first runs all take under ``REPEAT_BELOW_S`` seconds
 runs ``REPEATS`` rounds in fresh processes, the order of the labels
 alternating from round to round, and records each label's median wall time
 (and its largest peak); one run of a sub-second case moves by about a tenth
-of a second from run to run.  Each label's runs are recorded in a
-``BENCH_<date>.json`` file, with the Python and numpy versions,
+of a second from run to run.  A case whose first runs all take under
+``WARM_UP_BELOW_S`` seconds, and every in-process case, runs one more
+round first, a warm-up that is not recorded: the first round of a short
+case often ran 30-70 % slower than the next two.  Each label's runs are
+recorded in a ``BENCH_<date>.json`` file, with the Python and numpy versions,
 ``xyreg.active_backend()``, the processor, the label's ``src/xyreg`` code
 lines (lines holding code, not docstrings, comments or blanks) and the
 sha256 of every certificate and report, so the labels compare like for
@@ -79,6 +82,7 @@ ADDRESS_LIMIT = 4 * 2**30  # RLIMIT_AS of every child, in bytes
 EXIT_INCONCLUSIVE = 3  # xyreg's exit code for a run out of memory
 REPEAT_BELOW_S = 5.0  # a case whose first run is faster runs REPEATS times
 REPEATS = 3
+WARM_UP_BELOW_S = 1.0  # a case whose first run is faster gets an unrecorded warm-up round
 IMPORT_ARGS = ["-c", "import xyreg.cli"]  # the cold-start row
 INPROCESS_CALLS = 50
 INPROCESS_CASES = (
@@ -196,16 +200,18 @@ def run_case(runs, name, args, command):
     of one case are timed seconds apart, not a whole benchmark apart.
 
     One round, or ``REPEATS`` when every first run took under
-    ``REPEAT_BELOW_S`` s; odd rounds take the labels in reverse order.
+    ``REPEAT_BELOW_S`` s, and then, when every first run took under
+    ``WARM_UP_BELOW_S`` s, that first round is a warm-up: it is not
+    recorded and ``REPEATS`` more follow.  Odd rounds take the labels in
+    reverse order.
     Returns, per label, the record naming the run ``command`` with the
     median wall time, the largest peak RSS and every run's time, or, for a
     label whose run was killed or ran out of memory (exit 3), a record with
     no wall time.  Any other non-zero exit ends the benchmark."""
     times = {label: [] for label in runs}
     ended = {}  # label -> the record of its run that gave no time
-    for round_ in range(REPEATS):
-        if round_ and any(done[0][0] >= REPEAT_BELOW_S for done in times.values() if done):
-            break
+
+    def one_round(round_):
         for label in list(runs)[::1 if round_ % 2 == 0 else -1]:
             if label in ended:
                 continue
@@ -220,6 +226,16 @@ def run_case(runs, name, args, command):
                 raise SystemExit(f"{name} [{label}]: exit code {code}")
             else:
                 times[label].append((seconds, peak))
+
+    one_round(0)
+    firsts = [done[0][0] for done in times.values() if done]
+    rounds = REPEATS if all(s < REPEAT_BELOW_S for s in firsts) else 1
+    if all(s < WARM_UP_BELOW_S for s in firsts):
+        for done in times.values():
+            done.clear()  # that round was the warm-up
+        rounds += 1
+    for round_ in range(1, rounds):
+        one_round(round_)
     records = {}
     for label, done in times.items():
         if label in ended:
@@ -249,10 +265,11 @@ def cli_case(runs, name, argv):
 def inprocess_case(runs, name, argv):
     """The per-call time of ``xyreg.cli.main(argv)`` under every label of
     ``runs``: one child per label and round runs it ``INPROCESS_CALLS``
-    times, labels alternating as in :func:`run_case`.  Returns, per label,
-    the median over rounds of each child's median call and first call."""
+    times, labels alternating as in :func:`run_case`, after one warm-up
+    round that is not recorded.  Returns, per label, the median over rounds
+    of each child's median call and first call."""
     timings = {label: [] for label in runs}
-    for round_ in range(REPEATS):
+    for round_ in range(REPEATS + 1):  # round 0 is the warm-up
         for label in list(runs)[::1 if round_ % 2 == 0 else -1]:
             src, cwd = runs[label]
             proc = subprocess.run(
@@ -261,7 +278,8 @@ def inprocess_case(runs, name, argv):
                 capture_output=True, text=True, timeout=TIMEOUT_S)
             if proc.returncode != 0:
                 raise SystemExit(f"{name} [{label}]: {proc.stderr.strip()}")
-            timings[label].append(json.loads(proc.stdout))
+            if round_:
+                timings[label].append(json.loads(proc.stdout))
     command = cli_command(argv)
     records = {}
     for label, done in timings.items():

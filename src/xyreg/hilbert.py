@@ -12,11 +12,16 @@ exponent among them.  Every generator using x_v is then a multiple of
 x_v^e, so I + x_v^e is x_v^e beside the generators free of x_v and
 N(I + x_v^e) = (1 - t^e) * N(those generators); I : x_v^e lowers the
 exponents of x_v.  Once no variable is shared by two generators,
-N(I) = prod (1 - t^deg m).  The recursion memoizes on the minimal
-generator set.  Inside the recursion a numerator is a sparse {degree:
-coefficient} dict, so a generator of degree 2**31 costs one entry there,
-not 2**31; :func:`hilbert_numerator` returns it dense, one coefficient per
-degree up to the top one, so its result does grow with the degree.
+N(I) = prod (1 - t^deg m).  Before any pivot, the generators that are
+variables split off: when J' uses no variable of S,
+N(<x_S> + J') = (1 - t)^|S| * N(J') (D. Bayer and M. Stillman,
+*Computation of Hilbert functions*, J. Symbolic Comput. 14, 1992), read
+off binomially, so a colon ideal of variables alone costs no pivot.  The
+recursion memoizes on the minimal generator set.  Inside the recursion a
+numerator is a sparse {degree: coefficient} dict, so a generator of
+degree 2**31 costs one entry there, not 2**31; :func:`hilbert_numerator`
+returns it dense, one coefficient per degree up to the top one, so its
+result does grow with the degree.
 
 A lead ideal grows one monomial at a time through N(J + m) = N(J) -
 t^deg(m) * N(J : m) (:class:`_LeadSeries`, one memo for every colon it
@@ -36,16 +41,21 @@ numerator with a few exact sums (:func:`_codimension`).
 Inside the recursion every monomial is one Python int: variable i owns the
 bit field of w = 8, 16, 32, 64, ... bits starting at bit i*w, whose top
 bit is a guard bit kept clear, and w grows with the largest exponent
-(w = 32 at the parser's limit 2**31 - 1).  With G the mask of all guard bits and LOW
-the mask of each field's lowest bit, g divides m iff ((m | G) - g) & G == G
-(no field borrows from its neighbour, and a field's guard bit survives iff
-m_i >= g_i); the colon m : p keeps the fields of (m | G) - p whose guard
-bit survived; and ((m | G) - LOW) & G marks the support of m.  The field
-values of an int (and so its degree, or per-variable counts of a sum of
-supports) are its bytes read as an array of w-bit words (shifted out one
-by one past w = 64).  A divisor is
-never larger than its multiple as an int, so sorting ascending puts
-divisors first and minimalizing is one sorted pass.
+(w = 32 at the parser's limit 2**31 - 1).  With G the mask of all guard
+bits and LOW the mask of each field's lowest bit, g divides m iff
+((m | G) - g) & G == G (no field borrows from its neighbour, and a field's
+guard bit survives iff m_i >= g_i); the colon m : p keeps the fields of
+(m | G) - p whose guard bit survived; and ((m | G) - LOW) & G marks the
+support of m.  A variable is one set bit at a field's lowest bit,
+m & (m - 1) == 0 and m & LOW != 0 (x_v^2 is one set bit too, one place
+up); for the sum lin of some variables, (lin << w) - lin masks their whole
+fields.  The field values of an int (and so its degree, or per-variable
+counts of a sum of supports) are its bytes read as an array of w-bit
+words (shifted out one by one past w = 64).  A divisor is never larger
+than its multiple as an int, so sorting ascending puts divisors first and
+minimalizing is one sorted pass, over the generators that meet no
+variable's field among them: a variable is minimal and makes every other
+generator that uses it redundant.
 
 A graded quotient and its lead-term quotient share a Hilbert series, so
 composing buchberger -> lead_ideal -> numerator yields the series of an
@@ -88,6 +98,16 @@ def _axpy(a, b, e, scale):
         else:
             del out[d]
     return out
+
+
+def _times_one_minus_t(numerator, c):
+    """The sparse polynomial numerator * (1 - t)^c, expanded binomially."""
+    out = {}
+    for k in range(c + 1):
+        b = -comb(c, k) if k & 1 else comb(c, k)
+        for d, v in numerator.items():
+            out[d + k] = out.get(d + k, 0) + b * v
+    return {d: v for d, v in out.items() if v}
 
 
 def _dense(numerator):
@@ -143,13 +163,35 @@ class _Packing:
         return diff & (kept - (kept >> self.top))
 
 
-def _minimalize(gens, guard):
+def _variables(gens, pk):
+    """The generators among ``gens`` that are one variable to the first
+    power, and the mask of those variables' whole fields.  Such a generator
+    is one set bit at a field's lowest bit (x_v^2 is one bit too, but not
+    at the lowest)."""
+    low = pk.low
+    variables = [m for m in gens if not m & (m - 1) and m & low]
+    lin = sum(variables)
+    return variables, (lin << (pk.top + 1)) - lin
+
+
+def _minimalize(gens, pk):
+    """The ascending minimal generators of <gens> under the packing ``pk``.
+    A variable is always minimal, and every other generator that uses it is
+    not, so only the generators free of the variables among ``gens`` go
+    through the pairwise divisibility pass."""
+    gens = set(gens)
+    if 0 in gens:
+        return (0,)  # the unit ideal
+    variables, used = _variables(gens, pk)
     out = []
-    for m in sorted(set(gens)):
+    guard = pk.guard
+    for m in sorted(m for m in gens if not m & used):
         mg = m | guard
         if not any((mg - g) & guard == guard for g in out):
             out.append(m)
-    return tuple(out)
+    # sorted, so that one ideal is one memo key: a variable in a high field
+    # is a larger int than a product of low-field variables
+    return tuple(sorted(variables + out)) if variables else tuple(out)
 
 
 def _numerator(gens, memo, pk):
@@ -159,10 +201,15 @@ def _numerator(gens, memo, pk):
     res = memo.get(gens)
     if res is not None:
         return res
+    variables, used = _variables(gens, pk)
     if not gens:
         res = {0: 1}
     elif gens[0] == 0:
         res = {}  # 1 lies in the ideal: the quotient is zero
+    elif variables:
+        # N(<x_S> + J') = (1 - t)^|S| * N(J'): the minimal J' uses no x_S
+        rest = tuple(m for m in gens if not m & used)
+        res = _times_one_minus_t(_numerator(rest, memo, pk), len(variables))
     else:
         counts = pk.counts(gens)
         most = max(counts)
@@ -175,8 +222,7 @@ def _numerator(gens, memo, pk):
             powers = [(m >> shift) & bits for m in gens]
             e = min(a for a in powers if a)
             free = tuple(m for m, a in zip(gens, powers) if not a)
-            colon = _minimalize([m - (min(a, e) << shift) for m, a in zip(gens, powers)],
-                                pk.guard)
+            colon = _minimalize([m - (min(a, e) << shift) for m, a in zip(gens, powers)], pk)
             res = _numerator(free, memo, pk)
             res = _axpy(_axpy(res, res, e, -1), _numerator(colon, memo, pk), e, 1)
     memo[gens] = res
@@ -194,7 +240,7 @@ def hilbert_numerator(monomials, nvars):
         raise ValueError("exponents must be non-negative")
     pk = _Packing(max((len(g) for g in gens), default=0),
                   max((e for g in gens for e in g), default=0))
-    gens = _minimalize([pk.pack(g) for g in gens], pk.guard)
+    gens = _minimalize([pk.pack(g) for g in gens], pk)
     return HilbertData(_dense(_numerator(gens, {}, pk)), nvars)
 
 
@@ -222,7 +268,7 @@ class _LeadSeries:
             self.memo = {}  # its keys are packed the old way
         pk = self.pk
         m = pk.pack(row)
-        colon = _minimalize([pk.colon(g, m) for g in self.gens], pk.guard)
+        colon = _minimalize([pk.colon(g, m) for g in self.gens], pk)
         if colon and colon[0] == 0:
             return  # m lies in J already
         self.numerator = _axpy(self.numerator, _numerator(colon, self.memo, pk),

@@ -200,11 +200,19 @@ class Divisors:
 
     def take(self, chosen):
         """A new state of the elements ``chosen`` (a sequence of indices) of
-        this one, in that order, at this state's width."""
+        this one, in that order, at this state's width.  The lead rows are
+        copied from the lead block, not decoded from the keys again."""
         out = Divisors(self.order)
         out._set_width(self.width)
+        chosen = list(chosen)
+        if chosen:
+            out._leads = self._leads[chosen]
         for k in chosen:
-            out.append(*self.element(k))
+            keys, coeffs = self.element(k)
+            out.keys.extend(keys)
+            out.coeffs.extend(coeffs)
+            out.starts.append(len(out.keys))
+            out.lead_keys.append(keys[0])
         return out
 
 

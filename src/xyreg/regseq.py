@@ -656,8 +656,9 @@ class _MonomialIdeal:
 
     def _pack(self, a):
         per = len(self.shifts)
-        a = np.pad(a, ((0, 0), (0, self.words * per - a.shape[1]))).astype(np.uint64)
-        return np.bitwise_or.reduce(a.reshape(len(a), self.words, per) << self.shifts, axis=2)
+        block = np.zeros((len(a), self.words * per), dtype=np.uint64)
+        block[:, :a.shape[1]] = a
+        return np.bitwise_or.reduce(block.reshape(len(a), self.words, per) << self.shifts, axis=2)
 
     def contains(self, rows):
         """For each exponent row, whether some generator row divides it."""

@@ -298,3 +298,68 @@ def test_codimension_is_the_least_cover_of_the_supports():
     assert _codimension(_complete_intersection([2, 3, 1]), 3) == 3
     assert _codimension({0: 1}, 3) == 0  # the zero ideal
     assert _codimension({}, 3) == 4  # the unit ideal: every sum vanishes
+
+
+def minimal_generators(gens):
+    """The generators that no other generator divides, duplicates dropped."""
+    gens = set(map(tuple, gens))
+    return {g for g in gens
+            if not any(h != g and all(a <= b for a, b in zip(h, g)) for h in gens)}
+
+
+# (nvars, generators): ideals holding variables, each beside a trap
+VARIABLE_CASES = {
+    # x_v^2 and x_v^4 are one set bit as well, but not at a field's low bit
+    "pure powers": (4, [(2, 0, 0, 0), (0, 4, 0, 0), (0, 0, 1, 0), (1, 1, 0, 1), (0, 0, 0, 2)]),
+    "pure powers alone": (2, [(2, 0), (0, 4)]),
+    # x_5 packs to a larger int than x_0*x_1, so variables do not sort first
+    "last field variable": (6, [(1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (0, 1, 1, 0, 0, 0),
+                                (1, 0, 1, 0, 0, 0), (2, 0, 0, 1, 0, 0), (1, 0, 0, 0, 0, 1),
+                                (0, 0, 0, 1, 1, 3)]),
+    "all variables": (5, [(0, 0, 0, 0, 1), (1, 0, 0, 0, 0), (0, 0, 1, 0, 0)]),
+    "every variable": (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    "variables beside free generators": (6, [(1, 0, 0, 0, 0, 0), (0, 0, 2, 1, 0, 0),
+                                             (0, 1, 1, 0, 0, 0), (0, 0, 1, 3, 0, 0),
+                                             (0, 0, 0, 0, 1, 0), (0, 2, 0, 1, 0, 1)]),
+    "variables and their multiples": (4, [(1, 1, 0, 0), (3, 0, 1, 0), (1, 0, 0, 0),
+                                          (0, 0, 1, 0), (0, 1, 0, 2), (0, 0, 2, 2)]),
+    "a variable beside a 2**20 power": (3, [(2**20, 0, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)]),
+    "zero ideal": (3, []),
+    "unit ideal": (3, [(0, 0, 0)]),
+    "unit ideal and variables": (3, [(1, 0, 0), (0, 0, 0), (0, 0, 1)]),
+}
+
+
+def lead_series_checked(rows, nvars):
+    """Grow a _LeadSeries row by row; after each row its numerator is the
+    Taylor numerator and its generators the minimal generators so far."""
+    series = _LeadSeries(nvars)
+    for at, row in enumerate(rows, start=1):
+        series.add(list(row))
+        assert series.numerator == taylor_numerator(rows[:at]), rows[:at]
+        assert {tuple(series.pk.fields(g)) for g in series.gens} \
+            == minimal_generators(rows[:at]), rows[:at]
+    return series
+
+
+@pytest.mark.parametrize("name", VARIABLE_CASES)
+def test_variables_split_off_agree_with_independent_counts(name):
+    nvars, gens = VARIABLE_CASES[name]
+    hd = hilbert_numerator(gens, nvars)
+    assert {d: c for d, c in enumerate(hd.numerator) if c} == taylor_numerator(gens)
+    assert series_coefficients(hd, 6) == [count_standard_monomials(gens, nvars, d)
+                                          for d in range(7)]
+    for rows in (gens, gens[::-1]):
+        series = lead_series_checked(rows, nvars)
+        assert HilbertData(_dense(series.numerator), nvars) == hd
+
+
+def test_a_lead_series_holding_variables_widens_past_8_bit_fields():
+    rows = [(1, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 1, 1, 0, 0), (0, 0, 2, 3, 0),
+            (0, 200, 0, 0, 0),  # past 127: 16-bit fields
+            (0, 1, 0, 1, 0), (0, 0, 130, 1, 0), (0, 0, 1, 0, 0), (0, 0, 0, 300, 0)]
+    series = lead_series_checked(rows, 5)
+    assert series.pk.value_bits == 2**15 - 1
+    assert {tuple(series.pk.fields(g)) for g in series.gens} \
+        == {(1, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 1, 0, 0), (0, 200, 0, 0, 0),
+            (0, 1, 0, 1, 0), (0, 0, 0, 300, 0)}

@@ -441,6 +441,36 @@ def test_a_state_widens_from_its_stored_keys_alone(name, table, order, monkeypat
     assert np.array_equal(kernels._rows(div, div.keys), rows)
 
 
+@pytest.mark.parametrize("name,table,order",
+                         [case for case in order_cases() if case[0] in WIDENING_IDS],
+                         ids=WIDENING_IDS)
+def test_a_taken_state_holds_the_lead_rows_of_its_lead_keys(name, table, order):
+    """``take`` copies the chosen rows of the lead block; they are the rows
+    the taken lead keys decode to, also once the source has widened, and
+    growing the taken state leaves the source as it was."""
+    rng = np.random.default_rng(list(name.encode()))
+    rows = np.unique(rows_near_the_limit(rng, order, 30, 8), axis=0)
+    div = Divisors(order)
+    for at in range(0, len(rows), 3):
+        element = rows[at:at + 3][order.sort_desc(rows[at:at + 3])]
+        div.append(div.pack(element), list(range(at + 1, at + 1 + len(element))))
+    for wider in (None, 16, 64):
+        if wider:
+            div._widen(wider)
+        leads = div.leads.copy()
+        for chosen in ((), (3,), range(len(div) - 1, -1, -1), range(0, len(div), 2)):
+            taken = div.take(chosen)
+            assert taken.width == div.width
+            assert [taken.element(j) for j in range(len(taken))] \
+                == [div.element(k) for k in chosen]
+            assert np.array_equal(taken.leads, leads[list(chosen)])
+            assert_keys_are_clean(taken)
+            for k in range(len(div)):  # past the copied block's capacity
+                taken.append(*div.element(k))
+            assert_keys_are_clean(taken)
+            assert np.array_equal(div.leads, leads)
+
+
 LCM_ORDERS = {"lex": MonomialOrder.lex(6), "grevlex": MonomialOrder.grevlex(6),
               "permuted-lex": MonomialOrder((4, 1, 5, 0, 3, 2)),
               "permuted-grevlex": MonomialOrder((4, 1, 5, 0, 3, 2), graded=True)}
