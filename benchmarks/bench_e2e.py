@@ -18,7 +18,8 @@ included):
   and ``oracle --method colon`` for each N in ``--colon``, with the verdict
   and the sha256 of the report (and a Hilbert report's detail lines),
 * ``search --method hilbert|colon --n N --format json`` for each N in
-  ``--search``, with the accepted entries and the sha256 of the report.
+  ``--search``, under each method of ``--search-method`` (both by
+  default), with the accepted entries and the sha256 of the report.
 
 Each run's peak resident memory comes from the child process itself
 (``os.wait4``).  Every case runs once for each ``--src LABEL=DIR``, label
@@ -77,6 +78,7 @@ RECHECK_SIZES = (32, 48, 64, 96, 128)
 HILBERT_SIZES = (4, 5, 6)
 COLON_SIZES = (3, 4, 5, 6, 7)
 SEARCH_SIZES = (3, 4)
+SEARCH_METHODS = ("colon", "hilbert")
 TIMEOUT_S = 900  # a run still going after this is killed and recorded as stopped
 ADDRESS_LIMIT = 4 * 2**30  # RLIMIT_AS of every child, in bytes
 EXIT_INCONCLUSIVE = 3  # xyreg's exit code for a run out of memory
@@ -315,7 +317,10 @@ def main(argv=None):
     parser.add_argument("--colon", type=int, nargs="*", default=list(COLON_SIZES),
                         help="sizes of the colon oracle runs")
     parser.add_argument("--search", type=int, nargs="*", default=list(SEARCH_SIZES),
-                        help="sizes of the search runs, each with both methods")
+                        help="sizes of the search runs, each under every --search-method")
+    parser.add_argument("--search-method", choices=SEARCH_METHODS, action="append",
+                        help="a method of the search runs; repeat it for both "
+                             "(default: both)")
     parser.add_argument("--note", default="", help="free text stored with every label's run")
     parser.add_argument("--out", default=None,
                         help="output file (default BENCH_<today>.json at the repository root)")
@@ -384,7 +389,7 @@ def main(argv=None):
                      **({"details": json.loads(data)["details"]} if method == "hilbert" else {}),
                      "sha256": hashlib.sha256(data).hexdigest()})
         for n in args.search:
-            for method in ("colon", "hilbert"):
+            for method in args.search_method or SEARCH_METHODS:
                 report = f"search-{method}-{n}.json"
                 case(f"search {method} n={n}",
                      ["search", "--method", method, "--n", str(n), "--format", "json",

@@ -1,7 +1,8 @@
 """Multivariate division, Buchberger's algorithm, reduced bases, normal forms.
 
-Pair selection is deterministic: the pending pair with the smallest lcm
-total degree comes first, ties broken by smallest (i, j).  Both standard
+Pair selection is deterministic: the pending pair (i, j), i < j, with the
+smallest lcm total degree comes first, ties going to the newest pair, the
+largest i and then the largest j.  Both standard
 elimination criteria (coprime leads, chain) are applied, and every basis
 element is stored monic, so the reduced basis coming out of
 :func:`reduce_basis` is canonical whatever the generator order.  The
@@ -39,13 +40,22 @@ per-pair state: when an element is appended, one numpy pass gives the lcm
 degrees of all its pairs with the earlier elements, the heap's keys.  A
 popped pair reads its lcm key and its coprimality from the two lead keys,
 with a few integer operations and no numpy call
-(:func:`kernels.lead_lcm_key`, :func:`kernels.coprime_leads`); only the
-chain test reads the lcm as a row of the lead block.  Both are made at pop
-time, not at push time: the Hilbert oracle's dimension stop leaves most
-pushed pairs unpopped.  The
+(:func:`kernels.lead_lcm_key`, :func:`kernels.coprime_leads`), and the
+chain test scans the lead keys for leads that divide that lcm with the
+kernel's divisibility test (:func:`kernels._first_divisor`).  These are
+made at pop time, not at push time: the Hilbert oracle's dimension stop
+leaves most pushed pairs unpopped.  A heap entry holds i and j negated,
+one shared int per element, not two new ints per pair.  The
 pair loop is one generator, :func:`_buchberger_walk`: :func:`buchberger`
 drains it, and the Hilbert oracle (:func:`hilbert._first_difference`)
-reads the lead block at each degree boundary it yields and may stop early.
+reads the lead block at each degree boundary it yields, may stop early,
+and sends back a quota: how many new leads the next degree can still gain.
+Once appended elements have used it up, that degree is complete and its
+remaining pairs, which reduce to zero, are skipped unreduced (Traverso,
+*Hilbert functions and the Buchberger algorithm*, J. Symbolic Comput. 22,
+1996).  Newest pairs first is what lets the skip save work: with the
+smallest (i, j) first, the pair that gave a degree's last new lead was
+the last of its degree to be popped.
 The basis that :func:`buchberger` returns records its :class:`PairStats`;
 the signature step records :class:`SignatureStats`.
 """
@@ -65,13 +75,17 @@ from .ring import Monomial
 class PairStats:
     """What :func:`buchberger` did with its critical pairs: how many it
     considered, pruned as coprime, pruned by the chain criterion, reduced,
-    and how many of those reduced to zero."""
+    and how many of those reduced to zero; and, in a run whose caller sends
+    quotas (:func:`_buchberger_walk`), how many it skipped because their
+    degree was complete.  Each considered pair is counted in exactly one
+    of coprime, chain, reduced and skipped."""
 
     considered: int = 0
     coprime: int = 0
     chain: int = 0
     reduced: int = 0
     zero: int = 0
+    skipped: int = 0
 
 
 @dataclass
@@ -279,6 +293,13 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
     lead block of the basis so far (a view, valid until the loop resumes);
     for homogeneous input the leads then generate the lead ideal through
     degree d.  It yields (None, leads) once every pair is done.
+
+    The caller may ``send`` back a quota q at a boundary d: at most q new
+    leads are still to come in degree d + 1.  Each appended element uses
+    one, and once none is left the remaining pairs of that degree are
+    counted as considered and skipped, not reduced
+    (:func:`hilbert._first_difference`); a quota of None, what ``next``
+    sends, skips nothing.
     """
     gens = list(gens)
     if order is None:
@@ -291,14 +312,16 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
 
     field, table = gens[0].field, gens[0].table
     divisors = kernels.Divisors(order)
-    heap = []  # (lcm degree, i, j) per pair not yet taken
-    pending = set()  # the pairs (i, j) in the heap
+    heap = []  # (lcm degree, -i, -j) per pair (i, j) not yet taken
+    pending = set()  # (-i, -j) per pair (i, j) in the heap
+    minus = []  # minus[k] = -k: one int per element, shared by its entries
 
     def push_pairs(j):
-        leads = divisors.leads
-        for i, lcm_deg in enumerate(np.maximum(leads[:j], leads[j]).sum(axis=1).tolist()):
-            heapq.heappush(heap, (lcm_deg, i, j))
-            pending.add((i, j))
+        minus.append(-j)
+        mj, leads = minus[j], divisors.leads
+        for mi, lcm_deg in zip(minus, np.maximum(leads[:j], leads[j]).sum(axis=1).tolist()):
+            heapq.heappush(heap, (lcm_deg, mi, mj))
+            pending.add((mi, mj))
 
     for j, p in enumerate(gens):
         divisors.append(divisors.pack(p.exps), p.coeffs)
@@ -306,12 +329,13 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
 
     stats = PairStats()
     done = -1  # every pair of lcm degree <= done has been taken
+    quota = None  # how many new leads degree done + 1 can still gain, if sent
     while heap:
         if heap[0][0] > done + 1:
             done = heap[0][0] - 1
-            yield done, divisors.leads
-        lcm_deg, i, j = heapq.heappop(heap)
-        pending.discard((i, j))
+            quota = yield done, divisors.leads
+        lcm_deg, mi, mj = heapq.heappop(heap)
+        pending.discard((mi, mj))
         stats.considered += 1
         if pair_budget is not None and stats.considered > pair_budget:
             raise BudgetExceededError(
@@ -323,6 +347,10 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
                 f"degree budget {degree_budget} exceeded by a pair of degree {lcm_deg}",
                 pairs_considered=stats.considered, degree_reached=lcm_deg,
             )
+        if quota == 0:  # the degree is complete: the pair reduces to zero
+            stats.skipped += 1
+            continue
+        i, j = -mi, -mj
         # the lcm's key comes from the two lead keys, the state widened to
         # hold it; under a graded order no term of the reduction outranks
         # the lcm, so they all fit too
@@ -330,16 +358,13 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
         if kernels.coprime_leads(divisors, i, j, lcm_key):
             stats.coprime += 1
             continue
-        leads = divisors.leads
-        lcm = np.maximum(leads[i], leads[j])
-        chained = False
-        for k in np.flatnonzero((leads <= lcm).all(axis=1)).tolist():
-            if k in (i, j):
-                continue
-            if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
-                chained = True
-                break
-        if chained:
+        # the chain test: a lead k dividing the lcm whose pairs with i and
+        # with j are both taken
+        k = kernels._first_divisor(divisors, lcm_key)
+        while k >= 0 and (k == i or k == j or (-min(i, k), -max(i, k)) in pending
+                          or (-min(j, k), -max(j, k)) in pending):
+            k = kernels._first_divisor(divisors, lcm_key, k + 1)
+        if k >= 0:
             stats.chain += 1
             continue
         stats.reduced += 1
@@ -349,6 +374,8 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
             continue
         divisors.append(r_keys, _monic(field, r_coeffs))
         push_pairs(len(divisors) - 1)
+        if quota is not None:
+            quota -= 1
 
     yield None, divisors.leads
     return GroebnerBasis._of(order, table, field, divisors, stats)

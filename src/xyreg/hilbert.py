@@ -38,6 +38,22 @@ Cohen-Macaulay; Bruns-Herzog, *Cohen-Macaulay Rings*, ch. 2).  dim R/L is N
 minus the multiplicity of t = 1 as a root of N(L), read off the sparse
 numerator with a few exact sums (:func:`_codimension`).
 
+At each degree boundary d that neither stop ends, the oracle sends the pair
+loop a quota, q = HF(R/L)(d+1) - CI(d+1) (HF the Hilbert function, CI the
+complete intersection's): at most q new leads are still to come in degree
+d + 1, and once the elements appended there have used them up, the loop
+skips the degree's remaining pairs unreduced (Traverso, *Hilbert functions
+and the Buchberger algorithm*, J. Symbolic Comput. 22, 1996).  It is sound:
+L lies in in(I), so HF(R/L) >= HF(R/I); the first nonzero coefficient of
+HS(R/I) - CI is positive (along the colon sequence D_i = (1 - t^d_i)
+D_{i-1} + t^d_i HS((J:f_i)/J)), and every degree <= d agrees, so
+HF(R/I)(d+1) >= CI(d+1); and a new element of degree d + 1, reduced by
+every lead, adds one monomial of degree d + 1 to L and lowers HF(R/L)(d+1)
+by exactly 1.  At q = 0, HF(R/L)(d+1) = HF(R/I)(d+1): L holds in(I) in
+degree d + 1, so every pair left there reduces to zero.  A negative q
+contradicts these bounds and raises CrossCheckError.  The lead ideal at
+every boundary is the one without the skip, so every report is too.
+
 Inside the recursion every monomial is one Python int: variable i owns the
 bit field of w = 8, 16, 32, 64, ... bits starting at bit i*w, whose top
 bit is a guard bit kept clear, and w grows with the largest exponent
@@ -330,15 +346,19 @@ def _first_difference(polys, order, degrees, **budget):
     are compared through degree d, and a difference ends the run; then the
     codimension of the lead ideal so far is read from its numerator, and
     codimension k = len(degrees) ends it: the lead ideal lies in in(I),
-    whose codimension Krull's height theorem bounds by k.  A run that ends
-    first has no difference exactly when its whole lead ideal has
-    codimension k; that agreement is checked.
+    whose codimension Krull's height theorem bounds by k.  Else the pair
+    loop is sent the quota of degree d + 1 (see the module docstring).  A
+    run that ends first has no difference exactly when its whole lead ideal
+    has codimension k; that agreement is checked.
     """
     nvars, k = order.nvars, len(degrees)
     expected = _complete_intersection(degrees)
     series = _LeadSeries(nvars)
     absorbed = 0
-    for done, leads in _buchberger_walk(polys, order, **budget):
+    walk = _buchberger_walk(polys, order, **budget)
+    quota = None
+    while True:
+        done, leads = walk.send(quota)
         for row in leads[absorbed:].tolist():
             series.add(row)
         absorbed = len(leads)
@@ -356,6 +376,13 @@ def _first_difference(polys, order, degrees, **budget):
             return _Dimension(max(map(series.pk.degree, series.gens)), len(series.gens))
         if reached:
             return _Dimension(done, len(series.gens))
+        # every degree <= done agrees, so the new leads degree done + 1 can
+        # still gain are at most HF(R/L) - HF(R/I) <= HF(R/L) - CI there
+        quota = _hilbert_function(computed, nvars, done + 1) - \
+            _hilbert_function(expected, nvars, done + 1)
+        if quota < 0:
+            raise CrossCheckError(f"degree {done + 1} has more leads than the "
+                                  "complete-intersection series allows")
 
 
 def hilbert_series_quotient(gens, order=None, **budget):

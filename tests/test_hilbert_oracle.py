@@ -13,10 +13,12 @@ import json
 import random
 import re
 from itertools import zip_longest
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from xyreg import groebner, hilbert, kernels
 from xyreg.cli import main
 from xyreg.errors import BudgetExceededError
 from xyreg.fields import PrimeField
@@ -28,6 +30,7 @@ from xyreg.poly import Polynomial, format_poly
 from xyreg.regseq import sequence_oracle
 from xyreg.ring import Monomial, VariableTable
 
+from conftest import grevlex_entries
 from test_hilbert import complete_intersection, series_at
 
 FULL_3X3_LINE = "degree 5: Hilbert function 16758, complete intersection 16722"
@@ -187,3 +190,89 @@ def test_a_budget_the_dimension_stop_fits_in_gives_the_verdict(capsys):
     assert json.loads(capsys.readouterr().out)["details"] == [line]
     assert main(argv + ["--budget-pairs", "23"]) == 3
     assert capsys.readouterr().err.startswith("inconclusive: pair budget 23 exhausted")
+
+
+# (n, all n^2 entries, pairs the oracle's walk skips): the 2x2 entries
+# differ from the complete intersection in degree 4, before any degree fills
+QUOTA_CASES = {"n3": (3, False, 10), "n4": (4, False, 192), "n5": (5, False, 885),
+               "full3x3": (3, True, 33), "2x2": (2, True, 0)}
+
+
+def recorded_walks(monkeypatch, forward):
+    """Put a recording walk in the oracle's place: each run records its
+    inner walk, every boundary it yields (with a copy of the lead block)
+    and every quota sent back, and hands the inner walk those quotas when
+    ``forward``, else None."""
+    runs = []
+
+    def walk(*args, **kwargs):
+        run = SimpleNamespace(inner=groebner._buchberger_walk(*args, **kwargs),
+                              boundaries=[], quotas=[])
+        runs.append(run)
+        quota = None
+        while True:
+            done, leads = run.inner.send(quota if forward else None)
+            run.boundaries.append((done, leads.copy()))
+            quota = yield done, leads
+            run.quotas.append(quota)
+
+    monkeypatch.setattr(hilbert, "_buchberger_walk", walk)
+    return runs
+
+
+def drained(walk):
+    """The basis a walk returns once it runs on with no quota."""
+    try:
+        while True:
+            walk.send(None)
+    except StopIteration as end:
+        return end.value
+
+
+@pytest.mark.parametrize("case", list(QUOTA_CASES))
+def test_the_quota_skips_only_pairs_that_reduce_to_zero(gf, monkeypatch, case):
+    """The oracle's walk, run with its quotas and with none, has the same
+    lead block at every boundary up to the stop and gives the same report;
+    run on to the end, the two walks build the same basis."""
+    n, full, skipped = QUOTA_CASES[case]
+    seq, _ = grevlex_entries(gf, n, full)
+    reports, runs = [], []
+    for forward in (True, False):
+        with monkeypatch.context() as patch:
+            walks = recorded_walks(patch, forward)
+            reports.append(sequence_oracle(seq, "hilbert"))
+        runs += walks
+    assert reports[0] == reports[1]
+    quota_run, plain_run = runs
+    assert len(quota_run.boundaries) == len(plain_run.boundaries)
+    for (done, leads), (plain_done, plain_leads) in zip(quota_run.boundaries,
+                                                        plain_run.boundaries):
+        assert done == plain_done
+        assert np.array_equal(leads, plain_leads)
+    assert quota_run.quotas == plain_run.quotas
+    assert all(q >= 0 for q in quota_run.quotas)
+    quota_gb, plain_gb = drained(quota_run.inner), drained(plain_run.inner)
+    assert quota_gb.polys == plain_gb.polys
+    stats, plain = quota_gb.stats, plain_gb.stats
+    assert stats.considered == stats.coprime + stats.chain + stats.reduced + stats.skipped
+    assert (stats.skipped, plain.skipped) == (skipped, 0)
+    assert stats.considered == plain.considered
+    assert stats.reduced - stats.zero == plain.reduced - plain.zero
+
+
+@pytest.mark.parametrize("n, full, reductions", [(3, False, 14), (4, False, 62),
+                                                 (3, True, 278)])
+def test_the_hilbert_workload_reduces_fewer_spairs(gf, monkeypatch, n, full, reductions):
+    """The S-pair reductions of the oracle on the selected n=3 and n=4
+    entries and all nine 3x3 entries: 20, 100 and 294 before the quota."""
+    calls = []
+    reduce_spair = kernels.reduce_spair
+
+    def counted(*args):
+        calls.append(args)
+        return reduce_spair(*args)
+
+    monkeypatch.setattr(kernels, "reduce_spair", counted)
+    seq, _ = grevlex_entries(gf, n, full)
+    sequence_oracle(seq, "hilbert")
+    assert len(calls) == reductions
