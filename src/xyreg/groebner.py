@@ -1,6 +1,6 @@
 """Multivariate division, Buchberger's algorithm, reduced bases, normal forms.
 
-Pair selection is deterministic: the pending pair (i, j), i < j, with the
+Pair selection is deterministic: the untaken pair (i, j), i < j, with the
 smallest lcm total degree comes first, ties going to the newest pair, the
 largest i and then the largest j.  Both standard
 elimination criteria (coprime leads, chain) are applied, and every basis
@@ -35,14 +35,18 @@ and the minimal basis of a colon step, keep only some of the elements they
 were built from: their state is a copy of those elements
 (``kernels.Divisors.take``).  An S-polynomial is never
 built as a polynomial; the kernel is seeded with the two shifted tails
-(:func:`kernels.reduce_spair`).  The pair heap is the pair loop's only
-per-pair state: when an element is appended, one numpy pass gives the lcm
-degrees of all its pairs with the earlier elements, the heap's keys.  A
-popped pair reads its lcm key and its coprimality from the two lead keys,
-with a few integer operations and no numpy call
-(:func:`kernels.lead_lcm_key`, :func:`kernels.coprime_leads`), and the
-chain test scans the lead keys for leads that divide that lcm with the
-kernel's divisibility test (:func:`kernels._first_divisor`).  These are
+(:func:`kernels.reduce_spair`).  The pair loop's state is the pair heap
+and one int per element, the bit set of the elements whose pair with it
+has been taken; nothing else is kept per pair.  When an element is
+appended, one numpy pass gives the lcm degrees of all its pairs with the
+earlier elements, the heap's keys.  Every pair is pushed then, so a pair
+not in the heap is a taken one.  A popped pair reads its lcm key and its
+coprimality from the two lead keys, with a few integer operations and no
+numpy call (:func:`kernels.lead_lcm_key`, :func:`kernels.coprime_leads`),
+and the chain test (Buchberger's second criterion: a lead k dividing the
+lcm of leads i and j, with the pairs {i, k} and {j, k} both taken) reads
+only the leads the intersection of the two elements' bit sets names, with
+the kernel's divisibility test (:func:`kernels.divides_any`).  These are
 made at pop time, not at push time: the Hilbert oracle's dimension stop
 leaves most pushed pairs unpopped.  A heap entry holds i and j negated,
 one shared int per element, not two new ints per pair.  The
@@ -313,15 +317,18 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
     field, table = gens[0].field, gens[0].table
     divisors = kernels.Divisors(order)
     heap = []  # (lcm degree, -i, -j) per pair (i, j) not yet taken
-    pending = set()  # (-i, -j) per pair (i, j) in the heap
     minus = []  # minus[k] = -k: one int per element, shared by its entries
+    # bit i of taken[k] is set once the pair {i, k} is taken: every pair is
+    # pushed when its second element is appended, so a pair not in the heap
+    # is a taken one
+    taken = []
 
     def push_pairs(j):
         minus.append(-j)
+        taken.append(0)
         mj, leads = minus[j], divisors.leads
         for mi, lcm_deg in zip(minus, np.maximum(leads[:j], leads[j]).sum(axis=1).tolist()):
             heapq.heappush(heap, (lcm_deg, mi, mj))
-            pending.add((mi, mj))
 
     for j, p in enumerate(gens):
         divisors.append(divisors.pack(p.exps), p.coeffs)
@@ -335,7 +342,11 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
             done = heap[0][0] - 1
             quota = yield done, divisors.leads
         lcm_deg, mi, mj = heapq.heappop(heap)
-        pending.discard((mi, mj))
+        i, j = -mi, -mj
+        # taken before any check: a skipped or coprime pair is a chain
+        # witness too
+        taken[i] |= 1 << j
+        taken[j] |= 1 << i
         stats.considered += 1
         if pair_budget is not None and stats.considered > pair_budget:
             raise BudgetExceededError(
@@ -350,7 +361,6 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
         if quota == 0:  # the degree is complete: the pair reduces to zero
             stats.skipped += 1
             continue
-        i, j = -mi, -mj
         # the lcm's key comes from the two lead keys, the state widened to
         # hold it; under a graded order no term of the reduction outranks
         # the lcm, so they all fit too
@@ -359,12 +369,9 @@ def _buchberger_walk(gens, order, pair_budget=None, degree_budget=None):
             stats.coprime += 1
             continue
         # the chain test: a lead k dividing the lcm whose pairs with i and
-        # with j are both taken
-        k = kernels._first_divisor(divisors, lcm_key)
-        while k >= 0 and (k == i or k == j or (-min(i, k), -max(i, k)) in pending
-                          or (-min(j, k), -max(j, k)) in pending):
-            k = kernels._first_divisor(divisors, lcm_key, k + 1)
-        if k >= 0:
+        # with j are both taken (no element pairs with itself, so the set
+        # never holds i or j)
+        if kernels.divides_any(divisors, lcm_key, taken[i] & taken[j]):
             stats.chain += 1
             continue
         stats.reduced += 1

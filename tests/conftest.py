@@ -56,15 +56,20 @@ def entries_2x2(field, order=None):
     return entries if order is None else [p.resort(order) for p in entries]
 
 
-def grevlex_entries(field, n, full):
+def product_entries(field, n, full, order):
     """All n^2 product entries (full) or the selected ones, resorted to
-    grevlex over the 2n^2 slots; returns (entries, order)."""
+    ``order``, an order over the 2n^2 slots."""
     from xyreg.pattern import GenericProduct, selected_entries
 
-    order = MonomialOrder.grevlex(2 * n * n)
     if full:
         product = GenericProduct(n, field=field)
         gens = [product.entry(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     else:
         gens = selected_entries(n, field=field)
-    return [g.resort(order) for g in gens], order
+    return [g.resort(order) for g in gens]
+
+
+def grevlex_entries(field, n, full):
+    """:func:`product_entries` under grevlex; returns (entries, order)."""
+    order = MonomialOrder.grevlex(2 * n * n)
+    return product_entries(field, n, full, order), order

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import entries_2x2, grevlex_entries, random_poly
+from conftest import entries_2x2, grevlex_entries, product_entries, random_poly
 from xyreg.errors import (BudgetExceededError, DimensionError, OrderMismatchError,
                           UndefinedLeadError)
 from xyreg.fields import PrimeField, QQ
@@ -18,7 +18,7 @@ from xyreg.orders import MonomialOrder
 from xyreg.pattern import GenericProduct
 from xyreg.poly import Polynomial, format_poly, parse_poly
 from xyreg.regseq import nonzerodivisor_colon
-from xyreg.ring import VariableTable, format_monomial
+from xyreg.ring import Monomial, VariableTable, format_monomial
 
 
 @pytest.fixture
@@ -299,6 +299,61 @@ def test_buchberger_records_its_pair_counts(gf, key):
     assert stats.reduced - stats.zero == len(gb) - len(gens)
     assert reduce_basis(gb).stats == stats
     assert groebner_basis(gens, order).stats == stats
+
+
+# the same counts under the lex-type orders, whose lcm keys and chain scan
+# take the other branch of each key test: (order, n, all n^2 entries)
+LEX_PAIR_STATS = {
+    ("lex", 2, True): (28, 11, 3, 14, 10),
+    ("lex", 3, False): (231, 93, 70, 68, 51),
+    ("lex", 3, True): (1770, 807, 663, 300, 249),
+    ("paper", 2, True): (15, 8, 0, 7, 5),
+    ("paper", 3, False): (36, 24, 2, 10, 6),
+    ("paper", 3, True): (703, 326, 198, 179, 150),
+}
+
+
+@pytest.mark.parametrize("key", list(LEX_PAIR_STATS),
+                         ids=lambda k: f"{k[0]}-{'all' if k[2] else 'n'}{k[1]}")
+def test_buchberger_records_its_pair_counts_under_lex_type_orders(gf, key):
+    name, n, full = key
+    order = MonomialOrder.from_name(name, n)
+    stats = buchberger(product_entries(gf, n, full, order), order).stats
+    counts = (stats.considered, stats.coprime, stats.chain, stats.reduced, stats.zero)
+    assert (counts, stats.skipped) == (LEX_PAIR_STATS[key], 0)
+
+
+def random_homogeneous_system(rng, table, field, order):
+    """Two to four polynomials, each of one degree from 1 to 3, of one to
+    four terms in the variables of ``table`` with coefficients from 1 to
+    50, so none is zero in a characteristic above 200."""
+    nvars, system = table.nvars, []
+    for _ in range(rng.randint(2, 4)):
+        degree = rng.randint(1, 3)
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            exps = [0] * nvars
+            for _ in range(degree):
+                exps[rng.randrange(nvars)] += 1
+            terms.append((field.coerce(rng.randint(1, 50)), Monomial(np.array(exps))))
+        system.append(Polynomial.from_terms(table, field, order, terms))
+    return system
+
+
+def test_buchberger_pair_counts_on_random_homogeneous_systems(gf):
+    """One digest of the PairStats of 300 seeded random systems in three to
+    five variables under lex, grevlex and a permuted lex order."""
+    rng = random.Random(32)
+    digest = hashlib.sha256()
+    for trial in range(300):
+        nvars = rng.randint(3, 5)
+        table = VariableTable([f"v{k}" for k in range(nvars)])
+        order = (MonomialOrder.lex(nvars), MonomialOrder.grevlex(nvars),
+                 MonomialOrder(tuple(range(nvars))[::-1]))[trial % 3]
+        stats = buchberger(random_homogeneous_system(rng, table, gf, order), order).stats
+        digest.update(repr((stats.considered, stats.coprime, stats.chain,
+                            stats.reduced, stats.zero)).encode())
+    assert digest.hexdigest()[:16] == "db14711fa6c6621e"
 
 
 def bases_of_every_kind(field):

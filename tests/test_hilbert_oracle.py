@@ -12,6 +12,7 @@ reference's, and a not-regular detail line too.
 import json
 import random
 import re
+from dataclasses import astuple
 from itertools import zip_longest
 from types import SimpleNamespace
 
@@ -192,18 +193,33 @@ def test_a_budget_the_dimension_stop_fits_in_gives_the_verdict(capsys):
     assert capsys.readouterr().err.startswith("inconclusive: pair budget 23 exhausted")
 
 
-# (n, all n^2 entries, pairs the oracle's walk skips): the 2x2 entries
-# differ from the complete intersection in degree 4, before any degree fills
-QUOTA_CASES = {"n3": (3, False, 10), "n4": (4, False, 192), "n5": (5, False, 885),
-               "full3x3": (3, True, 33), "2x2": (2, True, 0)}
+# (n, all n^2 entries, the PairStats of the oracle's walk where the oracle
+# stops, and once it is drained: considered, coprime, chain, reduced, zero,
+# skipped).  The 2x2 entries differ from the complete intersection in
+# degree 4, before any degree fills.  Drained, a skipped pair is a chain
+# witness for later pairs: n4 prunes 35 pairs by the chain criterion, not
+# 78, if skipped pairs are not counted as taken.
+QUOTA_CASES = {"n3": (3, False, (24, 0, 0, 14, 6, 10), (78, 41, 8, 19, 11, 10)),
+               "n4": (4, False, (254, 0, 0, 62, 35, 192), (595, 250, 78, 75, 48, 192)),
+               "n5": (5, False, (1024, 0, 0, 139, 82, 885), (2211, 934, 228, 164, 107, 885)),
+               "full3x3": (3, True, (519, 110, 98, 278, 227, 33),
+                           (1770, 791, 662, 284, 233, 33)),
+               "2x2": (2, True, (17, 2, 1, 14, 10, 0), (28, 11, 3, 14, 10, 0))}
 
 
 def recorded_walks(monkeypatch, forward):
     """Put a recording walk in the oracle's place: each run records its
-    inner walk, every boundary it yields (with a copy of the lead block)
-    and every quota sent back, and hands the inner walk those quotas when
-    ``forward``, else None."""
-    runs = []
+    inner walk, every boundary it yields (with a copy of the lead block),
+    the inner walk's pair counts there, and every quota sent back, and
+    hands the inner walk those quotas when ``forward``, else None."""
+    runs, made = [], []
+
+    class RecordedStats(groebner.PairStats):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(groebner, "PairStats", RecordedStats)
 
     def walk(*args, **kwargs):
         run = SimpleNamespace(inner=groebner._buchberger_walk(*args, **kwargs),
@@ -213,6 +229,7 @@ def recorded_walks(monkeypatch, forward):
         while True:
             done, leads = run.inner.send(quota if forward else None)
             run.boundaries.append((done, leads.copy()))
+            run.counts = astuple(made[-1])
             quota = yield done, leads
             run.quotas.append(quota)
 
@@ -234,7 +251,7 @@ def test_the_quota_skips_only_pairs_that_reduce_to_zero(gf, monkeypatch, case):
     """The oracle's walk, run with its quotas and with none, has the same
     lead block at every boundary up to the stop and gives the same report;
     run on to the end, the two walks build the same basis."""
-    n, full, skipped = QUOTA_CASES[case]
+    n, full, counts, drained_counts = QUOTA_CASES[case]
     seq, _ = grevlex_entries(gf, n, full)
     reports, runs = [], []
     for forward in (True, False):
@@ -250,12 +267,13 @@ def test_the_quota_skips_only_pairs_that_reduce_to_zero(gf, monkeypatch, case):
         assert done == plain_done
         assert np.array_equal(leads, plain_leads)
     assert quota_run.quotas == plain_run.quotas
+    assert quota_run.counts == counts
     assert all(q >= 0 for q in quota_run.quotas)
     quota_gb, plain_gb = drained(quota_run.inner), drained(plain_run.inner)
     assert quota_gb.polys == plain_gb.polys
     stats, plain = quota_gb.stats, plain_gb.stats
     assert stats.considered == stats.coprime + stats.chain + stats.reduced + stats.skipped
-    assert (stats.skipped, plain.skipped) == (skipped, 0)
+    assert (astuple(stats), plain.skipped) == (drained_counts, 0)
     assert stats.considered == plain.considered
     assert stats.reduced - stats.zero == plain.reduced - plain.zero
 

@@ -303,6 +303,40 @@ def test_key_divisibility_and_decoding_match_the_exponent_rows(name, table, orde
         assert 12 <= hits < len(heads) * len(leads)
 
 
+CHAIN_IDS = ["grevlex", "paper"]
+
+
+@pytest.mark.parametrize("name,table,order",
+                         [case for case in order_cases() if case[0] in CHAIN_IDS],
+                         ids=CHAIN_IDS)
+def test_the_chain_scan_reads_only_the_leads_its_bit_set_names(name, table, order):
+    """``divides_any`` finds a dividing lead whose bit is set, never one
+    whose bit is clear, and gives False on leads that do not divide and on
+    the empty set; the same once the state widens from 8 to 16 bits."""
+    rng = np.random.default_rng(list(name.encode()))
+    heads = rows_near_the_limit(rng, order, 30, 8)
+    leads = np.vstack([np.maximum(heads[:10] - rng.integers(0, 3, size=(10, order.nvars)), 0),
+                       rows_near_the_limit(rng, order, 10, 8)])
+    div = Divisors(order)
+    for lead in leads:
+        div.append(div.pack(lead[None]), [1])
+    for width in (8, 16):
+        if width > div.width:
+            div._widen(width)
+        assert div.width == width
+        mixed = 0
+        for head, key in zip(heads, div.pack(heads)):
+            divides = (leads <= head).all(axis=1)
+            others = sum(1 << k for k in np.flatnonzero(~divides).tolist())
+            assert not kernels.divides_any(div, key, 0)
+            assert not kernels.divides_any(div, key, others)
+            for k in np.flatnonzero(divides).tolist():
+                assert kernels.divides_any(div, key, 1 << k)
+                assert kernels.divides_any(div, key, others | 1 << k)
+            mixed += bool(divides.any() and others)
+        assert mixed >= 10
+
+
 def assert_keys_are_clean(div):
     """No stored key has a guard bit set, every key decodes to rows that
     pack to it again, and each lead key decodes to its row of the lead
