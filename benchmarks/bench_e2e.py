@@ -22,17 +22,17 @@ included):
   default), with the accepted entries and the sha256 of the report.
 
 Each run's peak resident memory comes from the child process itself
-(``os.wait4``).  Every case runs once for each ``--src LABEL=DIR``, label
-after label, before the next case starts, so two trees (a parent commit and
-a change) are timed seconds apart on a host whose speed drifts over
-minutes.  A case whose first runs all take under ``REPEAT_BELOW_S`` seconds
-runs ``REPEATS`` rounds in fresh processes, the order of the labels
-alternating from round to round, and records each label's median wall time
-(and its largest peak); one run of a sub-second case moves by about a tenth
-of a second from run to run.  A case whose first runs all take under
-``WARM_UP_BELOW_S`` seconds, and every in-process case, runs one more
-round first, a warm-up that is not recorded: the first round of a short
-case often ran 30-70 % slower than the next two.  Each label's runs are
+(``os.wait4``).  Every case runs ``REPEATS`` rounds in fresh processes,
+each round once for each ``--src LABEL=DIR``, label after label, before
+the next case starts, so two trees (a parent commit and a change) are
+timed seconds apart on a host whose speed drifts over minutes.  The order
+of the labels alternates from round to round, and each label's median
+wall time (and its largest peak) is recorded: one run of a sub-second
+case moves by about a tenth of a second from run to run, and one run of a
+ten-second case by more than a second.  A case whose first runs all take
+under ``WARM_UP_BELOW_S`` seconds, and every in-process case, runs one
+more round first, a warm-up that is not recorded: the first round of a
+short case often ran 30-70 % slower than the next two.  Each label's runs are
 recorded in a ``BENCH_<date>.json`` file, with the Python and numpy versions,
 ``xyreg.active_backend()``, the processor, the label's ``src/xyreg`` code
 lines (lines holding code, not docstrings, comments or blanks) and the
@@ -82,8 +82,7 @@ SEARCH_METHODS = ("colon", "hilbert")
 TIMEOUT_S = 900  # a run still going after this is killed and recorded as stopped
 ADDRESS_LIMIT = 4 * 2**30  # RLIMIT_AS of every child, in bytes
 EXIT_INCONCLUSIVE = 3  # xyreg's exit code for a run out of memory
-REPEAT_BELOW_S = 5.0  # a case whose first run is faster runs REPEATS times
-REPEATS = 3
+REPEATS = 3  # recorded rounds of every case
 WARM_UP_BELOW_S = 1.0  # a case whose first run is faster gets an unrecorded warm-up round
 IMPORT_ARGS = ["-c", "import xyreg.cli"]  # the cold-start row
 INPROCESS_CALLS = 50
@@ -201,11 +200,10 @@ def run_case(runs, name, args, command):
     working directory)), label after label within each round, so the labels
     of one case are timed seconds apart, not a whole benchmark apart.
 
-    One round, or ``REPEATS`` when every first run took under
-    ``REPEAT_BELOW_S`` s, and then, when every first run took under
-    ``WARM_UP_BELOW_S`` s, that first round is a warm-up: it is not
-    recorded and ``REPEATS`` more follow.  Odd rounds take the labels in
-    reverse order.
+    ``REPEATS`` rounds; when every run of the first round took under
+    ``WARM_UP_BELOW_S`` s, that round is a warm-up: it is not recorded
+    and ``REPEATS`` more follow.  Odd rounds take the labels in reverse
+    order.
     Returns, per label, the record naming the run ``command`` with the
     median wall time, the largest peak RSS and every run's time, or, for a
     label whose run was killed or ran out of memory (exit 3), a record with
@@ -231,7 +229,7 @@ def run_case(runs, name, args, command):
 
     one_round(0)
     firsts = [done[0][0] for done in times.values() if done]
-    rounds = REPEATS if all(s < REPEAT_BELOW_S for s in firsts) else 1
+    rounds = REPEATS
     if all(s < WARM_UP_BELOW_S for s in firsts):
         for done in times.values():
             done.clear()  # that round was the warm-up

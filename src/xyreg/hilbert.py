@@ -17,11 +17,10 @@ variables split off: when J' uses no variable of S,
 N(<x_S> + J') = (1 - t)^|S| * N(J') (D. Bayer and M. Stillman,
 *Computation of Hilbert functions*, J. Symbolic Comput. 14, 1992), read
 off binomially, so a colon ideal of variables alone costs no pivot.  The
-recursion memoizes on the minimal generator set.  Inside the recursion a
-numerator is a sparse {degree: coefficient} dict, so a generator of
-degree 2**31 costs one entry there, not 2**31; :func:`hilbert_numerator`
-returns it dense, one coefficient per degree up to the top one, so its
-result does grow with the degree.
+recursion memoizes on the minimal generator set.  A numerator is sparse
+throughout: a {degree: coefficient} dict inside the recursion, and the
+ascending (degree, coefficient) pairs :func:`hilbert_numerator` returns,
+so a generator of degree 2**31 costs one term, not 2**31.
 
 A lead ideal grows one monomial at a time through N(J + m) = N(J) -
 t^deg(m) * N(J : m) (:class:`_LeadSeries`, one memo for every colon it
@@ -90,8 +89,9 @@ from .groebner import _buchberger_walk, buchberger, lead_ideal
 
 @dataclass(frozen=True)
 class HilbertData:
-    """Series numerator over (1-t)^nvars, as a coefficient tuple by degree
-    with no trailing zero (the zero quotient's is empty)."""
+    """Series numerator over (1-t)^nvars, as the ascending tuple of its
+    (degree, coefficient) pairs with nonzero coefficients (the zero
+    quotient's is empty)."""
 
     numerator: tuple
     nvars: int
@@ -124,11 +124,6 @@ def _times_one_minus_t(numerator, c):
         for d, v in numerator.items():
             out[d + k] = out.get(d + k, 0) + b * v
     return {d: v for d, v in out.items() if v}
-
-
-def _dense(numerator):
-    """A sparse numerator as its coefficient tuple, without trailing zeros."""
-    return tuple(numerator.get(d, 0) for d in range(max(numerator, default=-1) + 1))
 
 
 class _Packing:
@@ -230,9 +225,7 @@ def _numerator(gens, memo, pk):
         counts = pk.counts(gens)
         most = max(counts)
         if most == 1:  # pairwise coprime
-            res = {0: 1}
-            for m in gens:
-                res = _axpy(res, res, pk.degree(m), -1)
+            res = _complete_intersection(map(pk.degree, gens))
         else:
             shift, bits = pk.shifts[counts.index(most)], pk.value_bits
             powers = [(m >> shift) & bits for m in gens]
@@ -257,7 +250,7 @@ def hilbert_numerator(monomials, nvars):
     pk = _Packing(max((len(g) for g in gens), default=0),
                   max((e for g in gens for e in g), default=0))
     gens = _minimalize([pk.pack(g) for g in gens], pk)
-    return HilbertData(_dense(_numerator(gens, {}, pk)), nvars)
+    return HilbertData(tuple(sorted(_numerator(gens, {}, pk).items())), nvars)
 
 
 class _LeadSeries:
@@ -394,6 +387,6 @@ def hilbert_series_quotient(gens, order=None, **budget):
     live = [g for g in gens if not g.is_zero()]
     nvars = gens[0].table.nvars if gens else 0
     if not live:
-        return HilbertData((1,), nvars)
+        return HilbertData(((0, 1),), nvars)
     gb = buchberger(live, order, **budget)
     return hilbert_numerator(lead_ideal(gb), nvars)

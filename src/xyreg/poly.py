@@ -4,8 +4,16 @@ A polynomial stores a (m, nvars) int64 exponent block and a parallel
 coefficient array, rows strictly descending under the carried order tag,
 no zero coefficients, no repeated monomials.  The zero polynomial has no
 rows.  All instances are immutable; every operation returns a fresh value.
+
+Text in README's grammar is read by :func:`parse_poly` from one token list,
+a token being a run of ASCII digits or one other non-space character; the
+reader follows the grammar's four lines token by token.  A ParseError
+names where the offending token starts (the end of the text when the text
+ran out); an index outside 1..n and a zero denominator name the place just
+past the token that closes them.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,115 +256,86 @@ def _format_terms(field, terms, table):
     return "".join(pieces) or "0"
 
 
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch):
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def integer(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        if self.pos - start > MAX_DIGITS:
-            raise ParseError(f"integer of {self.pos - start} digits exceeds "
-                             f"{MAX_DIGITS} digits", start)
-        return int(self.text[start:self.pos])
+# one token: a run of ASCII digits or one other non-space character; the
+# search steps over the whitespace between tokens
+_TOKEN = re.compile(r"[0-9]+|\S")
 
 
-def _parse_factor(sc, table):
-    """Returns (slot, power) for one grammar factor."""
-    kind = sc.peek()
-    if kind not in ("x", "y"):
-        raise ParseError("expected variable 'x' or 'y'", sc.pos)
-    sc.pos += 1
-    sc.expect("[")
-    i = sc.integer()
-    sc.expect(",")
-    j = sc.integer()
-    sc.expect("]")
-    n = table.n
-    if n is None or not (1 <= i <= n and 1 <= j <= n):
-        raise ParseError(f"index {kind}[{i},{j}] outside 1..{n}", sc.pos)
-    power = 1
-    if sc.peek() == "^":
-        sc.pos += 1
-        sc.skip_ws()
-        start = sc.pos
-        power = sc.integer()
-        if power > MAX_EXPONENT:
-            raise ParseError(f"exponent {power} exceeds {MAX_EXPONENT}", start)
-    return table.slot(kind, i, j), power
+def _integer(tok, pos):
+    """The value of an integer token at ``pos``."""
+    if not (tok.isdigit() and tok.isascii()):
+        raise ParseError("expected an integer", pos)
+    if len(tok) > MAX_DIGITS:
+        raise ParseError(f"integer of {len(tok)} digits exceeds {MAX_DIGITS} digits", pos)
+    return int(tok)
 
 
-def _parse_term(sc, table, field):
-    """Returns (coefficient, exponent vector)."""
-    exps = np.zeros(table.nvars, dtype=np.int64)
-    coeff = field.one
-    have_factor = False
-    if sc.peek().isdigit():
-        num = sc.integer()
-        if sc.peek() == "/":
-            sc.pos += 1
-            den = sc.integer()
-            if den == 0:
-                raise ParseError("zero denominator", sc.pos)
-            coeff = field.div(field.coerce(num), field.coerce(den))
-        else:
-            coeff = field.coerce(num)
-        if sc.peek() == "*":
-            sc.pos += 1
-        else:
-            return coeff, exps  # bare constant term
-    while True:
-        slot, power = _parse_factor(sc, table)
-        exps[slot] += power
-        have_factor = True
-        if sc.peek() == "*":
-            sc.pos += 1
-            continue
-        break
-    if not have_factor:
-        raise ParseError("empty term", sc.pos)
-    return coeff, exps
+def _expect(token, want):
+    if token[0] != want:
+        raise ParseError(f"expected {want!r}", token[1])
 
 
 def parse_poly(text, table, field, order):
-    """Parse the additive grammar; raises ParseError with a position on bad input."""
-    sc = _Scanner(text)
-    terms = []
-    sign = 1
-    ch = sc.peek()
-    if ch == "":
+    """Parse the additive grammar; raises ParseError with a position on bad input.
+
+    Walks README's four grammar lines over the token list, collecting a
+    coefficient per term and a (term, slot, power) triple per factor; the
+    exponent block is built once from the triples."""
+    tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    if not tokens:
         raise ParseError("empty input", 0)
-    if ch in "+-":
-        sign = -1 if ch == "-" else 1
-        sc.pos += 1
+    tokens.append(("", len(text)))  # the end of the text, as a token no rule takes
+    n = table.n
+    coeffs, term_ids, slots, powers = [], [], [], []
+    sign = tokens[0][0]
+    k = 1 if sign in ("+", "-") else 0
     while True:
-        coeff, exps = _parse_term(sc, table, field)
-        if sign < 0:
-            coeff = field.neg(coeff)
-        terms.append((coeff, exps))
-        ch = sc.peek()
-        if ch == "":
+        tok, pos = tokens[k]
+        coeff = field.one
+        has_factors = True
+        if tok[:1].isdigit():
+            coeff = field.coerce(_integer(tok, pos))
+            k += 1
+            if tokens[k][0] == "/":
+                tok, pos = tokens[k + 1]
+                den = _integer(tok, pos)
+                if den == 0:
+                    raise ParseError("zero denominator", pos + len(tok))
+                coeff = field.div(coeff, field.coerce(den))
+                k += 2
+            has_factors = tokens[k][0] == "*"
+            k += has_factors
+        while has_factors:
+            kind, pos = tokens[k]
+            if kind not in ("x", "y"):
+                raise ParseError("expected variable 'x' or 'y'", pos)
+            _expect(tokens[k + 1], "[")
+            i = _integer(*tokens[k + 2])
+            _expect(tokens[k + 3], ",")
+            j = _integer(*tokens[k + 4])
+            _expect(tokens[k + 5], "]")
+            if n is None or not (1 <= i <= n and 1 <= j <= n):
+                raise ParseError(f"index {kind}[{i},{j}] outside 1..{n}", tokens[k + 5][1] + 1)
+            k += 6
+            power = 1
+            if tokens[k][0] == "^":
+                tok, pos = tokens[k + 1]
+                power = _integer(tok, pos)
+                if power > MAX_EXPONENT:
+                    raise ParseError(f"exponent {power} exceeds {MAX_EXPONENT}", pos)
+                k += 2
+            term_ids.append(len(coeffs))
+            slots.append(table.slot(kind, i, j))
+            powers.append(power)
+            has_factors = tokens[k][0] == "*"
+            k += has_factors
+        coeffs.append(field.neg(coeff) if sign == "-" else coeff)
+        sign, pos = tokens[k]
+        if not sign:
             break
-        if ch not in "+-":
-            raise ParseError(f"unexpected character {ch!r}", sc.pos)
-        sign = -1 if ch == "-" else 1
-        sc.pos += 1
-    return Polynomial.from_terms(table, field, order, terms)
+        if sign not in ("+", "-"):
+            raise ParseError(f"unexpected character {sign[0]!r}", pos)
+        k += 1
+    exps = np.zeros((len(coeffs), table.nvars), dtype=np.int64)
+    np.add.at(exps, (term_ids, slots), powers)
+    return canonicalize(table, field, order, exps, field.array(coeffs))

@@ -547,15 +547,11 @@ def nonzerodivisor_colon(prefix_gb, f, *, pair_budget=None, degree_budget=None):
         nonlocal keyed
         if keyed == div.width:
             return
-        keyed = div.width
         ratios[:] = [sigs.lead_keys[i] - div.lead_keys[first + i] for i in range(len(ratios))]
-        if heap:
-            sides, others = (np.array(col, dtype=np.intp) for col in zip(*(e[3:] for e in heap)))
-            leads = div.leads
-            lcm_keys = div.pack(np.maximum(leads[sides], leads[others]))
-            heap[:] = [(lcm_key + ratios[side - first], lcm_key, t, side, other)
-                       for lcm_key, (_, _, t, side, other) in zip(lcm_keys, heap)]
-            heapq.heapify(heap)
+        lcm_keys = div.repack([e[1] for e in heap], keyed)
+        heap[:] = [(lcm_key + ratios[side - first], lcm_key, t, side, other)
+                   for lcm_key, (_, _, t, side, other) in zip(lcm_keys, heap)]
+        keyed = div.width
 
     def admit(u, v):
         """Append the pair (u, v), made monic, and push its J-pairs with

@@ -8,8 +8,8 @@ import pytest
 from conftest import grevlex_entries
 from xyreg.errors import HomogeneityError
 from xyreg.fields import PrimeField
-from xyreg.hilbert import (HilbertData, _codimension, _complete_intersection, _dense,
-                           _LeadSeries, hilbert_numerator, hilbert_series_quotient)
+from xyreg.hilbert import (HilbertData, _codimension, _complete_intersection, _LeadSeries,
+                           hilbert_numerator, hilbert_series_quotient)
 from xyreg.groebner import buchberger, lead_ideal
 from xyreg.orders import MonomialOrder
 from xyreg.pattern import selected_entries
@@ -46,9 +46,10 @@ def taylor_numerator(gens):
 
 
 def series_at(numerator, nvars, degree):
-    """The series coefficient in one degree, summing only nonzero terms."""
+    """The series coefficient in one degree of the (degree, coefficient)
+    pairs ``numerator``."""
     return sum(c * comb(nvars - 1 + degree - j, nvars - 1)
-               for j, c in enumerate(numerator) if c and j <= degree)
+               for j, c in numerator if j <= degree)
 
 
 def series_coefficients(hd, upto):
@@ -57,17 +58,18 @@ def series_coefficients(hd, upto):
 
 
 def complete_intersection(degrees):
-    """prod (1 - t^d) as a coefficient tuple, one dense product per factor."""
+    """prod (1 - t^d) as ascending (degree, coefficient) pairs, from one
+    dense product per factor."""
     out = [1]
     for d in degrees:
         out = [a - b for a, b in itertools.zip_longest(out, [0] * d + out, fillvalue=0)]
-    return tuple(out)
+    return tuple((d, c) for d, c in enumerate(out) if c)
 
 
 def test_numerator_examples():
-    assert hilbert_numerator([], 3) == HilbertData((1,), 3)
-    assert hilbert_numerator([M(2)], 1) == HilbertData((1, 0, -1), 1)
-    assert hilbert_numerator([M(1, 0), M(0, 1)], 2) == HilbertData((1, -2, 1), 2)
+    assert hilbert_numerator([], 3) == HilbertData(((0, 1),), 3)
+    assert hilbert_numerator([M(2)], 1) == HilbertData(((0, 1), (2, -1)), 1)
+    assert hilbert_numerator([M(1, 0), M(0, 1)], 2) == HilbertData(((0, 1), (1, -2), (2, 1)), 2)
     # quotient by <x, y> is the ground field: series 1, 0, 0, ...
     assert series_coefficients(hilbert_numerator([M(1, 0), M(0, 1)], 2), 3) == [1, 0, 0, 0]
 
@@ -102,11 +104,14 @@ def test_brute_force_agreement():
 
 def test_numerators_never_end_in_zero():
     """HilbertData compares as a plain tuple, so an equal series must have
-    one numerator: no trailing zero, and the zero quotient's is empty."""
+    one numerator: ascending degrees, no zero coefficient, and the zero
+    quotient's is empty."""
     for gens, nvars in brute_force_ideals():
         numerator = hilbert_numerator([M(*g) for g in gens], nvars).numerator
-        assert numerator and numerator[-1] != 0, gens
-    assert hilbert_numerator([], 3).numerator == (1,)
+        degrees = [d for d, _ in numerator]
+        assert numerator and degrees == sorted(set(degrees)), gens
+        assert all(c for _, c in numerator), gens
+    assert hilbert_numerator([], 3).numerator == ((0, 1),)
     assert hilbert_numerator([M(0, 0, 0)], 3).numerator == ()
     assert hilbert_numerator([M(0, 0), M(1, 0)], 2).numerator == ()
 
@@ -135,7 +140,7 @@ def test_quotient_series_principal():
     order = MonomialOrder.grevlex(8)
     x11 = Polynomial.variable(table, gf, order, table.slot("x", 1, 1))
     hd = hilbert_series_quotient([x11])
-    assert tuple(hd.numerator) == (1, -1)
+    assert hd.numerator == ((0, 1), (1, -1))
     assert hd.nvars == 8
 
 
@@ -151,10 +156,11 @@ def test_quotient_requires_homogeneous():
 
 def test_complete_intersection_numerator():
     """The oracle's expected series, against dense products."""
-    assert _dense(_complete_intersection([])) == (1,)
-    assert _dense(_complete_intersection([2, 2])) == (1, 0, -2, 0, 1)
+    assert _complete_intersection([]) == {0: 1}
+    assert _complete_intersection([2, 2]) == {0: 1, 2: -2, 4: 1}
     for degrees in ([1], [3, 1], [2, 2, 2], [1, 2, 3, 4], [2] * 9):
-        assert _dense(_complete_intersection(degrees)) == complete_intersection(degrees)
+        assert tuple(sorted(_complete_intersection(degrees).items())) \
+            == complete_intersection(degrees)
 
 
 def random_wide_ideal(rng, nvars, low, high, big_slot=None):
@@ -183,8 +189,7 @@ def test_wide_exponent_fields_agree_with_independent_counts():
     for nvars, low, high, big_slot in cases:
         gens = random_wide_ideal(rng, nvars, low, high, big_slot)
         hd = hilbert_numerator([M(*g) for g in gens], nvars)
-        numerator = {d: c for d, c in enumerate(hd.numerator) if c}
-        assert numerator == taylor_numerator(gens), gens
+        assert dict(hd.numerator) == taylor_numerator(gens), gens
         degrees = {sum(g) + delta for g in gens for delta in (-1, 0, 1)}
         for degree in sorted(degrees):
             if comb(nvars - 1 + degree, nvars - 1) <= 3000:
@@ -195,10 +200,18 @@ def test_wide_exponent_fields_agree_with_independent_counts():
 def test_parser_limit_exponents_unit_and_empty_ideals():
     top = 2**31 - 1  # the parser's largest exponent: 32-bit fields
     assert hilbert_numerator([(top, 1, 0), (top - 1, 1, 0), (0, 1, 0)], 3) \
-        == HilbertData((1, -1), 3)
+        == HilbertData(((0, 1), (1, -1)), 3)
     assert hilbert_numerator([(top, 0), (0, 0)], 2) == HilbertData((), 2)
     assert hilbert_numerator([(0, 0, 0)], 3) == HilbertData((), 3)
-    assert hilbert_numerator([], 4) == HilbertData((1,), 4)
+    assert hilbert_numerator([], 4) == HilbertData(((0, 1),), 4)
+    assert hilbert_numerator([(top, 0), (0, top)], 2) \
+        == HilbertData(((0, 1), (top, -2), (2 * top, 1)), 2)
+
+
+def test_a_high_degree_generator_gives_a_two_term_numerator():
+    assert hilbert_numerator([(2**22,)], 1).numerator == ((0, 1), (4194304, -1))
+    assert hilbert_numerator([(2**22, 1), (0, 2)], 2).numerator \
+        == ((0, 1), (2, -1), (4194305, -1), (4194306, 1))
 
 
 def test_negative_exponents_are_rejected():
@@ -207,8 +220,10 @@ def test_negative_exponents_are_rejected():
 
 
 @pytest.mark.parametrize("n, full, numerator", [
-    (3, True, (1, 0, -9, 0, 36, 36, -294, 468, -315, 44, 63, -36, 6)),
-    (4, False, (1, 0, -8, 0, 28, 0, -56, 0, 70, 0, -56, 0, 28, 0, -8, 0, 1)),
+    (3, True, ((0, 1), (2, -9), (4, 36), (5, 36), (6, -294), (7, 468), (8, -315), (9, 44),
+               (10, 63), (11, -36), (12, 6))),
+    (4, False, ((0, 1), (2, -8), (4, 28), (6, -56), (8, 70), (10, -56), (12, 28), (14, -8),
+                (16, 1))),
 ])
 def test_pinned_lead_ideal_numerators(n, full, numerator):
     """Numerators of the grevlex lead ideals of all nine 3x3 entries (18
@@ -237,7 +252,7 @@ def test_variable_pivot_agrees_with_independent_counts():
         nvars = rng.randint(2, 6)
         gens = random_ideal(rng, nvars, rng.randint(2, 9), 4)
         hd = hilbert_numerator([M(*g) for g in gens], nvars)
-        assert {d: c for d, c in enumerate(hd.numerator) if c} == taylor_numerator(gens), gens
+        assert dict(hd.numerator) == taylor_numerator(gens), gens
         assert series_coefficients(hd, 6) == [count_standard_monomials(gens, nvars, d)
                                               for d in range(7)], gens
 
@@ -246,7 +261,7 @@ def lead_series(rows, nvars):
     series = _LeadSeries(nvars)
     for row in rows:
         series.add(row)
-    return HilbertData(_dense(series.numerator), nvars)
+    return HilbertData(tuple(sorted(series.numerator.items())), nvars)
 
 
 @pytest.mark.parametrize("n, full", [(3, True), (4, False)])
@@ -292,7 +307,7 @@ def test_codimension_is_the_least_cover_of_the_supports():
         cover = min(len(vs) for r in range(nvars + 1)
                     for vs in itertools.combinations(range(nvars), r)
                     if all(any(g[v] for v in vs) for g in gens))
-        numerator = dict(enumerate(hilbert_numerator([M(*g) for g in gens], nvars).numerator))
+        numerator = dict(hilbert_numerator([M(*g) for g in gens], nvars).numerator)
         assert _codimension(numerator, nvars) == cover, gens
         assert _codimension(numerator, cover - 1) == cover  # read no further than asked
     assert _codimension(_complete_intersection([2, 3, 1]), 3) == 3
@@ -346,12 +361,12 @@ def lead_series_checked(rows, nvars):
 def test_variables_split_off_agree_with_independent_counts(name):
     nvars, gens = VARIABLE_CASES[name]
     hd = hilbert_numerator(gens, nvars)
-    assert {d: c for d, c in enumerate(hd.numerator) if c} == taylor_numerator(gens)
+    assert dict(hd.numerator) == taylor_numerator(gens)
     assert series_coefficients(hd, 6) == [count_standard_monomials(gens, nvars, d)
                                           for d in range(7)]
     for rows in (gens, gens[::-1]):
         series = lead_series_checked(rows, nvars)
-        assert HilbertData(_dense(series.numerator), nvars) == hd
+        assert HilbertData(tuple(sorted(series.numerator.items())), nvars) == hd
 
 
 def test_a_lead_series_holding_variables_widens_past_8_bit_fields():

@@ -13,7 +13,6 @@ import json
 import random
 import re
 from dataclasses import astuple
-from itertools import zip_longest
 from types import SimpleNamespace
 
 import numpy as np
@@ -47,8 +46,8 @@ def reference_hilbert_criterion(seq):
     expected = HilbertData(complete_intersection(degrees), order.nvars)
     if computed == expected:
         return "regular", [], gb
-    pairs = zip_longest(computed.numerator, expected.numerator, fillvalue=0)
-    d = next(k for k, (a, b) in enumerate(pairs) if a != b)
+    a, b = dict(computed.numerator), dict(expected.numerator)
+    d = min(k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0))
     values = [series_at(hd.numerator, order.nvars, d) for hd in (computed, expected)]
     return "not-regular", [f"degree {d}: Hilbert function {values[0]}, "
                            f"complete intersection {values[1]}"], gb

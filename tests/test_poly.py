@@ -237,3 +237,115 @@ def test_sparse_rendering_matches_all_slot_rendering(gf):
                     assert parse_poly(text, table, field, order) == p
     assert seen_one and seen_power and seen_minus
     assert format_monomial(Monomial.one(8), tables[0]) == "1"
+
+
+# -- the reader against a recorded corpus ------------------------------------
+
+# pieces of the grammar, stray characters, every kind of space the reader
+# skips (tabs, newlines, no-break and em spaces, file separators), digits
+# that are not ASCII, and integers past the exponent and digit limits
+CORPUS_PIECES = [
+    "x[1,1]", "x[1,2]", "y[2,1]", "y[2,2]", "x[2, 2 ]", "y[ 1 ,1]", "x[3,1]",
+    "x[0,2]", "y[1,3]", "x", "y", "z", "[", "]", ",", "(", ")", ";", "#",
+    "x[1", "y[2,", "x[1,2", "x[1 2]", "y[1,1)", "x[1;2]", "x(1,1)",
+    "0", "1", "2", "3", "7", "12", "007", "32003", "64006", "/", "/0", "/3",
+    "0/0*", "5/00*", "/32003*", "^", "^2", "^ 3", "^0", "^2147483647",
+    "^2147483648", "^4294967296 ", "^" + "9" * 30, "^" + "9" * 4301,
+    "9" * 4301, "1" * 4300, "*", "**", "+", "-", " + ", " - ", "--", " ",
+    "  ", "\t", "\n", "\r", "\xa0", " ", "\x1c", "²", "٣", "①", "½",
+    "é", "x²", "1.5", "e5", "X[1,1]",
+]
+
+
+def corpus_text(rng):
+    """A polynomial in the grammar with a few pieces inserted, replaced or
+    deleted, or a string of pieces alone."""
+    if rng.random() < 0.3:
+        return "".join(rng.choice(CORPUS_PIECES) for _ in range(rng.randint(0, 8)))
+    pieces = []
+    for k in range(rng.randint(1, 4)):
+        if k or rng.random() < 0.3:
+            pieces.append(rng.choice([" + ", " - ", "+", "-"]))
+        if rng.random() < 0.5:
+            num = str(rng.choice([1, 2, 5, 17, 32003, rng.randint(1, 10**6)]))
+            if rng.random() < 0.3:
+                num += "/" + str(rng.choice([1, 3, 9, 32003, 64007]))
+            if rng.random() < 0.2:
+                pieces.append(num)
+                continue
+            pieces.append(num + "*")
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            factor = f"{rng.choice('xy')}[{rng.randint(1, 2)},{rng.randint(1, 2)}]"
+            if rng.random() < 0.3:
+                factor += f"^{rng.randint(0, 5)}"
+            factors.append(factor)
+        pieces.append("*".join(factors))
+    for _ in range(rng.choice([0, 0, 1, 1, 2])):
+        at = rng.randint(0, len(pieces))
+        action = rng.random()
+        if action < 0.5:
+            pieces.insert(at, rng.choice(CORPUS_PIECES))
+        elif action < 0.8 and at < len(pieces):
+            pieces[at] = rng.choice(CORPUS_PIECES)
+        elif at < len(pieces):
+            del pieces[at]
+    return "".join(pieces)
+
+
+def parse_outcome(text, table, field, order):
+    """The formatted polynomial, or the error's type, message and position."""
+    try:
+        return format_poly(parse_poly(text, table, field, order))
+    except (ParseError, ZeroDivisionError) as exc:
+        return f"{type(exc).__name__}: {exc} @ {getattr(exc, 'position', None)}"
+
+
+# recorded with the character-by-character reader this one replaced
+CORPUS_SHA256 = "a6274a3524ab2674bd7849baef757d8528c7883bdca308e21b78352df4e166cf"
+
+
+def test_parse_outcomes_match_the_recorded_corpus(xy2, paper2, gf):
+    import hashlib
+
+    rng = random.Random(20261022)
+    digest = hashlib.sha256()
+    for _ in range(3000):
+        text = corpus_text(rng)
+        for field in (gf, QQ):
+            outcome = parse_outcome(text, xy2, field, paper2)
+            digest.update(f"{text!r}\0{outcome}\0".encode())
+    assert digest.hexdigest() == CORPUS_SHA256
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("", "empty input", 0),
+    ("   ", "empty input", 0),
+    ("x(1,1)", "expected '['", 1),
+    ("x[1;1]", "expected ','", 3),
+    ("x[1,1", "expected ']'", 5),
+    ("z[1,1]", "expected variable 'x' or 'y'", 0),
+    ("x[1,1]*", "expected variable 'x' or 'y'", 7),
+    ("- x[1,1] -", "expected variable 'x' or 'y'", 10),
+    ("x[3, 1 ] + y[1,1]", "index x[3,1] outside 1..2", 8),
+    ("1/0*x[1,1]", "zero denominator", 3),
+    ("x[1,1] y[1,1]", "unexpected character 'y'", 7),
+    ("2 3", "unexpected character '3'", 2),
+    ("x[1,1]^²", "expected an integer", 7),
+    ("٣*x[1,1]", "expected an integer", 0),
+])
+def test_each_parse_error_names_its_position(ctx, text, message, position):
+    _, _, gf, parse = ctx
+    for field in (gf, QQ):
+        with pytest.raises(ParseError) as exc:
+            parse(text, field=field)
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
+
+
+def test_long_runs_of_spaces_parse(ctx):
+    # a token pattern that starts with \s* would rescan trailing whitespace
+    # from every position it failed at: minutes for these runs, not milliseconds
+    _, _, _, parse = ctx
+    spaces = " " * 100_000
+    assert parse(f"{spaces}x[1,1]{spaces}+{spaces}y[2,2]{spaces}") == parse("x[1,1] + y[2,2]")
